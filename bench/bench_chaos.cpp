@@ -9,9 +9,7 @@
 //      degradation, no rollback, goodput tracks the surviving devices.
 //   3. recover — seeded random plans over the full extended grammar (fail-stops included)
 //      at decreasing MTBF: the bottom rung, where goodput pays for rollbacks.
-// Results go to stdout as tables and to BENCH_chaos.json for tooling. Output is
-// deterministic at any HARMONY_SIM_THREADS setting (the golden-stdout manifest hashes it
-// at 1, 2 and 8).
+// Results go to stdout as tables and to BENCH_chaos.json for tooling.
 #include <cstdio>
 #include <iostream>
 #include <string>

@@ -11,9 +11,7 @@
 //   8 GPUs   =   2 nodes, one rack        (intra-node ring + 2-node exchange)
 //   64 GPUs  =  16 nodes, 8 per rack      (ToR tier engaged)
 //   512 GPUs = 128 nodes, 16 per rack     (8 racks behind the spine)
-// Results go to stdout as a table and to BENCH_cluster.json for tooling. Output is
-// deterministic at any HARMONY_SIM_THREADS setting (the golden-stdout manifest hashes it
-// at 1, 2 and 8).
+// Results go to stdout as a table and to BENCH_cluster.json for tooling.
 #include <cstdio>
 #include <iostream>
 #include <string>

@@ -42,35 +42,6 @@ BENCHMARK(BM_SimulatorEventThroughput)
     ->Arg(1000000)
     ->Arg(10000000);
 
-// Sharded-core variant (DESIGN.md §10): events spread round-robin over 64 lanes with a
-// conservative lookahead window, at a given worker count. The executed event sequence is
-// identical to the serial run — this measures the cost/benefit of windowed lane draining.
-void BM_SimulatorShardedThroughput(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    Simulator sim;
-    std::vector<SimLane> lanes;
-    for (int l = 0; l < 64; ++l) {
-      lanes.push_back(sim.CreateLane("lane" + std::to_string(l)));
-    }
-    sim.SetParallelism(threads);
-    sim.SetLookahead(8.0);
-    sim.Reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      sim.ScheduleAfter(lanes[static_cast<std::size_t>(i % 64)], static_cast<double>(i % 97),
-                        [] {});
-    }
-    sim.RunUntilIdle();
-    benchmark::DoNotOptimize(sim.now());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SimulatorShardedThroughput)
-    ->Args({1000000, 1})
-    ->Args({1000000, 2})
-    ->Args({1000000, 4});
-
 void BM_AllocatorChurn(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -8,9 +8,7 @@
 // goodput grows with load while delay stays flat, then delay grows once the fleet
 // saturates — and the 64-GPU fleet absorbs the same stream with a fraction of the delay.
 //
-// Results go to stdout as a table and to BENCH_multitenant.json for tooling. Output is
-// deterministic at any HARMONY_SIM_THREADS setting (the golden-stdout manifest hashes it
-// at 1, 2 and 8).
+// Results go to stdout as a table and to BENCH_multitenant.json for tooling.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -59,7 +57,6 @@ int main() {
       config.num_nodes = shape.nodes;
       config.nodes_per_rack = shape.nodes_per_rack;
       config.policy = SchedPolicy::kPriority;
-      config.sim_threads = 0;  // HARMONY_SIM_THREADS, so the manifest sweeps thread counts
       // A reserved-bandwidth tenant plus a memory-capped tenant keep both quota paths hot
       // in every sweep point.
       config.quotas.tenants["t0"].bw_fraction = 0.5;

@@ -229,10 +229,6 @@ Status ValidateSessionConfig(const Model& model, const SessionConfig& config) {
   if (config.watchdog_timeout < 0.0) {
     return InvalidArgumentError("watchdog_timeout must be >= 0 (0 = off)");
   }
-  if (config.sim_threads < 0) {
-    return InvalidArgumentError("sim_threads must be >= 0 (0 = HARMONY_SIM_THREADS or 1), got " +
-                                std::to_string(config.sim_threads));
-  }
   if (config.retry_max < 0) {
     return InvalidArgumentError("retry_max must be >= 0 (0 = retries off), got " +
                                 std::to_string(config.retry_max));
@@ -313,16 +309,6 @@ SessionResult RunTraining(const Model& model, const SessionConfig& config) {
   }
   sim.Reserve(std::min<std::size_t>(plan.tasks.size() * 8 + transfer_entries * 2 + 1024,
                                     std::size_t{1} << 18));
-
-  // Sharded-core knobs (DESIGN.md §10): thread count from the config (or the
-  // HARMONY_SIM_THREADS env), lookahead from the slowest-possible cross-component
-  // interaction — the minimum link latency of the finalized topology. Both are
-  // output-neutral: events always execute in global (when, seq) order.
-  const int sim_threads = ResolveSimThreads(config.sim_threads);
-  sim.SetParallelism(sim_threads);
-  if (sim_threads > 1) {
-    sim.SetLookahead(machine.topology.MinLinkLatency());
-  }
 
   MemoryPolicy policy =
       config.policy.has_value() ? *config.policy : DefaultPolicyFor(config.scheme, config.p2p);

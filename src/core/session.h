@@ -81,14 +81,6 @@ struct SessionConfig {
   bool prefetch = true;
   bool record_timeline = false;
 
-  // Worker threads for the sharded simulator core (DESIGN.md §10). 1 = classic serial
-  // event loop; > 1 drains per-component event lanes in parallel inside conservative
-  // lookahead windows. Output is byte-identical at any value — the merged execution order
-  // is always the serial (when, seq) order. 0 (default) resolves from the
-  // HARMONY_SIM_THREADS environment variable (unset = 1), so golden benches can be swept
-  // across thread counts without flag plumbing.
-  int sim_threads = 0;
-
   // Run the cheap tier of the static plan linter (runtime/plan_lint.h) on the built plan
   // before execution; fatal on errors. O(tasks + edges), silent when the plan is clean.
   // Opt out for plans that are deliberately broken (fault-injection experiments that

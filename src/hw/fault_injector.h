@@ -8,7 +8,7 @@
 // scale is bit-identical across runs (no divide-to-undo drift).
 //
 // Every applied action is appended to a trace; TraceString() is the canonical artifact the
-// fault determinism tests compare across runs and thread counts.
+// fault determinism tests compare across runs.
 #ifndef HARMONY_SRC_HW_FAULT_INJECTOR_H_
 #define HARMONY_SRC_HW_FAULT_INJECTOR_H_
 

@@ -145,19 +145,6 @@ const std::vector<LinkId>& Topology::Route(NodeId src, NodeId dst) const {
                  static_cast<std::size_t>(dst)];
 }
 
-double Topology::MinLinkLatency() const {
-  HCHECK(finalized_);
-  double min_latency = 0.0;
-  bool first = true;
-  for (const TopologyLink& l : links_) {
-    if (first || l.spec.latency_sec < min_latency) {
-      min_latency = l.spec.latency_sec;
-      first = false;
-    }
-  }
-  return min_latency;
-}
-
 bool Topology::RouteAvoidsHost(NodeId src, NodeId dst) const {
   if (src == dst) {
     return true;

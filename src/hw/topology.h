@@ -113,11 +113,6 @@ class Topology {
   // Ordered link ids along the route src -> dst. Empty when src == dst. Fatal if unreachable.
   const std::vector<LinkId>& Route(NodeId src, NodeId dst) const;
 
-  // Smallest latency over all links; 0 for a linkless topology. No event scheduled on one
-  // component can affect another sooner than this, so it is the safe conservative lookahead
-  // for the simulator's windowed execution (DESIGN.md §10).
-  double MinLinkLatency() const;
-
   // True when src and dst are GPUs whose route avoids every host node — i.e. a p2p transfer
   // that does not consume host-uplink bandwidth beyond the switch tier.
   bool RouteAvoidsHost(NodeId src, NodeId dst) const;

@@ -41,13 +41,6 @@ TransferManager::TransferManager(Simulator* sim, const Topology* topology)
   HCHECK(sim != nullptr);
   HCHECK(topology != nullptr);
   HCHECK(topology->finalized());
-  dma_lane_ = sim->CreateLane("dma");
-  link_lane_.reserve(static_cast<std::size_t>(topology->num_links()));
-  for (LinkId lid = 0; lid < topology->num_links(); ++lid) {
-    const TopologyLink& link = topology->link(lid);
-    link_lane_.push_back(sim->CreateLane(topology->node(link.src).name + ">" +
-                                         topology->node(link.dst).name));
-  }
   link_active_.assign(static_cast<std::size_t>(topology->num_links()), 0);
   link_scale_.assign(static_cast<std::size_t>(topology->num_links()), 1.0);
   node_dead_.assign(static_cast<std::size_t>(topology->num_nodes()), false);
@@ -68,21 +61,18 @@ OneShotEvent* TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes
     // caller decides what a dead endpoint means for it.
     aborted_events_.insert(done);
     ++flows_aborted_;
-    sim_->ScheduleAfter(dma_lane_, 0.0, [done] { done->Fire(); });
+    sim_->ScheduleAfter(0.0, [done] { done->Fire(); });
     return done;
   }
 
   if (src == dst || bytes == 0) {
     double latency = 0.0;
-    SimLane lane = dma_lane_;
     if (src != dst) {
-      const std::vector<LinkId>& route = topology_->Route(src, dst);
-      for (LinkId lid : route) {
+      for (LinkId lid : topology_->Route(src, dst)) {
         latency += topology_->link(lid).spec.latency_sec;
       }
-      lane = link_lane_[static_cast<std::size_t>(route.front())];
     }
-    sim_->ScheduleAfter(lane, latency, [done] { done->Fire(); });
+    sim_->ScheduleAfter(latency, [done] { done->Fire(); });
     return done;
   }
 
@@ -112,8 +102,7 @@ OneShotEvent* TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes
   // The flow joins the network after its route latency; that keeps latency out of the
   // bandwidth-sharing math while still delaying short transfers realistically. The flow
   // body lives in pending_ so the event closure carries two words, not the whole route.
-  sim_->ScheduleAfter(link_lane_[static_cast<std::size_t>(route.front())], latency,
-                      [this, id] { JoinFlow(id); });
+  sim_->ScheduleAfter(latency, [this, id] { JoinFlow(id); });
   return done;
 }
 
@@ -331,11 +320,10 @@ int TransferManager::FlapLinkFlows(const std::vector<LinkId>& links) {
       for (LinkId lid : *flow.route) {
         latency += topology_->link(lid).spec.latency_sec;
       }
-      const SimLane lane = link_lane_[static_cast<std::size_t>(flow.route->front())];
       Flow moved = std::move(flow);
       flows_.erase(id);
       pending_.emplace(id, std::move(moved));
-      sim_->ScheduleAfter(lane, backoff + latency, [this, id] { JoinFlow(id); });
+      sim_->ScheduleAfter(backoff + latency, [this, id] { JoinFlow(id); });
     } else {
       // Budget exhausted (or no policy): surface the abort exactly like a node-failure
       // victim, plus the typed exhaustion escalation.
@@ -507,7 +495,7 @@ void TransferManager::ScheduleNextCompletion() {
   // A projection rated at an earlier change point can sit an ulp before now; clamp.
   const SimTime when = std::max(completion_heap_.front().when, sim_->now());
   const std::uint64_t generation = wakeup_generation_;
-  sim_->ScheduleAt(dma_lane_, when, [this, generation] { OnWakeup(generation); });
+  sim_->ScheduleAt(when, [this, generation] { OnWakeup(generation); });
 }
 
 void TransferManager::OnWakeup(std::uint64_t generation) {

@@ -258,11 +258,6 @@ class TransferManager {
   Simulator* sim_;
   const Topology* topology_;
 
-  // Event lanes (DESIGN.md §10): completion wakeups and latency-only transfers ride the
-  // DMA-engine lane; each flow's latency window rides its first link's lane.
-  SimLane dma_lane_;
-  std::vector<SimLane> link_lane_;  // one per topology link
-
   std::int64_t next_flow_id_ = 0;
   // Unordered is safe: no code depends on iteration order (completion order comes from the
   // heap comparator, rates are pure functions of counts), and lookups are on the hot path.

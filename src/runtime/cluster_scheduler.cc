@@ -115,8 +115,7 @@ StatusOr<Scheme> TrainingSchemeByName(const char* what, const Field& field) {
 
 // Shortest decimal that round-trips to the same double (the ReportToJson rule), shared by
 // the canonical --jobs rendering and the JSON export: bursty-trace arrivals staggered by
-// 1e-3 at large t must stay distinct, and the bytes must be stable across runs and
-// thread counts.
+// 1e-3 at large t must stay distinct, and the bytes must be stable across runs.
 std::string RoundTripNumber(double value) {
   char buffer[64];
   for (int precision = 15; precision <= 17; ++precision) {
@@ -639,7 +638,6 @@ SessionConfig InnerConfig(const JobSpec& job, const ClusterSchedulerConfig& conf
   inner.microbatch_size = job.microbatch_size;
   inner.iterations = iterations;
   inner.pack_size = 1;
-  inner.sim_threads = config.sim_threads;
   inner.lint_plan = config.lint_plans;
   inner.uplink_bw_fraction = config.quotas.For(job.tenant).bw_fraction;
   return inner;
@@ -711,15 +709,11 @@ class ClusterScheduler {
         jobs_(std::move(jobs)) {}
 
   ClusterReport Run() {
-    // All stream events ride one dedicated lane: arrival order is fixed up front, and
-    // the (when, seq) event order — hence every grant decision — is identical at any
-    // worker-thread count (DESIGN.md §10).
-    lane_ = sim_.CreateLane("sched.arrivals");
-    const int threads = ResolveSimThreads(config_.sim_threads);
-    sim_.SetParallelism(threads);
+    // Arrival order is fixed up front, so the (when, seq) event order — hence every grant
+    // decision — is a pure function of the job list (DESIGN.md §10).
     for (std::size_t i = 0; i < jobs_.size(); ++i) {
       const int id = static_cast<int>(i);
-      sim_.ScheduleAt(lane_, jobs_[i].spec.arrival, [this, id] { OnArrival(id); });
+      sim_.ScheduleAt(jobs_[i].spec.arrival, [this, id] { OnArrival(id); });
     }
     sim_.RunUntilIdle();
 
@@ -973,7 +967,7 @@ class ClusterScheduler {
     ++draining_;
     const int epoch = job->epoch;
     const int id = job->spec.id;
-    sim_.ScheduleAt(lane_, release, [this, id, epoch] { OnRelease(id, epoch); });
+    sim_.ScheduleAt(release, [this, id, epoch] { OnRelease(id, epoch); });
   }
 
   void Grant(JobState* job, const std::vector<int>& nodes) {
@@ -1005,8 +999,7 @@ class ClusterScheduler {
     job->phase = Phase::kRunning;
     const int epoch = job->epoch;
     const int id = job->spec.id;
-    sim_.ScheduleAt(lane_, now + job->seg_run.makespan,
-                    [this, id, epoch] { OnComplete(id, epoch); });
+    sim_.ScheduleAt(now + job->seg_run.makespan, [this, id, epoch] { OnComplete(id, epoch); });
   }
 
   void FinalizeSegment(JobState* job, double duration, int iterations, bool preempted) {
@@ -1093,7 +1086,6 @@ class ClusterScheduler {
 
   ClusterSchedulerConfig config_;
   Simulator sim_;
-  SimLane lane_ = 0;
   std::vector<int> node_free_;
   std::vector<double> node_reserved_;
   std::vector<JobState> jobs_;

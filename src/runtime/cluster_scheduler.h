@@ -9,9 +9,8 @@
 // Composition model: every granted segment runs as its own inner session (RunTraining),
 // exactly the per-segment structure RunTrainingElastic uses for fail-stop recovery. The
 // outer simulator carries only the stream events (arrivals, completions, preemption
-// releases) on a dedicated event lane, so --sim_threads determinism carries over: inner
-// sessions are byte-identical at any thread count (DESIGN.md §10) and the stream layer is
-// a pure function of their results. Co-located tenants are isolated by *reservation*, not
+// releases), so the stream layer is a pure function of the inner sessions' deterministic
+// results (DESIGN.md §10). Co-located tenants are isolated by *reservation*, not
 // modeled contention: a tenant's bandwidth quota is applied inside its own sessions
 // (TransferManager::ApplyUplinkBandwidthQuota) and admission keeps the sum of reserved
 // shares per node <= 1; tenants without a reservation are best-effort and their mutual
@@ -117,7 +116,6 @@ struct ClusterSchedulerConfig {
   LinkSpec rack_link = Ethernet100G();
   SchedPolicy policy = SchedPolicy::kFifo;
   QuotaMap quotas;
-  int sim_threads = 0;  // forwarded to every inner session (0 = HARMONY_SIM_THREADS)
   bool lint_plans = true;
 };
 
@@ -185,7 +183,7 @@ struct ClusterReport {
 
   // One-line rollup, the per-tenant SLO table (the --explain view), and the full
   // deterministic rendering (rollup + table + per-job lines) whose bytes the determinism
-  // grid compares across sim_threads.
+  // test compares across runs.
   std::string Summary() const;
   std::string RenderTenantTable() const;
   std::string Render() const;
@@ -205,7 +203,7 @@ Status WriteClusterReportJson(const ClusterReport& report, const std::string& pa
 Status ValidateJobs(const std::vector<JobSpec>& jobs, const ClusterSchedulerConfig& config);
 
 // Runs the job stream to completion and returns the per-tenant / per-job report.
-// Deterministic: byte-identical reports at any sim_threads setting. Jobs are re-indexed
+// Deterministic: the same inputs give a byte-identical report. Jobs are re-indexed
 // in (arrival, submission) order; ids in the report refer to that order.
 StatusOr<ClusterReport> RunJobStream(std::vector<JobSpec> jobs,
                                      const ClusterSchedulerConfig& config);

@@ -53,7 +53,7 @@ bool CollectiveEngine::TryRunHierarchical(Group& group_state) {
   }
   // Partition the (sorted) members by server. Node-major device indexing keeps each
   // server's member list sorted, so the whole script is a deterministic function of the
-  // group — a requirement for byte-identical runs at any --sim_threads.
+  // group — a requirement for byte-identical runs.
   std::map<int, std::vector<int>> by_node;
   for (int device : group_state.devices) {
     by_node[topo.ServerOfGpu(device)].push_back(device);

@@ -27,10 +27,6 @@ Engine::Engine(Simulator* sim, const Machine* machine, MemorySystem* memory,
     completion_.push_back(std::make_unique<OneShotEvent>(sim));
   }
   devices_.resize(static_cast<std::size_t>(plan->num_devices()));
-  compute_lane_.reserve(static_cast<std::size_t>(plan->num_devices()));
-  for (int d = 0; d < plan->num_devices(); ++d) {
-    compute_lane_.push_back(sim->CreateLane("gpu" + std::to_string(d) + ".compute"));
-  }
   device_busy_.assign(static_cast<std::size_t>(plan->num_devices()), 0.0);
   device_time_.assign(static_cast<std::size_t>(plan->num_devices()), DeviceTimeBreakdown{});
   dep_wait_start_.assign(static_cast<std::size_t>(plan->num_devices()), 0.0);
@@ -376,8 +372,7 @@ void Engine::RunWithHandle(int device, TaskId task_id,
   }
   device_busy_[static_cast<std::size_t>(device)] += duration;
   device_time_[slot].of(TimeClass::kCompute) += duration;
-  sim_->ScheduleAfter(compute_lane_[static_cast<std::size_t>(device)], duration,
-                      [this, device, task_id, handle, start] {
+  sim_->ScheduleAfter(duration, [this, device, task_id, handle, start] {
     if (options_.record_timeline) {
       timeline_.push_back(TaskTrace{task_id, start, sim_->now()});
     }

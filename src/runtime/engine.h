@@ -142,7 +142,6 @@ class Engine {
 
   std::vector<std::unique_ptr<OneShotEvent>> completion_;
   std::vector<DeviceState> devices_;
-  std::vector<SimLane> compute_lane_;  // one simulator lane per device compute stream
   std::map<TaskId, MemoryManager::Acquisition> prefetched_;
   std::map<int, int> collective_group_size_;
   std::vector<int> iteration_remaining_;

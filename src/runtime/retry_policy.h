@@ -18,7 +18,7 @@ namespace harmony {
 // where u in [0, 1) is a deterministic hash of (seed, stream id, n). Jitter shrinks
 // the delay (never grows it) so the cap is a true upper bound, and because it is a
 // pure function of the flow identity the whole backoff schedule is reproducible on
-// the simulator clock at any --sim_threads.
+// the simulator clock.
 struct RetryPolicyConfig {
   int max_attempts = 3;          // total attempts per transfer, including the first; >= 1
   double base_delay_sec = 1e-3;  // first backoff; > 0 and finite

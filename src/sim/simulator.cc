@@ -1,47 +1,10 @@
 #include "src/sim/simulator.h"
 
-#include <cerrno>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
-#include <utility>
-
-#include "src/util/thread_pool.h"
-
 namespace harmony {
-
-Simulator::Simulator() {
-  CreateLane("main");  // kDefaultLane
-}
-
-// Out of line so ThreadPool can stay forward-declared in the header.
-Simulator::~Simulator() = default;
-
-SimLane Simulator::CreateLane(std::string name) {
-  lanes_.emplace_back();
-  lanes_.back().name = std::move(name);
-  return static_cast<SimLane>(lanes_.size() - 1);
-}
 
 void Simulator::Reserve(std::size_t events) {
   while (arena_capacity() < events) {
     AddSlab();
-  }
-}
-
-void Simulator::SetParallelism(int threads) {
-  HCHECK_GE(threads, 1);
-  threads_ = threads;
-}
-
-void Simulator::SetLookahead(SimTime lookahead) {
-  HCHECK_GE(lookahead, 0.0);
-  lookahead_ = lookahead;
-}
-
-void Simulator::EnsurePool() {
-  if (pool_ == nullptr || pool_->size() != threads_) {
-    pool_ = std::make_unique<ThreadPool>(threads_);
   }
 }
 
@@ -60,7 +23,7 @@ void Simulator::AddSlab() {
   slabs_.push_back(std::move(slab));
 }
 
-std::uint32_t Simulator::AllocSlot(Closure&& fn, std::uint64_t seq) {
+std::uint32_t Simulator::AllocSlot(Closure&& fn) {
   if (free_slot_ == kNil) {
     AddSlab();
   }
@@ -68,7 +31,6 @@ std::uint32_t Simulator::AllocSlot(Closure&& fn, std::uint64_t seq) {
   Slot& slot = SlotAt(index);
   free_slot_ = slot.next;
   slot.fn = std::move(fn);
-  slot.seq = seq;
   slot.next = kNil;
   ++arena_in_use_;
   return index;
@@ -82,146 +44,99 @@ void Simulator::FreeSlot(std::uint32_t index) {
   --arena_in_use_;
 }
 
-// ---- lane queues ------------------------------------------------------------------------
+// ---- timestamp buckets ------------------------------------------------------------------
 
-std::uint32_t Simulator::AllocBucket(Lane& lane) {
-  if (!lane.bucket_free.empty()) {
-    const std::uint32_t index = lane.bucket_free.back();
-    lane.bucket_free.pop_back();
+std::uint32_t Simulator::AllocBucket() {
+  if (!bucket_free_.empty()) {
+    const std::uint32_t index = bucket_free_.back();
+    bucket_free_.pop_back();
     return index;
   }
-  lane.buckets.emplace_back();
-  return static_cast<std::uint32_t>(lane.buckets.size() - 1);
+  buckets_.emplace_back();
+  return static_cast<std::uint32_t>(buckets_.size() - 1);
 }
 
-void Simulator::FreeBucket(Lane& lane, std::uint32_t index) {
-  lane.buckets[index].chain.clear();  // keeps capacity for the bucket's next life
-  lane.buckets[index].pos = 0;
-  lane.bucket_free.push_back(index);
+void Simulator::FreeBucket(std::uint32_t index) {
+  buckets_[index].chain.clear();  // keeps capacity for the bucket's next life
+  buckets_[index].pos = 0;
+  bucket_free_.push_back(index);
 }
 
-void Simulator::BucketHeapSiftUp(Lane& lane, std::size_t i) {
-  const BucketRef item = lane.heap[i];
+void Simulator::HeapSiftUp(std::size_t i) {
+  const BucketRef item = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
-    if (item.when >= lane.heap[parent].when) {
+    if (item.when >= heap_[parent].when) {
       break;
     }
-    lane.heap[i] = lane.heap[parent];
+    heap_[i] = heap_[parent];
     i = parent;
   }
-  lane.heap[i] = item;
+  heap_[i] = item;
 }
 
-void Simulator::BucketHeapSiftDown(Lane& lane, std::size_t i) {
-  const std::size_t n = lane.heap.size();
-  const BucketRef item = lane.heap[i];
+void Simulator::HeapSiftDown(std::size_t i) {
+  const std::size_t n = heap_.size();
+  const BucketRef item = heap_[i];
   for (;;) {
     std::size_t child = 2 * i + 1;
     if (child >= n) {
       break;
     }
     const std::size_t right = child + 1;
-    if (right < n && lane.heap[right].when < lane.heap[child].when) {
+    if (right < n && heap_[right].when < heap_[child].when) {
       child = right;
     }
-    if (lane.heap[child].when >= item.when) {
+    if (heap_[child].when >= item.when) {
       break;
     }
-    lane.heap[i] = lane.heap[child];
+    heap_[i] = heap_[child];
     i = child;
   }
-  lane.heap[i] = item;
+  heap_[i] = item;
 }
 
-void Simulator::RefreshLaneHead(Lane& lane, bool need_seq) {
-  if (lane.heap.empty()) {
-    return;  // caller removes the lane from the top heap
-  }
-  lane.head_when = lane.heap[0].when;
-  if (need_seq) {
-    const Bucket& head = lane.buckets[lane.heap[0].bucket];
-    lane.head_seq = SlotAt(head.chain[head.pos]).seq;
-    lane.head_seq_stale = false;
-  } else {
-    // The seq feeds only inter-lane tie-breaks; deferring the read keeps a dependent
-    // cache miss (the next slot's line) off the single-lane pop path. TopHeapInsert
-    // refreshes it before a second lane can be compared against this one.
-    lane.head_seq_stale = true;
-  }
-}
-
-void Simulator::ScheduleOnLane(SimLane lane, SimTime when, Closure&& fn) {
+void Simulator::Push(SimTime when, Closure&& fn) {
   HCHECK_GE(when, now_) << "cannot schedule into the past";
-  (void)CheckedLane(lane);
   if (when == 0.0) {
     when = 0.0;  // canonicalize -0.0: bucket lookup hashes the bit pattern, ordering
                  // compares the value — they must agree on what "equal times" means
   }
-  const std::uint64_t seq = next_seq_++;
-  const std::uint32_t slot = AllocSlot(std::move(fn), seq);
-  if (window_active_ && when < window_end_) {
-    // Scheduled from inside the open window and due inside it: interleave through the
-    // overflow heap so the merged order stays exactly the serial (when, seq) order.
-    overflow_.push_back(PendingEvent{when, seq, slot});
-    std::size_t i = overflow_.size() - 1;
-    const PendingEvent item = overflow_[i];
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (overflow_[parent].when < item.when ||
-          (overflow_[parent].when == item.when && overflow_[parent].seq < item.seq)) {
-        break;
-      }
-      overflow_[i] = overflow_[parent];
-      i = parent;
-    }
-    overflow_[i] = item;
-    return;
-  }
-  LanePush(lane, when, slot);
-}
-
-void Simulator::LanePush(SimLane lane_id, SimTime when, std::uint32_t slot) {
-  Lane& lane = lanes_[static_cast<std::size_t>(lane_id)];
-  const auto [it, inserted] = lane.bucket_by_time.try_emplace(when, kNil);
+  const std::uint32_t slot = AllocSlot(std::move(fn));
+  const auto [it, inserted] = bucket_by_time_.try_emplace(when, kNil);
   if (!inserted) {
     // Duplicate timestamp: append to the FIFO chain. O(1), no ordering structure moves —
     // this is the hot case (zero-delay callbacks, lockstep device streams).
-    lane.buckets[it->second].chain.push_back(slot);
+    buckets_[it->second].chain.push_back(slot);
     return;
   }
-  const std::uint32_t bucket_index = AllocBucket(lane);
+  const std::uint32_t bucket_index = AllocBucket();
   it->second = bucket_index;
-  Bucket& bucket = lane.buckets[bucket_index];
+  Bucket& bucket = buckets_[bucket_index];
   bucket.when = when;
   if (bucket.chain.capacity() == 0) {
     bucket.chain.reserve(16);  // skip the 1->2->4->8 doubling on a bucket's first life
   }
   bucket.chain.push_back(slot);
-
-  lane.heap.push_back(BucketRef{when, bucket_index});
-  std::size_t pos = lane.heap.size() - 1;
-  BucketHeapSiftUp(lane, pos);
-  if (lane.heap[0].bucket == bucket_index) {
-    // New earliest timestamp for this lane: refresh the cached head key and re-key the
-    // lane in the top-level heap (the key only ever decreases on a push).
-    lane.head_when = when;
-    lane.head_seq = SlotAt(slot).seq;
-    lane.head_seq_stale = false;
-    if (lane.top_pos == kNoPos) {
-      TopHeapInsert(lane_id);
-    } else {
-      TopHeapSiftUp(lane.top_pos);
-    }
-  }
+  heap_.push_back(BucketRef{when, bucket_index});
+  HeapSiftUp(heap_.size() - 1);
 }
 
-Simulator::PendingEvent Simulator::LanePopFront(SimLane lane_id, bool need_seq) {
-  Lane& lane = lanes_[static_cast<std::size_t>(lane_id)];
-  const std::uint32_t bucket_index = lane.heap[0].bucket;
-  Bucket& bucket = lane.buckets[bucket_index];
+// ---- execution --------------------------------------------------------------------------
+
+void Simulator::ScheduleAfter(SimTime delay, Closure fn) {
+  HCHECK_GE(delay, 0.0);
+  Push(now_ + delay, std::move(fn));
+}
+
+bool Simulator::RunOne() {
+  if (heap_.empty()) {
+    return false;
+  }
+  const std::uint32_t bucket_index = heap_[0].bucket;
+  Bucket& bucket = buckets_[bucket_index];
+  const SimTime when = bucket.when;
   const std::uint32_t slot = bucket.chain[bucket.pos++];
-  const PendingEvent event{bucket.when, SlotAt(slot).seq, slot};
   if (bucket.pos + kPrefetchDistance < bucket.chain.size()) {
     // Chained slots stride across the arena (they interleaved with other buckets' at
     // schedule time); the flat chain exposes far-ahead indices, so pull the line in well
@@ -229,368 +144,33 @@ Simulator::PendingEvent Simulator::LanePopFront(SimLane lane_id, bool need_seq) 
     __builtin_prefetch(&SlotAt(bucket.chain[bucket.pos + kPrefetchDistance]));
   }
   if (bucket.pos == bucket.chain.size()) {
-    lane.bucket_by_time.erase(bucket.when);
-    FreeBucket(lane, bucket_index);
-    lane.heap[0] = lane.heap.back();
-    lane.heap.pop_back();
-    if (!lane.heap.empty()) {
-      BucketHeapSiftDown(lane, 0);
+    // Retire an exhausted bucket before running the event: the callback may grow
+    // `buckets_` (invalidating `bucket`), and anything it schedules at now() must open a
+    // fresh bucket rather than append to a drained one.
+    bucket_by_time_.erase(when);
+    FreeBucket(bucket_index);
+    heap_[0] = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      HeapSiftDown(0);
     }
   }
-  RefreshLaneHead(lane, need_seq);  // caller re-keys (or removes) the lane in the top heap
-  return event;
-}
-
-// ---- top-level heap over lane heads -----------------------------------------------------
-
-bool Simulator::LaneBefore(SimLane a, SimLane b) const {
-  const Lane& lane_a = lanes_[static_cast<std::size_t>(a)];
-  const Lane& lane_b = lanes_[static_cast<std::size_t>(b)];
-  if (lane_a.head_when != lane_b.head_when) {
-    return lane_a.head_when < lane_b.head_when;
-  }
-  // Sequence numbers are globally unique, so (when, seq) is a strict total order over lane
-  // heads — the pop sequence is independent of the heap's internal layout.
-  return lane_a.head_seq < lane_b.head_seq;
-}
-
-void Simulator::TopHeapSiftUp(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!LaneBefore(top_heap_[i], top_heap_[parent])) {
-      break;
-    }
-    std::swap(top_heap_[i], top_heap_[parent]);
-    lanes_[static_cast<std::size_t>(top_heap_[i])].top_pos = i;
-    lanes_[static_cast<std::size_t>(top_heap_[parent])].top_pos = parent;
-    i = parent;
-  }
-}
-
-void Simulator::TopHeapSiftDown(std::size_t i) {
-  const std::size_t n = top_heap_.size();
-  for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) {
-      break;
-    }
-    const std::size_t right = child + 1;
-    if (right < n && LaneBefore(top_heap_[right], top_heap_[child])) {
-      child = right;
-    }
-    if (!LaneBefore(top_heap_[child], top_heap_[i])) {
-      break;
-    }
-    std::swap(top_heap_[i], top_heap_[child]);
-    lanes_[static_cast<std::size_t>(top_heap_[i])].top_pos = i;
-    lanes_[static_cast<std::size_t>(top_heap_[child])].top_pos = child;
-    i = child;
-  }
-}
-
-void Simulator::TopHeapInsert(SimLane lane) {
-  // Restore the invariant that every lane in a multi-entry heap carries a fresh
-  // (head_when, head_seq) key — single-lane pops defer the seq read (see RefreshLaneHead).
-  for (SimLane other : top_heap_) {
-    Lane& stale = lanes_[static_cast<std::size_t>(other)];
-    if (stale.head_seq_stale) {
-      const Bucket& head = stale.buckets[stale.heap[0].bucket];
-      stale.head_seq = SlotAt(head.chain[head.pos]).seq;
-      stale.head_seq_stale = false;
-    }
-  }
-  top_heap_.push_back(lane);
-  lanes_[static_cast<std::size_t>(lane)].top_pos = top_heap_.size() - 1;
-  TopHeapSiftUp(top_heap_.size() - 1);
-}
-
-void Simulator::TopHeapRemoveAt(std::size_t i) {
-  lanes_[static_cast<std::size_t>(top_heap_[i])].top_pos = kNoPos;
-  const std::size_t last = top_heap_.size() - 1;
-  if (i != last) {
-    top_heap_[i] = top_heap_[last];
-    lanes_[static_cast<std::size_t>(top_heap_[i])].top_pos = i;
-  }
-  top_heap_.pop_back();
-  if (i < top_heap_.size()) {
-    TopHeapSiftUp(i);
-    if (lanes_[static_cast<std::size_t>(top_heap_[i])].top_pos == i) {
-      TopHeapSiftDown(i);
-    }
-  }
-}
-
-// ---- execution --------------------------------------------------------------------------
-
-void Simulator::ScheduleAfter(SimTime delay, Closure fn) {
-  HCHECK_GE(delay, 0.0);
-  ScheduleOnLane(kDefaultLane, now_ + delay, std::move(fn));
-}
-
-void Simulator::ScheduleAfter(SimLane lane, SimTime delay, Closure fn) {
-  HCHECK_GE(delay, 0.0);
-  ScheduleOnLane(lane, now_ + delay, std::move(fn));
-}
-
-void Simulator::ExecuteEvent(const PendingEvent& event) {
-  now_ = event.when;
+  now_ = when;
   ++events_processed_;
   // Run the closure in place — slab storage is stable, so re-entrant scheduling (which may
   // add slabs) cannot move it — and only then recycle the slot.
-  SlotAt(event.slot).fn();
-  FreeSlot(event.slot);
-}
-
-void Simulator::CheckBudget(std::uint64_t* budget) {
-  HCHECK_GT(*budget, 0u) << "simulator event budget exhausted (livelock in schedule?)";
-  --*budget;
-}
-
-bool Simulator::RunOne() {
-  if (top_heap_.empty()) {
-    return false;
-  }
-  const SimLane lane_id = top_heap_[0];
-  const PendingEvent event = LanePopFront(lane_id, /*need_seq=*/top_heap_.size() > 1);
-  if (lanes_[static_cast<std::size_t>(lane_id)].heap.empty()) {
-    TopHeapRemoveAt(0);
-  } else {
-    TopHeapSiftDown(0);
-  }
-  ExecuteEvent(event);
+  SlotAt(slot).fn();
+  FreeSlot(slot);
   return true;
 }
 
 SimTime Simulator::RunUntilIdle(std::uint64_t max_events) {
   std::uint64_t budget = max_events;
-  if (threads_ <= 1 || lookahead_ <= 0.0) {
-    // Serial fast path (and the automatic zero-lookahead fallback).
-    while (RunOne()) {
-      CheckBudget(&budget);
-    }
-    return now_;
-  }
-  EnsurePool();
-  while (!top_heap_.empty()) {
-    const SimTime window_end =
-        lanes_[static_cast<std::size_t>(top_heap_[0])].head_when + lookahead_;
-    window_lanes_.clear();
-    for (SimLane lane : top_heap_) {
-      if (lanes_[static_cast<std::size_t>(lane)].head_when < window_end) {
-        window_lanes_.push_back(lane);
-      }
-    }
-    if (window_lanes_.size() < 2) {
-      // One active lane in the window: nothing to drain in parallel; run it serially
-      // until the window would close (new events may extend the burst — RunOne's order
-      // is the canonical one either way).
-      while (!top_heap_.empty() &&
-             lanes_[static_cast<std::size_t>(top_heap_[0])].head_when < window_end) {
-        RunOne();
-        CheckBudget(&budget);
-      }
-      continue;
-    }
-    ExecuteWindow(window_end, &budget);
+  while (RunOne()) {
+    HCHECK_GT(budget, 0u) << "simulator event budget exhausted (livelock in schedule?)";
+    --budget;
   }
   return now_;
-}
-
-void Simulator::DrainLane(Lane& lane, SimTime window_end) {
-  // Worker-side: touches only this lane's buckets/heap/map and the (pre-existing,
-  // read-only) arena slots, so concurrent drains of distinct lanes never share state.
-  lane.run.clear();
-  while (!lane.heap.empty() && lane.heap[0].when < window_end) {
-    const std::uint32_t bucket_index = lane.heap[0].bucket;
-    Bucket& bucket = lane.buckets[bucket_index];
-    const SimTime when = bucket.when;
-    for (std::size_t i = bucket.pos; i < bucket.chain.size(); ++i) {
-      if (i + kPrefetchDistance < bucket.chain.size()) {
-        __builtin_prefetch(&SlotAt(bucket.chain[i + kPrefetchDistance]));
-      }
-      const std::uint32_t slot = bucket.chain[i];
-      lane.run.push_back(PendingEvent{when, SlotAt(slot).seq, slot});
-    }
-    lane.bucket_by_time.erase(when);
-    FreeBucket(lane, bucket_index);
-    lane.heap[0] = lane.heap.back();
-    lane.heap.pop_back();
-    if (!lane.heap.empty()) {
-      BucketHeapSiftDown(lane, 0);
-    }
-  }
-  RefreshLaneHead(lane, /*need_seq=*/true);
-}
-
-bool Simulator::CursorBefore(const RunCursor& a, const RunCursor& b) const {
-  const PendingEvent& ea = lanes_[static_cast<std::size_t>(a.lane)].run[a.index];
-  const PendingEvent& eb = lanes_[static_cast<std::size_t>(b.lane)].run[b.index];
-  if (ea.when != eb.when) {
-    return ea.when < eb.when;
-  }
-  return ea.seq < eb.seq;
-}
-
-void Simulator::CursorHeapSiftDown(std::size_t i) {
-  const std::size_t n = cursors_.size();
-  for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) {
-      break;
-    }
-    const std::size_t right = child + 1;
-    if (right < n && CursorBefore(cursors_[right], cursors_[child])) {
-      child = right;
-    }
-    if (!CursorBefore(cursors_[child], cursors_[i])) {
-      break;
-    }
-    std::swap(cursors_[i], cursors_[child]);
-    i = child;
-  }
-}
-
-void Simulator::ExecuteWindow(SimTime window_end, std::uint64_t* budget) {
-  // Phase 1: drain the candidate lanes in parallel. The slow part of the event loop —
-  // bucket-heap pops, map erases, chain walks — runs concurrently; execution does not.
-  ParallelFor(*pool_, window_lanes_.size(), [this, window_end](std::size_t i) {
-    DrainLane(lanes_[static_cast<std::size_t>(window_lanes_[i])], window_end);
-  });
-
-  // Phase 2: the drained lanes' head keys changed (or the lanes emptied); rebuild the
-  // top-level heap. Floyd's heapify is O(active lanes), the same as the candidate scan.
-  for (SimLane lane_id : window_lanes_) {
-    Lane& lane = lanes_[static_cast<std::size_t>(lane_id)];
-    if (!lane.heap.empty()) {
-      continue;
-    }
-    const std::size_t pos = lane.top_pos;
-    lane.top_pos = kNoPos;
-    top_heap_[pos] = top_heap_.back();
-    top_heap_.pop_back();
-    if (pos < top_heap_.size()) {
-      lanes_[static_cast<std::size_t>(top_heap_[pos])].top_pos = pos;
-    }
-  }
-  for (std::size_t i = top_heap_.size() / 2; i-- > 0;) {
-    TopHeapSiftDown(i);
-  }
-
-  // Phase 3: execute the union of the drained runs serially, merged in (when, seq) order
-  // through a cursor heap. Events scheduled *during* the window that land inside it
-  // interleave via overflow_; everything later goes through the lanes as usual.
-  window_active_ = true;
-  window_end_ = window_end;
-  cursors_.clear();
-  for (SimLane lane_id : window_lanes_) {
-    if (!lanes_[static_cast<std::size_t>(lane_id)].run.empty()) {
-      cursors_.push_back(RunCursor{lane_id, 0});
-    }
-  }
-  for (std::size_t i = cursors_.size() / 2; i-- > 0;) {
-    CursorHeapSiftDown(i);
-  }
-  while (!cursors_.empty() || !overflow_.empty()) {
-    bool take_overflow;
-    if (cursors_.empty()) {
-      take_overflow = true;
-    } else if (overflow_.empty()) {
-      take_overflow = false;
-    } else {
-      const RunCursor& cursor = cursors_[0];
-      const PendingEvent& from_lane =
-          lanes_[static_cast<std::size_t>(cursor.lane)].run[cursor.index];
-      const PendingEvent& from_overflow = overflow_[0];
-      take_overflow = from_overflow.when < from_lane.when ||
-                      (from_overflow.when == from_lane.when &&
-                       from_overflow.seq < from_lane.seq);
-    }
-    PendingEvent event;
-    if (take_overflow) {
-      event = overflow_[0];
-      // Pop the overflow min-heap root (hole-shifting sift-down by (when, seq)).
-      const PendingEvent item = overflow_.back();
-      overflow_.pop_back();
-      if (!overflow_.empty()) {
-        std::size_t i = 0;
-        const std::size_t n = overflow_.size();
-        for (;;) {
-          std::size_t child = 2 * i + 1;
-          if (child >= n) {
-            break;
-          }
-          const std::size_t right = child + 1;
-          if (right < n && (overflow_[right].when < overflow_[child].when ||
-                            (overflow_[right].when == overflow_[child].when &&
-                             overflow_[right].seq < overflow_[child].seq))) {
-            child = right;
-          }
-          if (item.when < overflow_[child].when ||
-              (item.when == overflow_[child].when && item.seq < overflow_[child].seq)) {
-            break;
-          }
-          overflow_[i] = overflow_[child];
-          i = child;
-        }
-        overflow_[i] = item;
-      }
-    } else {
-      RunCursor& cursor = cursors_[0];
-      Lane& lane = lanes_[static_cast<std::size_t>(cursor.lane)];
-      event = lane.run[cursor.index];
-      ++cursor.index;
-      if (cursor.index == lane.run.size()) {
-        cursors_[0] = cursors_.back();
-        cursors_.pop_back();
-      }
-      if (!cursors_.empty()) {
-        CursorHeapSiftDown(0);
-      }
-    }
-    ExecuteEvent(event);
-    CheckBudget(budget);
-  }
-  window_active_ = false;
-  for (SimLane lane_id : window_lanes_) {
-    lanes_[static_cast<std::size_t>(lane_id)].run.clear();
-  }
-}
-
-StatusOr<int> ParseSimThreadsEnv(const char* value) {
-  if (value == nullptr || *value == '\0') {
-    return 1;
-  }
-  // Digits only: strtol alone would skip leading whitespace and accept signs, and the
-  // old std::atoi path mapped any garbage to 0 — which the caller then clamped to 1,
-  // silently serializing the simulator on a typo'd environment.
-  for (const char* p = value; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      return InvalidArgumentError("HARMONY_SIM_THREADS must be a positive integer, got '" +
-                                  std::string(value) + "'");
-    }
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end != value + std::strlen(value) || errno == ERANGE || parsed < 1 ||
-      parsed > std::numeric_limits<int>::max()) {
-    return InvalidArgumentError("HARMONY_SIM_THREADS must be a positive integer, got '" +
-                                std::string(value) + "'");
-  }
-  return static_cast<int>(parsed);
-}
-
-int ResolveSimThreads(int requested) {
-  if (requested >= 1) {
-    return requested;
-  }
-  // Re-read on every call (no cache): getenv is cheap next to building a session, and a
-  // cached first read would silently ignore env changes from tests or long-lived embedders
-  // that run several sessions. Each session still samples the value exactly once, at
-  // startup, so determinism within a run is unaffected.
-  const StatusOr<int> parsed = ParseSimThreadsEnv(std::getenv("HARMONY_SIM_THREADS"));
-  HCHECK(parsed.ok()) << parsed.status().message();
-  return parsed.value();
 }
 
 // ---- waitable events --------------------------------------------------------------------

@@ -1,102 +1,58 @@
-// Sharded deterministic discrete-event simulation core.
+// Deterministic discrete-event simulation core.
 //
 // Everything in Harmony's hardware substrate (links, DMA engines, GPU compute streams) is
-// driven by one Simulator. Events scheduled for the same timestamp run in insertion order
-// (a monotonically increasing sequence number breaks ties), so every experiment is
-// reproducible bit-for-bit.
+// driven by one Simulator. Events scheduled for the same timestamp run in insertion order,
+// so every experiment is reproducible bit-for-bit.
 //
-// The core is sharded into *lanes* (DESIGN.md §10): each component that owns an event
-// stream — a GPU compute stream, the DMA engine, each topology link — creates its own lane
-// and schedules onto it. Internally a lane keeps timestamp buckets (a FIFO slot chain per
-// distinct timestamp, a min-heap over the distinct timestamps), and a top-level indexed
-// heap over lane heads yields the global (when, seq) order. Event closures live in a slab
-// arena of fixed-size slots with small-buffer inline storage (util/inline_function.h), so
-// steady-state scheduling performs no heap allocation at all.
-//
-// With SetParallelism(n > 1) and a positive lookahead, RunUntilIdle executes in
-// conservative time windows: lanes whose next event falls inside [t, t + lookahead) are
-// *drained* in parallel on a worker pool (each worker touches only its own lane's
-// structures), then the drained events execute serially in merged (when, seq) order. The
-// observable event sequence is therefore byte-identical at any thread count — parallelism
-// accelerates queue maintenance, never reorders execution. Zero lookahead (or a single
-// active lane) falls back to the serial path automatically.
+// The queue is one serial (when, seq) order (DESIGN.md §10), kept as timestamp buckets: a
+// FIFO slot chain per distinct timestamp, a min-heap over the distinct timestamps, and a
+// time -> bucket map. Appending to a bucket's chain *is* the insertion-order tie-break, so
+// no sequence number needs storing. Event closures live in a slab arena of fixed-size slots
+// with small-buffer inline storage (util/inline_function.h), so steady-state scheduling
+// performs no heap allocation at all.
 #ifndef HARMONY_SRC_SIM_SIMULATOR_H_
 #define HARMONY_SRC_SIM_SIMULATOR_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/util/check.h"
 #include "src/util/inline_function.h"
-#include "src/util/status.h"
 
 namespace harmony {
-
-class ThreadPool;
 
 // Simulated time, in seconds.
 using SimTime = double;
 
 inline constexpr SimTime kSimTimeNever = -1.0;
 
-// Handle for a per-component event lane (index into the simulator's lane table).
-using SimLane = int;
-
 class Simulator {
  public:
-  // Lane 0 always exists: events scheduled without an explicit lane land there.
-  static constexpr SimLane kDefaultLane = 0;
-
   // Event closure type: inline storage covers the common captures (`this` + a few
   // scalars, up to 32 bytes — every hot-path closure in the runtime fits); larger captures
-  // take one heap allocation, like std::function always did. 32 keeps the whole arena slot
-  // (closure + sequence number + intrusive link) inside one 64-byte cache line.
+  // take one heap allocation, like std::function always did.
   using Closure = InlineFunction<32>;
 
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
   std::uint64_t events_processed() const { return events_processed_; }
 
-  // Registers a new event lane (components call this at construction). Returns its handle.
-  SimLane CreateLane(std::string name);
-  int num_lanes() const { return static_cast<int>(lanes_.size()); }
-  const std::string& lane_name(SimLane lane) const {
-    return lanes_[CheckedLane(lane)].name;
-  }
-
   // Capacity hint: pre-sizes the event arena to at least `events` outstanding events so
   // steady-state scheduling never allocates.
   void Reserve(std::size_t events);
 
-  // Schedules `fn` to run at absolute time `when` (must be >= now()), optionally on a
-  // specific lane. Lane choice never affects execution order — only which sub-queue carries
-  // the event (and thus which worker drains it under parallel execution).
-  void ScheduleAt(SimTime when, Closure fn) { ScheduleOnLane(kDefaultLane, when, std::move(fn)); }
-  void ScheduleAt(SimLane lane, SimTime when, Closure fn) {
-    ScheduleOnLane(lane, when, std::move(fn));
-  }
+  // Schedules `fn` to run at absolute time `when` (must be >= now()).
+  void ScheduleAt(SimTime when, Closure fn) { Push(when, std::move(fn)); }
 
   // Schedules `fn` to run `delay` seconds from now (delay >= 0).
   void ScheduleAfter(SimTime delay, Closure fn);
-  void ScheduleAfter(SimLane lane, SimTime delay, Closure fn);
-
-  // Worker threads for windowed execution (>= 1; 1 = serial, the default). The pool is
-  // created lazily on the first parallel RunUntilIdle.
-  void SetParallelism(int threads);
-  int parallelism() const { return threads_; }
-
-  // Conservative window width, normally Topology::MinLinkLatency(). Zero (the default)
-  // disables windowing regardless of parallelism.
-  void SetLookahead(SimTime lookahead);
-  SimTime lookahead() const { return lookahead_; }
 
   // Runs events until the queue drains. Returns the final simulated time. The event budget
   // guards against runaway loops in buggy schedules; exceeding it is a fatal error.
@@ -105,7 +61,7 @@ class Simulator {
   // Runs exactly one event if available; returns false when the queue is empty.
   bool RunOne();
 
-  bool idle() const { return top_heap_.empty() && overflow_.empty(); }
+  bool idle() const { return heap_.empty(); }
 
   // Arena introspection (tests): total slots allocated / currently holding a live event.
   std::size_t arena_capacity() const { return slabs_.size() * kSlabSlots; }
@@ -113,7 +69,6 @@ class Simulator {
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  static constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
   static constexpr std::size_t kSlabShift = 12;
   static constexpr std::size_t kSlabSlots = std::size_t{1} << kSlabShift;  // 4096
   static constexpr std::size_t kMaxSlabs = std::size_t{1} << 19;           // 2^31 slots
@@ -121,17 +76,16 @@ class Simulator {
   // to cover a memory-latency stall with a handful of event executions.
   static constexpr std::size_t kPrefetchDistance = 8;
 
-  // One arena slot: the closure, its global sequence number, and the free-list link.
+  // One arena slot: the closure and the free-list link.
   struct Slot {
     Closure fn;
-    std::uint64_t seq = 0;
     std::uint32_t next = kNil;
   };
 
-  // One distinct timestamp within a lane: the FIFO chain of slot indices, stored flat so
-  // the pop path can prefetch slot lines well ahead (an intrusive chain only reveals the
-  // next index after the miss it causes). `pos` is the consumed prefix; free buckets keep
-  // their chain capacity, so steady-state scheduling never reallocates here either.
+  // One distinct timestamp: the FIFO chain of slot indices, stored flat so the pop path can
+  // prefetch slot lines well ahead (an intrusive chain only reveals the next index after
+  // the miss it causes). `pos` is the consumed prefix; free buckets keep their chain
+  // capacity, so steady-state scheduling never reallocates here either.
   struct Bucket {
     SimTime when = 0.0;
     std::vector<std::uint32_t> chain;
@@ -143,115 +97,34 @@ class Simulator {
     std::uint32_t bucket = kNil;
   };
 
-  // A drained (or popped) event, ready to execute: the (when, seq) key plus its arena slot.
-  struct PendingEvent {
-    SimTime when = 0.0;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = kNil;
-  };
-
-  struct Lane {
-    std::string name;
-    std::vector<BucketRef> heap;     // min-heap over distinct timestamps
-    std::vector<Bucket> buckets;          // bucket pool
-    std::vector<std::uint32_t> bucket_free;  // LIFO free list into `buckets`
-    std::unordered_map<SimTime, std::uint32_t> bucket_by_time;
-    // Cached head key — (heap[0].when, first chained slot's seq) — read by the top-level
-    // heap comparator. Valid whenever the lane is non-empty.
-    SimTime head_when = 0.0;
-    std::uint64_t head_seq = 0;
-    // head_seq deferral: while a lane is alone in the top heap its seq is never compared,
-    // so pops skip the (cache-missing) read of the next slot's seq and mark it stale;
-    // TopHeapInsert restores freshness before any second lane can be compared against it.
-    bool head_seq_stale = false;
-    std::size_t top_pos = kNoPos;    // position in top_heap_, kNoPos when lane is empty
-    std::vector<PendingEvent> run;   // window-drain output, reused across windows
-  };
-
-  // Cursor into one lane's drained run during merged window execution.
-  struct RunCursor {
-    SimLane lane = 0;
-    std::size_t index = 0;
-  };
-
-  std::size_t CheckedLane(SimLane lane) const {
-    HCHECK_GE(lane, 0);
-    HCHECK_LT(lane, num_lanes());
-    return static_cast<std::size_t>(lane);
-  }
-
   Slot& SlotAt(std::uint32_t index) {
     return slabs_[index >> kSlabShift][index & (kSlabSlots - 1)];
   }
 
   // ---- arena ----
   void AddSlab();
-  std::uint32_t AllocSlot(Closure&& fn, std::uint64_t seq);
+  std::uint32_t AllocSlot(Closure&& fn);
   void FreeSlot(std::uint32_t index);
 
-  // ---- lane queues ----
-  std::uint32_t AllocBucket(Lane& lane);
-  void FreeBucket(Lane& lane, std::uint32_t index);
-  void BucketHeapSiftUp(Lane& lane, std::size_t i);
-  void BucketHeapSiftDown(Lane& lane, std::size_t i);
-  void RefreshLaneHead(Lane& lane, bool need_seq);
-  void ScheduleOnLane(SimLane lane, SimTime when, Closure&& fn);
-  void LanePush(SimLane lane_id, SimTime when, std::uint32_t slot);
-  PendingEvent LanePopFront(SimLane lane_id, bool need_seq);
-
-  // ---- top-level heap over lane heads ----
-  bool LaneBefore(SimLane a, SimLane b) const;
-  void TopHeapSiftUp(std::size_t i);
-  void TopHeapSiftDown(std::size_t i);
-  void TopHeapInsert(SimLane lane);
-  void TopHeapRemoveAt(std::size_t i);
-
-  // ---- execution ----
-  void ExecuteEvent(const PendingEvent& event);
-  void CheckBudget(std::uint64_t* budget);
-  void DrainLane(Lane& lane, SimTime window_end);
-  void ExecuteWindow(SimTime window_end, std::uint64_t* budget);
-  void EnsurePool();
-  bool CursorBefore(const RunCursor& a, const RunCursor& b) const;
-  void CursorHeapSiftDown(std::size_t i);
+  // ---- timestamp buckets ----
+  std::uint32_t AllocBucket();
+  void FreeBucket(std::uint32_t index);
+  void HeapSiftUp(std::size_t i);
+  void HeapSiftDown(std::size_t i);
+  void Push(SimTime when, Closure&& fn);
 
   SimTime now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
 
   std::vector<std::unique_ptr<Slot[]>> slabs_;
   std::uint32_t free_slot_ = kNil;
   std::size_t arena_in_use_ = 0;
 
-  std::vector<Lane> lanes_;
-  std::vector<SimLane> top_heap_;
-
-  int threads_ = 1;
-  SimTime lookahead_ = 0.0;
-  std::unique_ptr<ThreadPool> pool_;
-
-  // Window state: while a window executes, newly scheduled events earlier than window_end_
-  // bypass the lanes and interleave through this (min-heap ordered) overflow queue.
-  bool window_active_ = false;
-  SimTime window_end_ = 0.0;
-  std::vector<PendingEvent> overflow_;
-  std::vector<SimLane> window_lanes_;  // scratch: lanes participating in the open window
-  std::vector<RunCursor> cursors_;     // scratch: merge heap over drained runs
+  std::vector<BucketRef> heap_;             // min-heap over distinct timestamps
+  std::vector<Bucket> buckets_;             // bucket pool
+  std::vector<std::uint32_t> bucket_free_;  // LIFO free list into `buckets_`
+  std::unordered_map<SimTime, std::uint32_t> bucket_by_time_;
 };
-
-// Parses a HARMONY_SIM_THREADS environment value: nullptr / empty means "unset" and
-// resolves to 1; anything else must be a full-string positive integer that fits an int.
-// Garbage ("8x", "abc"), zero/negative values, and overflow reject with a typed error —
-// the same contract --sim_threads enforces at the flag layer.
-StatusOr<int> ParseSimThreadsEnv(const char* value);
-
-// Resolves a sim-threads knob: n >= 1 is taken literally; n <= 0 means "consult the
-// HARMONY_SIM_THREADS environment variable", re-read on every call so env changes between
-// sessions take effect (each session samples it once at startup). A malformed env value is
-// fatal with the ParseSimThreadsEnv message — callers that want a recoverable Status should
-// parse the env themselves. The env hook lets the golden benches — which take no flags —
-// be swept across thread counts without per-binary plumbing.
-int ResolveSimThreads(int requested);
 
 // One-shot waitable event. Waiters registered before the fire run (in registration order) as
 // fresh simulator events at the fire time; waiters registered after the fire run as fresh

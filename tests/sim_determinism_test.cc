@@ -1,12 +1,9 @@
-// Sharded-core determinism gate (DESIGN.md §10, ctest label: simcore).
+// Simulation-core determinism gate (DESIGN.md §10, ctest label: simcore).
 //
-// The contract of the parallel simulator is absolute: for any configuration, the rendered
-// run report is BYTE-IDENTICAL at every sim_threads value, because windowed execution only
-// parallelizes queue maintenance — events always execute serially in merged (when, seq)
-// order. This suite runs session configurations mirroring the eight golden benches
-// (tools/golden_stdout.sha256) at sim_threads 1, 2 and 8 and compares the full rendered
-// output string. It is also the TSan target for the parallel drain path
-// (tools/run_sanitizer_suite.sh runs `ctest -L simcore` under ThreadSanitizer).
+// For any configuration, the rendered run report is BYTE-IDENTICAL from one run to the
+// next, because events execute in one serial (when, seq) order. This suite runs session
+// configurations mirroring the eight golden benches (tools/golden_stdout.sha256) twice in
+// the same binary and compares the full rendered output string.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -117,8 +114,7 @@ std::vector<NamedConfig> GoldenRegimes(const Model& model) {
 
 // The full rendered output a bench would print for this run: the report summary plus the
 // bottleneck attribution. String equality here is the same bar as the golden-stdout gate.
-std::string RenderedRun(const Model& model, SessionConfig config, int sim_threads) {
-  config.sim_threads = sim_threads;
+std::string RenderedRun(const Model& model, const SessionConfig& config) {
   const SessionResult result = RunTraining(model, config);
   return result.report.Summary() + "\n" + Attribute(result.report).Summary();
 }
@@ -126,20 +122,10 @@ std::string RenderedRun(const Model& model, SessionConfig config, int sim_thread
 TEST(SimDeterminismTest, GoldenRegimesByteIdenticalAcrossThreadCounts) {
   const Model model = SmallUniformModel();
   for (const NamedConfig& regime : GoldenRegimes(model)) {
-    const std::string serial = RenderedRun(model, regime.config, 1);
-    EXPECT_FALSE(serial.empty()) << regime.name;
-    EXPECT_EQ(RenderedRun(model, regime.config, 2), serial) << regime.name << " @2 threads";
-    EXPECT_EQ(RenderedRun(model, regime.config, 8), serial) << regime.name << " @8 threads";
+    const std::string first = RenderedRun(model, regime.config);
+    EXPECT_FALSE(first.empty()) << regime.name;
+    EXPECT_EQ(RenderedRun(model, regime.config), first) << regime.name << ": second run";
   }
-}
-
-TEST(SimDeterminismTest, EnvThreadOverrideIsValidatedNotTrusted) {
-  // sim_threads < 0 must be rejected up front (the env fallback only applies at 0).
-  const Model model = SmallUniformModel();
-  SessionConfig config = BaseConfig(Scheme::kHarmonyPp, 2, 4);
-  config.sim_threads = -1;
-  const Status status = ValidateSessionConfig(model, config);
-  EXPECT_FALSE(status.ok());
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -180,138 +180,61 @@ TEST(CountdownEventDeathTest, ExpectAfterFireAborts) {
   EXPECT_DEATH(countdown.Expect(1), "after fire");
 }
 
-// ---- lanes (DESIGN.md §10) ---------------------------------------------------------------------
+// ---- queue order against a reference -----------------------------------------------------------
 
-TEST(SimulatorLaneTest, CreateLaneReturnsSequentialHandles) {
-  Simulator sim;
-  EXPECT_EQ(sim.num_lanes(), 1);  // "main" always exists
-  EXPECT_EQ(sim.lane_name(Simulator::kDefaultLane), "main");
-  const SimLane a = sim.CreateLane("gpu0.compute");
-  const SimLane b = sim.CreateLane("dma");
-  EXPECT_EQ(a, 1);
-  EXPECT_EQ(b, 2);
-  EXPECT_EQ(sim.num_lanes(), 3);
-  EXPECT_EQ(sim.lane_name(a), "gpu0.compute");
-  EXPECT_EQ(sim.lane_name(b), "dma");
-}
+// Logs every event's (when, seq) as it is scheduled — seq being the scheduling index — and
+// every executed seq. Callbacks schedule children at now() and later, as the runtime does.
+struct QueueOrderHarness {
+  static constexpr std::size_t kMaxEvents = 2000;
 
-TEST(SimulatorLaneTest, CrossLaneEventsRunInTimeOrder) {
-  Simulator sim;
-  const SimLane a = sim.CreateLane("a");
-  const SimLane b = sim.CreateLane("b");
-  std::vector<int> order;
-  sim.ScheduleAt(a, 3.0, [&] { order.push_back(3); });
-  sim.ScheduleAt(b, 1.0, [&] { order.push_back(1); });
-  sim.ScheduleAt(a, 2.0, [&] { order.push_back(2); });
-  sim.ScheduleAt(b, 4.0, [&] { order.push_back(4); });
-  sim.RunUntilIdle();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-}
+  explicit QueueOrderHarness(std::uint64_t seed) : rng(seed) {}
 
-TEST(SimulatorLaneTest, CrossLaneTiesBreakByGlobalInsertionOrder) {
-  Simulator sim;
-  const SimLane a = sim.CreateLane("a");
-  const SimLane b = sim.CreateLane("b");
-  std::vector<int> order;
-  for (int i = 0; i < 12; ++i) {
-    const SimLane lane = (i % 2 == 0) ? a : b;
-    sim.ScheduleAt(lane, 1.0, [&order, i] { order.push_back(i); });
+  void Schedule(double when) {
+    const int seq = static_cast<int>(scheduled.size());
+    scheduled.emplace_back(when, seq);
+    sim.ScheduleAt(when, [this, seq, when] { Run(seq, when); });
   }
-  sim.RunUntilIdle();
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-  }
-}
 
-// The recorded (time, tag) sequence from a multi-lane workload, used to compare serial
-// and windowed-parallel execution event-for-event.
-std::vector<std::pair<double, int>> RunLaneWorkload(int threads, double lookahead) {
-  Simulator sim;
-  std::vector<SimLane> lanes;
-  for (int l = 0; l < 8; ++l) {
-    lanes.push_back(sim.CreateLane("lane" + std::to_string(l)));
-  }
-  if (threads > 1) {
-    sim.SetParallelism(threads);
-  }
-  sim.SetLookahead(lookahead);
-  std::vector<std::pair<double, int>> trace;
-  for (int i = 0; i < 400; ++i) {
-    const SimLane lane = lanes[static_cast<std::size_t>((i * 5) % 8)];
-    const double when = static_cast<double>((i * 7) % 23);
-    sim.ScheduleAt(lane, when, [&trace, &sim, i] { trace.emplace_back(sim.now(), i); });
-  }
-  sim.RunUntilIdle();
-  return trace;
-}
-
-TEST(SimulatorWindowTest, ParallelExecutionMatchesSerialExactly) {
-  const auto serial = RunLaneWorkload(1, 0.0);
-  EXPECT_EQ(RunLaneWorkload(2, 2.0), serial);
-  EXPECT_EQ(RunLaneWorkload(8, 2.0), serial);
-  EXPECT_EQ(RunLaneWorkload(4, 100.0), serial);  // one giant window
-}
-
-TEST(SimulatorWindowTest, ZeroLookaheadFallsBackToSerial) {
-  // Parallelism without lookahead must take the serial path (and stay correct).
-  const auto serial = RunLaneWorkload(1, 0.0);
-  EXPECT_EQ(RunLaneWorkload(4, 0.0), serial);
-}
-
-TEST(SimulatorWindowTest, ScheduleInsideOpenWindowKeepsGlobalOrder) {
-  // A callback executing inside a window schedules new events due *within* that same
-  // window, on another lane — they must interleave exactly where (when, seq) puts them.
-  auto run = [](int threads) {
-    Simulator sim;
-    const SimLane a = sim.CreateLane("a");
-    const SimLane b = sim.CreateLane("b");
-    if (threads > 1) {
-      sim.SetParallelism(threads);
-      sim.SetLookahead(50.0);
+  void Run(int seq, double when) {
+    EXPECT_EQ(sim.now(), when);
+    EXPECT_FALSE(std::signbit(sim.now())) << "-0.0 must run as +0.0";
+    executed.push_back(seq);
+    const int children = static_cast<int>(rng.NextBounded(3));
+    for (int c = 0; c < children && scheduled.size() < kMaxEvents; ++c) {
+      const bool same_time = rng.NextBounded(2) == 0;
+      Schedule(sim.now() + (same_time ? 0.0 : static_cast<double>(rng.NextBounded(8)) * 0.25));
     }
-    std::vector<std::pair<double, int>> trace;
-    for (int i = 0; i < 20; ++i) {
-      sim.ScheduleAt(a, static_cast<double>(i), [&, i] {
-        trace.emplace_back(sim.now(), i);
-        sim.ScheduleAt(b, sim.now() + 0.5, [&trace, &sim, i] {
-          trace.emplace_back(sim.now(), 1000 + i);
-        });
-      });
-    }
-    sim.RunUntilIdle();
-    return trace;
-  };
-  EXPECT_EQ(run(4), run(1));
-}
+  }
 
-TEST(SimulatorWindowTest, RandomizedSerialVersusParallel) {
-  Rng rng(1234);
-  for (int round = 0; round < 10; ++round) {
-    std::vector<int> serial;
-    std::vector<int> parallel;
-    const int events = 100 + static_cast<int>(rng.NextBounded(200));
-    const std::uint64_t seed = rng.NextU64();
-    auto run = [events, seed](int threads, std::vector<int>* out) {
-      Simulator sim;
-      std::vector<SimLane> lanes;
-      for (int l = 0; l < 5; ++l) {
-        lanes.push_back(sim.CreateLane("l" + std::to_string(l)));
-      }
-      if (threads > 1) {
-        sim.SetParallelism(threads);
-        sim.SetLookahead(3.0);
-      }
-      Rng local(seed);
-      for (int i = 0; i < events; ++i) {
-        const SimLane lane = lanes[static_cast<std::size_t>(local.NextBounded(5))];
-        const double when = static_cast<double>(local.NextBounded(41)) * 0.25;
-        sim.ScheduleAt(lane, when, [out, i] { out->push_back(i); });
-      }
-      sim.RunUntilIdle();
-    };
-    run(1, &serial);
-    run(3, &parallel);
-    EXPECT_EQ(parallel, serial) << "round " << round;
+  Simulator sim;
+  Rng rng;
+  std::vector<std::pair<double, int>> scheduled;
+  std::vector<int> executed;
+};
+
+TEST(SimulatorPropertyTest, ExecutionIsScheduleLogSortedByWhenThenSeq) {
+  Rng seeds(1234);
+  for (int round = 0; round < 20; ++round) {
+    QueueOrderHarness harness(seeds.NextU64());
+    const int initial = 50 + static_cast<int>(harness.rng.NextBounded(150));
+    for (int i = 0; i < initial; ++i) {
+      // A coarse grid makes duplicate timestamps common; -0.0 stands in for time zero.
+      const std::uint64_t tick = harness.rng.NextBounded(41);
+      harness.Schedule(tick == 0 ? -0.0 : static_cast<double>(tick) * 0.25);
+    }
+    harness.sim.RunUntilIdle();
+
+    std::vector<std::pair<double, int>> reference = harness.scheduled;
+    std::sort(reference.begin(), reference.end(), [](const auto& a, const auto& b) {
+      return a.first < b.first || (a.first == b.first && a.second < b.second);
+    });
+    std::vector<int> expected;
+    for (const auto& [when, seq] : reference) {
+      expected.push_back(seq);
+    }
+    // Equal to a permutation of every seq: each event ran exactly once, in (when, seq) order.
+    EXPECT_EQ(harness.executed, expected) << "round " << round;
+    EXPECT_EQ(harness.sim.events_processed(), harness.scheduled.size()) << "round " << round;
   }
 }
 
@@ -571,23 +494,15 @@ TEST(WatchdogDeadlineTest, StallTimeIsExactPeriodMultipleAcrossThreadCounts) {
   ASSERT_TRUE(faults.ok()) << faults.status().ToString();
   config.faults = faults.value();
 
-  double failure_time_at_one_thread = 0.0;
-  for (const int threads : {1, 2, 8}) {
-    config.sim_threads = threads;
-    const SessionResult result = RunTraining(model, config);
-    ASSERT_TRUE(result.report.failed) << "threads=" << threads;
-    EXPECT_EQ(result.report.failure_kind, "watchdog-stall") << "threads=" << threads;
-    const double periods = std::round(result.report.failure_time / timeout);
-    EXPECT_GE(periods, 1.0);
-    // Bitwise: the detection time IS an exact period multiple, not merely close to one.
-    EXPECT_EQ(result.report.failure_time, periods * timeout) << "threads=" << threads;
-    if (threads == 1) {
-      failure_time_at_one_thread = result.report.failure_time;
-    } else {
-      EXPECT_EQ(result.report.failure_time, failure_time_at_one_thread)
-          << "threads=" << threads;
-    }
-  }
+  const SessionResult result = RunTraining(model, config);
+  ASSERT_TRUE(result.report.failed);
+  EXPECT_EQ(result.report.failure_kind, "watchdog-stall");
+  const double periods = std::round(result.report.failure_time / timeout);
+  EXPECT_GE(periods, 1.0);
+  // Bitwise: the detection time IS an exact period multiple, not merely close to one.
+  EXPECT_EQ(result.report.failure_time, periods * timeout);
+  EXPECT_EQ(RunTraining(model, config).report.failure_time, result.report.failure_time)
+      << "a second run detected the stall at a different time";
 }
 
 // An armed-but-never-tripped watchdog must not perturb the measured run: the report's
@@ -613,48 +528,6 @@ TEST(FaultPlanTest, RandSpecMatchesDirectConstruction) {
       ParseFaultSpec("rand:seed=7,mtbf=1,horizon=5,gpus=2");
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().ToString(), MakeRandomFaultPlan(options).ToString());
-}
-
-// ---- HARMONY_SIM_THREADS parsing (regression: atoi silently mapped garbage to 1) ----
-
-TEST(SimThreadsEnvTest, UnsetAndEmptyDefaultToOne) {
-  EXPECT_EQ(ParseSimThreadsEnv(nullptr).value(), 1);
-  EXPECT_EQ(ParseSimThreadsEnv("").value(), 1);
-}
-
-TEST(SimThreadsEnvTest, ValidCountsParse) {
-  EXPECT_EQ(ParseSimThreadsEnv("1").value(), 1);
-  EXPECT_EQ(ParseSimThreadsEnv("8").value(), 8);
-  EXPECT_EQ(ParseSimThreadsEnv("128").value(), 128);
-}
-
-TEST(SimThreadsEnvTest, GarbageIsATypedErrorNotOne) {
-  // The old std::atoi path returned 0 for every one of these, which the caller then
-  // clamped to 1 — a misconfigured environment silently serialized the simulator.
-  for (const char* bad : {"abc", "2x", "x2", " 4", "4 ", "0", "-3", "1e2", "2.5",
-                          "99999999999999999999"}) {
-    const StatusOr<int> parsed = ParseSimThreadsEnv(bad);
-    ASSERT_FALSE(parsed.ok()) << "'" << bad << "' parsed to " << parsed.value();
-    EXPECT_NE(parsed.status().ToString().find("HARMONY_SIM_THREADS"), std::string::npos);
-    EXPECT_NE(parsed.status().ToString().find(bad), std::string::npos)
-        << parsed.status().ToString();
-  }
-}
-
-TEST(SimThreadsEnvTest, ResolveReadsTheEnvironmentOnEveryCall) {
-  // ResolveSimThreads deliberately has no static cache: a long-lived embedder that runs
-  // several sessions sees env changes between them (each session still samples the value
-  // once, at startup).
-  ASSERT_EQ(setenv("HARMONY_SIM_THREADS", "2", /*overwrite=*/1), 0);
-  EXPECT_EQ(ResolveSimThreads(0), 2);
-  ASSERT_EQ(setenv("HARMONY_SIM_THREADS", "3", /*overwrite=*/1), 0);
-  EXPECT_EQ(ResolveSimThreads(0), 3);
-  ASSERT_EQ(unsetenv("HARMONY_SIM_THREADS"), 0);
-  EXPECT_EQ(ResolveSimThreads(0), 1);
-  // An explicit request short-circuits the environment entirely.
-  ASSERT_EQ(setenv("HARMONY_SIM_THREADS", "7", /*overwrite=*/1), 0);
-  EXPECT_EQ(ResolveSimThreads(4), 4);
-  ASSERT_EQ(unsetenv("HARMONY_SIM_THREADS"), 0);
 }
 
 }  // namespace

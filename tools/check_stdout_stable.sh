@@ -73,29 +73,6 @@ if [[ -f "$manifest" ]]; then
     echo "     if the change is intentional, regenerate it (see header comment)"
     fail=1
   fi
-
-  # Sharded-core gate (DESIGN.md §10): the same manifest must hold at every simulator
-  # thread count — parallel lane draining may never change a byte of output.
-  for threads in 2 8; do
-    threadsdir="$workdir/threads$threads"
-    mkdir -p "$threadsdir"
-    threads_fail=0
-    for bench in "${benches[@]}"; do
-      bin="$bench_dir/$bench"
-      [[ -x "$bin" ]] || continue
-      if ! HARMONY_SIM_THREADS=$threads "$bin" > "$threadsdir/$bench.stdout" 2> /dev/null; then
-        echo "FAIL $bench: exited non-zero with HARMONY_SIM_THREADS=$threads"
-        threads_fail=1
-      fi
-    done
-    if [[ $threads_fail -eq 0 ]] && (cd "$threadsdir" && sha256sum -c --quiet "$manifest"); then
-      echo "OK   all stdout hashes match the manifest at HARMONY_SIM_THREADS=$threads"
-    else
-      echo "FAIL stdout diverged from the manifest at HARMONY_SIM_THREADS=$threads —"
-      echo "     the sharded simulator core broke determinism (see DESIGN.md §10)"
-      fail=1
-    fi
-  done
 else
   echo "WARN no golden manifest at $manifest — ran the two-run stability check only"
 fi

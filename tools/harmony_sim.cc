@@ -127,9 +127,6 @@ int Run(int argc, char** argv) {
       .Define("straggler_threshold", "0",
               "EWMA service-time ratio above which a device is classified a straggler and "
               "the segment degrades gracefully (0 = off; must be > 1 when set)")
-      .Define("sim_threads", "0",
-              "worker threads for the sharded simulator core (0 = HARMONY_SIM_THREADS env "
-              "or 1); output is byte-identical at any value")
       .Define("help", "false", "show this help");
   const Status parsed = flags.Parse(argc, argv);
   if (!parsed.ok()) {
@@ -177,8 +174,7 @@ int Run(int argc, char** argv) {
       !AssignFlag(flags.GetCheckedDouble("retry_base"), &config.retry_base) ||
       !AssignFlag(flags.GetCheckedInt("ckpt_keep"), &config.ckpt_keep) ||
       !AssignFlag(flags.GetCheckedDouble("straggler_threshold"),
-                  &config.straggler_threshold) ||
-      !AssignFlag(flags.GetCheckedInt("sim_threads"), &config.sim_threads)) {
+                  &config.straggler_threshold)) {
     return 2;
   }
   config.server.gpu.memory_bytes =
@@ -235,7 +231,6 @@ int Run(int argc, char** argv) {
     sched.nic_link = config.nic_link;
     sched.rack_link = config.rack_link;
     sched.policy = policy.value();
-    sched.sim_threads = config.sim_threads;
     if (!flags.Get("quota").empty()) {
       const StatusOr<QuotaMap> quotas = ParseQuotaSpec(flags.Get("quota"));
       if (!quotas.ok()) {

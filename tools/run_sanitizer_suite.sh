@@ -11,19 +11,20 @@
 #   - `ctest -L lint`   : the static plan linter (DESIGN.md §9), whose bitset
 #                         reachability and access-map passes index heavily into
 #                         per-task state — exactly where UBSan catches drift.
+#   - `ctest -L simcore`: the simulator unit suite and the golden-regime run-twice
+#                         determinism check (DESIGN.md §10).
 #   - `ctest -L chaos`  : the degraded-mode resilience suite + chaos harness
 #                         (DESIGN.md §11) — retry re-issue on the simulator clock and
-#                         the elastic coordinator under seeded random fault plans at
-#                         several thread counts, the newest multi-threaded hot path.
+#                         the elastic coordinator under seeded random fault plans, each
+#                         run twice and compared byte-for-byte.
 #   - `ctest -L cluster`: the multi-server scale-out tier (DESIGN.md §12) — the
-#                         determinism grid across node counts and sim_threads, tier
-#                         conservation, and the hierarchical-linter mutation suite,
-#                         whose NIC/ToR event lanes are the newest parallel surface.
+#                         run-twice determinism check across node counts, tier
+#                         conservation, and the hierarchical-linter mutation suite.
 #   - `ctest -L sched`  : the multi-tenant cluster scheduler (DESIGN.md §13) — the
-#                         trace × policy × sim_threads determinism grid, the
-#                         preemption checkpoint/restore protocol, and per-tenant
-#                         quota enforcement, which nest whole sessions inside an
-#                         outer event stream.
+#                         trace × policy determinism check, the preemption
+#                         checkpoint/restore protocol, and per-tenant quota
+#                         enforcement, which nest whole sessions inside an outer
+#                         event stream.
 # Pass --full to run the entire ctest suite under each sanitizer instead (slower).
 #
 # Usage: tools/run_sanitizer_suite.sh [--full]
