@@ -147,10 +147,11 @@ class EvictionChurnHarness {
       // Static distances: a fixed pseudo-random next use per tensor (some "never"), so the
       // scan arm pays one oracle call per candidate — exactly the pre-index cost model.
       system_->SetNextUseOracle([](TensorId tensor, int device) -> std::uint64_t {
-        std::uint64_t h = static_cast<std::uint64_t>(tensor) * 0x9E3779B97F4A7C15ull +
-                          static_cast<std::uint64_t>(device + 1) * 0xBF58476D1CE4E5B9ull;
+        std::uint64_t h =
+            static_cast<std::uint64_t>(tensor) * std::uint64_t{0x9E3779B97F4A7C15} +
+            static_cast<std::uint64_t>(device + 1) * std::uint64_t{0xBF58476D1CE4E5B9};
         h ^= h >> 31;
-        h *= 0x94D049BB133111EBull;
+        h *= std::uint64_t{0x94D049BB133111EB};
         h ^= h >> 27;
         return h % 5 == 0 ? std::numeric_limits<std::uint64_t>::max() : h % 100000;
       });
@@ -241,16 +242,16 @@ void BM_NextUseOracle(benchmark::State& state) {
         }
       }
     } else {
-      NextUseIndex index;
+      NextUseIndex index(/*num_devices=*/1);
       for (int t = 0; t < kTensors; ++t) {
         for (std::uint64_t pos : uses[static_cast<std::size_t>(t)]) {
-          index.AddUse(t, pos);
+          index.AddUse(t, /*device=*/0, pos);
         }
       }
       for (std::uint64_t pos = 0; pos < kPositions; ++pos) {
         for (int k = 0; k < 2; ++k) {
           const TensorId t = static_cast<TensorId>((pos * 7 + static_cast<std::uint64_t>(k) * 131) % kTensors);
-          sink += index.NextUseAtOrAfter(t, pos);
+          sink += index.NextUseAtOrAfter(t, /*device=*/0, pos);
         }
       }
     }

@@ -477,8 +477,7 @@ TensorId MemoryManager::PickVictimLru() const {
   // at allocation with their pre-swap tick) but are skipped here and reposition on the
   // landing tick bump.
   const TensorRegistry& reg = system_->registry();
-  for (TensorId id = lru_head_; id != kInvalidTensor;
-       id = lru_next_[static_cast<std::size_t>(id)]) {
+  for (TensorId id = lru_head_; id != kInvalidTensor; id = system_->lru_links(id).next) {
     const TensorState& s = reg.state(id);
     if (s.residency == Residency::kResident && s.pin_count == 0) {
       return id;
@@ -733,20 +732,15 @@ void MemoryManager::NoteUsage() {
 // ---- Indexed victim selection maintenance --------------------------------------------------
 
 void MemoryManager::LruLink(TensorId id) {
-  const std::size_t idx = static_cast<std::size_t>(id);
-  if (idx >= lru_linked_.size()) {
-    lru_prev_.resize(idx + 1, kInvalidTensor);
-    lru_next_.resize(idx + 1, kInvalidTensor);
-    lru_linked_.resize(idx + 1, 0);
-  }
-  HCHECK(lru_linked_[idx] == 0) << "tensor " << id << " double-linked on device "
-                                << device_index_;
-  lru_linked_[idx] = 1;
+  MemorySystem::LruLinks& links = system_->lru_links(id);
+  HCHECK(links.owner < 0) << "tensor " << id << " double-linked: on device " << links.owner
+                          << ", linking on device " << device_index_;
+  links.owner = device_index_;
   ++lru_size_;
-  lru_prev_[idx] = lru_tail_;
-  lru_next_[idx] = kInvalidTensor;
+  links.prev = lru_tail_;
+  links.next = kInvalidTensor;
   if (lru_tail_ != kInvalidTensor) {
-    lru_next_[static_cast<std::size_t>(lru_tail_)] = id;
+    system_->lru_links(lru_tail_).next = id;
   } else {
     lru_head_ = id;
   }
@@ -754,23 +748,21 @@ void MemoryManager::LruLink(TensorId id) {
 }
 
 void MemoryManager::LruUnlink(TensorId id) {
-  const std::size_t idx = static_cast<std::size_t>(id);
-  HCHECK(idx < lru_linked_.size() && lru_linked_[idx] != 0)
+  MemorySystem::LruLinks& links = system_->lru_links(id);
+  HCHECK_EQ(links.owner, device_index_)
       << "eviction index out of sync: tensor " << id << " not linked on device "
       << device_index_;
-  lru_linked_[idx] = 0;
+  links.owner = -1;
   --lru_size_;
-  const TensorId prev = lru_prev_[idx];
-  const TensorId next = lru_next_[idx];
-  if (prev != kInvalidTensor) {
-    lru_next_[static_cast<std::size_t>(prev)] = next;
+  if (links.prev != kInvalidTensor) {
+    system_->lru_links(links.prev).next = links.next;
   } else {
-    lru_head_ = next;
+    lru_head_ = links.next;
   }
-  if (next != kInvalidTensor) {
-    lru_prev_[static_cast<std::size_t>(next)] = prev;
+  if (links.next != kInvalidTensor) {
+    system_->lru_links(links.next).prev = links.prev;
   } else {
-    lru_tail_ = prev;
+    lru_tail_ = links.prev;
   }
 }
 
@@ -835,12 +827,16 @@ std::string MemoryManager::DebugCheckIndexConsistency() const {
   std::size_t walked = 0;
   std::uint64_t last_resident_tick = 0;
   TensorId prev = kInvalidTensor;
-  for (TensorId id = lru_head_; id != kInvalidTensor;
-       id = lru_next_[static_cast<std::size_t>(id)]) {
+  for (TensorId id = lru_head_; id != kInvalidTensor; id = system_->lru_links(id).next) {
     if (++walked > lru_size_) {
       return "device " + std::to_string(device_index_) + ": LRU list is cyclic";
     }
-    if (lru_prev_[static_cast<std::size_t>(id)] != prev) {
+    const MemorySystem::LruLinks& links = system_->lru_links(id);
+    if (links.owner != device_index_) {
+      return "device " + std::to_string(device_index_) + ": LRU member " +
+             std::to_string(id) + " is owned by device " + std::to_string(links.owner);
+    }
+    if (links.prev != prev) {
       return "device " + std::to_string(device_index_) + ": LRU back-link of tensor " +
              std::to_string(id) + " is broken";
     }
@@ -869,8 +865,11 @@ std::string MemoryManager::DebugCheckIndexConsistency() const {
       return "device " + std::to_string(device_index_) + ": resident tensor " +
              std::to_string(id) + " claims device " + std::to_string(s.device);
     }
+    // Read the table directly: a never-linked id may lie past its end, and a check must
+    // not grow it.
     const std::size_t idx = static_cast<std::size_t>(id);
-    if (idx >= lru_linked_.size() || lru_linked_[idx] == 0) {
+    if (idx >= system_->lru_links_.size() ||
+        system_->lru_links_[idx].owner != device_index_) {
       return "device " + std::to_string(device_index_) + ": resident tensor " +
              std::to_string(id) + " missing from the LRU list";
     }
@@ -1105,6 +1104,23 @@ Status MemorySystem::CheckQuiescent() const {
     const std::string index_drift = manager->DebugCheckIndexConsistency();
     if (!index_drift.empty()) {
       return InternalError("eviction index out of sync after the run: " + index_drift);
+    }
+  }
+  // Each manager's walk only follows its own list, so a table entry left claiming a device
+  // whose list does not hold it is invisible there; one recount over the table catches it.
+  std::vector<std::size_t> owned(managers_.size(), 0);
+  for (const LruLinks& links : lru_links_) {
+    if (links.owner >= 0) {
+      ++owned[static_cast<std::size_t>(links.owner)];
+    }
+  }
+  for (const auto& manager : managers_) {
+    const std::size_t count = owned[static_cast<std::size_t>(manager->device_index_)];
+    if (count != manager->lru_size_) {
+      return InternalError("eviction index out of sync after the run: device " +
+                           std::to_string(manager->device_index_) + " owns " +
+                           std::to_string(count) + " LRU links but its list holds " +
+                           std::to_string(manager->lru_size_));
     }
   }
   for (TensorId id = 0; id < registry_->size(); ++id) {

@@ -15,6 +15,7 @@
 #ifndef HARMONY_SRC_MEM_MEMORY_MANAGER_H_
 #define HARMONY_SRC_MEM_MEMORY_MANAGER_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -295,9 +296,7 @@ class MemoryManager {
   // and the head-side walk in PickVictimLru finds the reference scan's min-tick pick.
   // kSwappingIn members may be linked out of tick order (they join with a pre-assigned
   // tick), but they are never candidates and land with a tick bump that repositions them.
-  std::vector<TensorId> lru_prev_;   // indexed by tensor id; kInvalidTensor = list end
-  std::vector<TensorId> lru_next_;
-  std::vector<char> lru_linked_;     // membership guard for the index invariants
+  // The links themselves live in the MemorySystem's per-tensor table (see LruLinks).
   TensorId lru_head_ = kInvalidTensor;
   TensorId lru_tail_ = kInvalidTensor;
   std::size_t lru_size_ = 0;
@@ -408,6 +407,23 @@ class MemorySystem {
   void NoteChurn(TensorId id, int device, ChurnKind kind, Bytes bytes);
   void NoteEviction(TensorId id);
 
+  // One tensor's place in its owner's LRU list. A tensor sits in at most one device's
+  // resident_ at a time (moves, not replicas; see tensor.h), so one table indexed by
+  // TensorId serves every manager's list: O(tensors), not O(devices x tensors).
+  struct LruLinks {
+    TensorId prev = kInvalidTensor;  // kInvalidTensor = list end
+    TensorId next = kInvalidTensor;
+    int owner = -1;                  // device whose list links the tensor; -1 = unlinked
+  };
+  // The tensor's entry, growing the table to the registry's current size on first touch.
+  LruLinks& lru_links(TensorId id) {
+    const std::size_t idx = static_cast<std::size_t>(id);
+    if (idx >= lru_links_.size()) {
+      lru_links_.resize(std::max(idx + 1, static_cast<std::size_t>(registry_->size())));
+    }
+    return lru_links_[idx];
+  }
+
   Simulator* sim_;
   TransferManager* transfers_;
   TensorRegistry* registry_;
@@ -419,6 +435,7 @@ class MemorySystem {
   bool pump_scheduled_ = false;
   std::vector<char> dirty_;                     // per-device "pump me" bits
   std::vector<std::uint64_t> tensor_waiters_;   // per-tensor bitmask of waiting devices
+  std::vector<LruLinks> lru_links_;             // indexed by TensorId
   bool audit_eviction_ = false;
   bool reference_scan_eviction_ = false;
 

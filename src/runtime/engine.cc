@@ -54,27 +54,29 @@ Engine::Engine(Simulator* sim, const Machine* machine, MemorySystem* memory,
     monitor_ = std::make_unique<HealthMonitor>(plan->num_devices(), monitor_options);
   }
 
-  // Build the next-use index and hand the memory system its lookahead oracle. The oracle is
-  // harmless under LRU policies (never consulted).
-  next_use_index_.resize(static_cast<std::size_t>(plan->num_devices()));
-  for (int d = 0; d < plan->num_devices(); ++d) {
-    const auto& order = plan->per_device_order[static_cast<std::size_t>(d)];
-    for (std::size_t pos = 0; pos < order.size(); ++pos) {
-      const Task& task = plan->tasks[static_cast<std::size_t>(order[pos])];
-      auto note = [&](const std::vector<TensorId>& ids) {
-        for (TensorId id : ids) {
-          next_use_index_[static_cast<std::size_t>(d)].AddUse(id, pos);
-        }
-      };
-      note(task.working_set.fetch);
-      note(task.working_set.accumulate);
-      note(task.working_set.allocate);
+  // Only lookahead eviction consults the next-use oracle, so only it pays for the index
+  // (one use list per (tensor, device) pair the plan touches; see next_use.h).
+  if (memory->policy().eviction == EvictionPolicy::kLookahead) {
+    next_use_index_ = std::make_unique<NextUseIndex>(plan->num_devices());
+    for (int d = 0; d < plan->num_devices(); ++d) {
+      const auto& order = plan->per_device_order[static_cast<std::size_t>(d)];
+      for (std::size_t pos = 0; pos < order.size(); ++pos) {
+        const Task& task = plan->tasks[static_cast<std::size_t>(order[pos])];
+        auto note = [&](const std::vector<TensorId>& ids) {
+          for (TensorId id : ids) {
+            next_use_index_->AddUse(id, d, pos);
+          }
+        };
+        note(task.working_set.fetch);
+        note(task.working_set.accumulate);
+        note(task.working_set.allocate);
+      }
     }
+    memory->SetNextUseOracle([this](TensorId tensor, int device) -> std::uint64_t {
+      return next_use_index_->NextUseAtOrAfter(
+          tensor, device, devices_[static_cast<std::size_t>(device)].next_index);
+    });
   }
-  memory->SetNextUseOracle([this](TensorId tensor, int device) -> std::uint64_t {
-    return next_use_index_[static_cast<std::size_t>(device)].NextUseAtOrAfter(
-        tensor, devices_[static_cast<std::size_t>(device)].next_index);
-  });
 }
 
 Engine::Snapshot Engine::TakeSnapshot() const {

@@ -149,9 +149,10 @@ class Engine {
   Snapshot last_snapshot_;
   double last_iteration_end_ = 0.0;
 
-  // Per device: each tensor's ascending queue positions with a monotone cursor (the
-  // lookahead-eviction oracle answers in O(1) amortized; see next_use.h).
-  std::vector<NextUseIndex> next_use_index_;
+  // Each (tensor, device) pair's ascending queue positions with a monotone cursor (the
+  // lookahead-eviction oracle answers in O(1) amortized; see next_use.h). Built only under
+  // EvictionPolicy::kLookahead; null otherwise.
+  std::unique_ptr<NextUseIndex> next_use_index_;
 
   std::vector<double> device_busy_;
 

@@ -28,33 +28,18 @@
 #include "src/runtime/plan_lint.h"
 #include "src/runtime/report_io.h"
 #include "src/util/rng.h"
+#include "tests/cluster_invariants.h"
 #include "tests/test_models.h"
 
 namespace harmony {
 namespace {
 
 using test_models::FaultModel;
-
-// Small swap-bound fleet config: `nodes` servers of `gpus_per_node` GPUs, 26 MiB devices
-// against an 8-layer / 8 MiB-per-layer model, so every run exercises swapping AND the
-// hierarchical collective without taking more than a few hundred sim milliseconds.
-SessionConfig SmallCluster(int nodes, int gpus_per_node, Scheme scheme) {
-  SessionConfig config;
-  config.num_nodes = nodes;
-  config.server.num_gpus = gpus_per_node;
-  config.server.gpus_per_switch = gpus_per_node;
-  config.server.gpu = TestGpu(26 * kMiB, TFlops(1.0));
-  config.scheme = scheme;
-  config.microbatches = 2;
-  config.microbatch_size = 1;
-  config.iterations = 3;
-  config.prefetch = false;
-  return config;
-}
+using test_models::SmallCluster;
 
 // ---- 1. determinism ---------------------------------------------------------------------------
 
-TEST(ClusterDeterminism, RunSignatureIsByteIdenticalAcrossSimThreads) {
+TEST(ClusterDeterminism, RunSignatureIsByteIdenticalAcrossTwoRuns) {
   const Model model = FaultModel();
   const std::vector<Scheme> schemes = {Scheme::kBaselineDp, Scheme::kHarmonyDp,
                                        Scheme::kHarmonyPp};
@@ -80,62 +65,14 @@ TEST(ClusterConservation, DeviceTimeDecompositionSumsToMakespan) {
   const Model model = FaultModel();
   SessionConfig config = SmallCluster(4, 2, Scheme::kHarmonyDp);
   config.nodes_per_rack = 2;
-  const SessionResult result = RunTraining(model, config);
-  const RunReport& report = result.report;
-  ASSERT_EQ(report.device_time.size(), static_cast<std::size_t>(report.num_devices()));
-  for (int d = 0; d < report.num_devices(); ++d) {
-    const double total = report.device_time[static_cast<std::size_t>(d)].total();
-    EXPECT_NEAR(total, report.makespan, 1e-6 * report.makespan)
-        << "device " << d << " wall-clock decomposition leaks time";
-  }
+  test_models::ExpectDeviceTimeSumsToMakespan(RunTraining(model, config).report);
 }
 
 TEST(ClusterConservation, TierRollupPartitionsLinkTotals) {
   const Model model = FaultModel();
   SessionConfig config = SmallCluster(4, 2, Scheme::kHarmonyDp);
   config.nodes_per_rack = 2;
-  const SessionResult result = RunTraining(model, config);
-  const RunReport& report = result.report;
-  ASSERT_FALSE(report.tiers.empty());
-
-  Bytes link_bytes = 0, tier_bytes = 0;
-  std::int64_t link_flows = 0, tier_flows = 0;
-  double link_busy = 0.0, tier_busy = 0.0;
-  Bytes link_by_kind[kNumTransferKinds] = {};
-  Bytes tier_by_kind[kNumTransferKinds] = {};
-  for (const RunReport::LinkUsage& link : report.links) {
-    link_bytes += link.bytes;
-    link_flows += link.flows;
-    link_busy += link.busy_time;
-    for (int k = 0; k < kNumTransferKinds; ++k) {
-      link_by_kind[k] += link.bytes_by_kind[k];
-    }
-  }
-  for (const RunReport::TierUsage& tier : report.tiers) {
-    tier_bytes += tier.bytes;
-    tier_flows += tier.flows;
-    tier_busy += tier.busy_time;
-    for (int k = 0; k < kNumTransferKinds; ++k) {
-      tier_by_kind[k] += tier.bytes_by_kind[k];
-    }
-  }
-  EXPECT_EQ(tier_bytes, link_bytes);
-  EXPECT_EQ(tier_flows, link_flows);
-  EXPECT_NEAR(tier_busy, link_busy, 1e-9 * (link_busy + 1.0));
-  for (int k = 0; k < kNumTransferKinds; ++k) {
-    EXPECT_EQ(tier_by_kind[k], link_by_kind[k]) << "kind " << k;
-  }
-
-  // Swaps are host-local by construction: the NIC and rack tiers carry zero swap bytes,
-  // and the inter-node collective actually used them.
-  for (const RunReport::TierUsage& tier : report.tiers) {
-    if (tier.name == "pcie") {
-      continue;
-    }
-    EXPECT_EQ(tier.of(TransferKind::kSwapIn), 0) << tier.name;
-    EXPECT_EQ(tier.of(TransferKind::kSwapOut), 0) << tier.name;
-    EXPECT_GT(tier.of(TransferKind::kCollective), 0) << tier.name;
-  }
+  test_models::ExpectTierRollupPartitionsLinks(RunTraining(model, config).report);
 }
 
 TEST(ClusterConservation, SingleNodeRunsKeepLegacyReportShape) {

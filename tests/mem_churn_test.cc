@@ -36,10 +36,10 @@ constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
 // (including kNever, which combines with clean tensors into free-drop entries).
 MemorySystem::NextUseFn StaticOracle() {
   return [](TensorId tensor, int device) -> std::uint64_t {
-    std::uint64_t h = static_cast<std::uint64_t>(tensor) * 0x9E3779B97F4A7C15ull +
-                      static_cast<std::uint64_t>(device) * 0xBF58476D1CE4E5B9ull;
+    std::uint64_t h = static_cast<std::uint64_t>(tensor) * std::uint64_t{0x9E3779B97F4A7C15} +
+                      static_cast<std::uint64_t>(device) * std::uint64_t{0xBF58476D1CE4E5B9};
     h ^= h >> 31;
-    h *= 0x94D049BB133111EBull;
+    h *= std::uint64_t{0x94D049BB133111EB};
     h ^= h >> 27;
     if (h % 5 == 0) {
       return kNever;
@@ -79,7 +79,7 @@ void ExpectIndexesConsistent(const MemorySystem& system) {
 class EvictionChurnTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(EvictionChurnTest, IndexedVictimMatchesReferenceScanUnderRandomChurn) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 2654435761ull + 11);
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * std::uint64_t{2654435761} + 11);
 
   MemoryPolicy policy;
   policy.write_back_clean = rng.NextBounded(2) == 0;
@@ -317,6 +317,55 @@ TEST(IndexRegressionTest, IndexesSurviveFreeTensor) {
   EXPECT_TRUE(quiescent.ok()) << quiescent.ToString();
 }
 
+// One per-tensor LRU link table serves every manager, so a tensor moving between devices
+// must leave the source list before it joins the destination's. Both move paths — a direct
+// p2p fetch, and a fetch staged through host memory (the owner writes the dirty tensor
+// back, the destination swaps it in) — leave both lists and the table's owner counts
+// consistent, there and back.
+TEST(IndexRegressionTest, TensorMovesBetweenDevicesByP2pAndStagedFetch) {
+  for (const bool p2p : {true, false}) {
+    MemoryPolicy policy = HarmonyPolicy();
+    policy.allow_p2p = p2p;
+    ChurnHarness h(policy, /*capacity=*/4096, /*install_oracle=*/false);
+    TensorRegistry& reg = h.reg_;
+    const TensorId a = reg.Create("A", 512, TensorClass::kActivation, true);
+    const TensorId b = reg.Create("B", 512, TensorClass::kActivation, true);
+    auto use = [&](int device, TensorId id, bool dirty) {
+      MemoryManager& mgr = h.system_->manager(device);
+      WorkingSet set;
+      set.fetch = {id};
+      auto acq = mgr.Acquire(std::move(set));
+      h.sim_.RunUntilIdle();
+      ASSERT_TRUE(acq.ready->fired());
+      if (dirty) {
+        mgr.MarkDirty(id);
+      }
+      mgr.Release(acq.handle);
+      h.sim_.RunUntilIdle();
+    };
+    use(0, a, /*dirty=*/true);  // dirty, so the staged path must write it back
+    use(0, b, /*dirty=*/false);  // gpu0's list keeps a member after A leaves
+    use(1, a, /*dirty=*/false);
+    EXPECT_EQ(reg.state(a).device, 1) << "p2p=" << p2p;
+    EXPECT_EQ(reg.state(b).device, 0) << "p2p=" << p2p;
+    if (p2p) {
+      EXPECT_EQ(h.system_->manager(1).counters().total_p2p_in(), 512);
+    } else {
+      EXPECT_EQ(h.system_->manager(0).counters().total_swap_out(), 512);
+      EXPECT_EQ(h.system_->manager(1).counters().total_p2p_in(), 0);
+    }
+    ExpectIndexesConsistent(*h.system_);
+    Status quiescent = h.system_->CheckQuiescent();
+    EXPECT_TRUE(quiescent.ok()) << quiescent.ToString();
+
+    use(0, a, /*dirty=*/false);  // and back: the staged path now drops a clean replica
+    EXPECT_EQ(reg.state(a).device, 0) << "p2p=" << p2p;
+    ExpectIndexesConsistent(*h.system_);
+    quiescent = h.system_->CheckQuiescent();
+    EXPECT_TRUE(quiescent.ok()) << quiescent.ToString();
+  }
+}
+
 // A cancelled best-effort handle that is never Released leaks an entry in cancelled_;
 // CheckQuiescent must call that out (the tuner sweep would otherwise grow it forever), and
 // the late Release must clear it.
@@ -355,33 +404,34 @@ TEST(IndexRegressionTest, CheckQuiescentReportsLeakedCancelledHandles) {
 // ---- NextUseIndex (the engine's O(1) amortized oracle substrate) --------------------------
 
 TEST(NextUseIndexTest, CursorAnswersMatchDefinition) {
-  NextUseIndex index;
+  NextUseIndex index(/*num_devices=*/1);
   const TensorId t = 3;
-  index.AddUse(t, 2);
-  index.AddUse(t, 5);
-  index.AddUse(t, 5);  // duplicate positions are legal (two tasks at one queue slot)
-  index.AddUse(t, 9);
-  EXPECT_EQ(index.NextUseAtOrAfter(t, 0), 2u);
-  EXPECT_EQ(index.NextUseAtOrAfter(t, 2), 2u);
-  EXPECT_EQ(index.NextUseAtOrAfter(t, 3), 5u);
-  EXPECT_EQ(index.NextUseAtOrAfter(t, 6), 9u);
-  EXPECT_EQ(index.NextUseAtOrAfter(t, 10), NextUseIndex::kNever);
+  index.AddUse(t, 0, 2);
+  index.AddUse(t, 0, 5);
+  index.AddUse(t, 0, 5);  // duplicate positions are legal (two tasks at one queue slot)
+  index.AddUse(t, 0, 9);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 0), 2u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 2), 2u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 3), 5u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 6), 9u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 10), NextUseIndex::kNever);
 }
 
 TEST(NextUseIndexTest, UnknownTensorIsNeverUsed) {
-  NextUseIndex index;
-  index.AddUse(1, 4);
-  EXPECT_EQ(index.NextUseAtOrAfter(7, 0), NextUseIndex::kNever);
-  EXPECT_EQ(index.NextUseAtOrAfter(1, 0), 4u);
+  NextUseIndex index(/*num_devices=*/2);
+  index.AddUse(1, 0, 4);
+  EXPECT_EQ(index.NextUseAtOrAfter(7, 0, 0), NextUseIndex::kNever);
+  EXPECT_EQ(index.NextUseAtOrAfter(1, 1, 0), NextUseIndex::kNever);  // not touched by gpu1
+  EXPECT_EQ(index.NextUseAtOrAfter(1, 0, 0), 4u);
 }
 
 TEST(NextUseIndexTest, MatchesLowerBoundReferenceUnderMonotoneQueries) {
   Rng rng(0xFEED);
-  NextUseIndex index;
+  NextUseIndex index(/*num_devices=*/1);
   std::vector<std::vector<std::uint64_t>> reference(16);
   for (std::uint64_t pos = 0; pos < 500; ++pos) {
     const TensorId t = static_cast<TensorId>(rng.NextBounded(16));
-    index.AddUse(t, pos);
+    index.AddUse(t, 0, pos);
     reference[static_cast<std::size_t>(t)].push_back(pos);
   }
   for (std::uint64_t pos = 0; pos <= 500; pos += 1 + rng.NextBounded(7)) {
@@ -389,9 +439,33 @@ TEST(NextUseIndexTest, MatchesLowerBoundReferenceUnderMonotoneQueries) {
       const auto& uses = reference[static_cast<std::size_t>(t)];
       const auto it = std::lower_bound(uses.begin(), uses.end(), pos);
       const std::uint64_t expected = it == uses.end() ? NextUseIndex::kNever : *it;
-      EXPECT_EQ(index.NextUseAtOrAfter(t, pos), expected) << "tensor " << t << " pos " << pos;
+      EXPECT_EQ(index.NextUseAtOrAfter(t, 0, pos), expected) << "tensor " << t << " pos " << pos;
     }
   }
+}
+
+// A PP stage-boundary tensor: the producer and the consumer stage both touch it, at
+// interleaved queue positions. Each device has its own entry, cursor and rewind guard, so
+// one device racing ahead neither consumes the other's uses nor unlocks a rewind.
+TEST(NextUseIndexTest, SharedTensorKeepsIndependentCursorsPerDevice) {
+  NextUseIndex index(/*num_devices=*/2);
+  const TensorId t = 5;
+  index.AddUse(t, 0, 1);
+  index.AddUse(t, 1, 2);
+  index.AddUse(t, 1, 3);
+  index.AddUse(t, 0, 4);
+  index.AddUse(t, 0, 7);
+  index.AddUse(t, 1, 8);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 1, 4), 8u);  // gpu1 advances past its 2 and 3
+  // gpu0 queries below gpu1's position: its cursor and rewind guard are its own.
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 0), 1u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 2), 4u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 1, 5), 8u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 5), 7u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 0, 8), NextUseIndex::kNever);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 1, 8), 8u);
+  EXPECT_EQ(index.NextUseAtOrAfter(t, 1, 9), NextUseIndex::kNever);
+  EXPECT_DEATH(index.NextUseAtOrAfter(t, 0, 3), "cannot rewind");
 }
 
 }  // namespace

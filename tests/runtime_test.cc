@@ -234,6 +234,25 @@ TEST(EngineTest, PrefetchOverlapsAndNeverChangesResults) {
   EXPECT_LE(with.makespan, without.makespan + 1e-9);
 }
 
+// Only lookahead eviction consults the next-use oracle, so the engine builds the index and
+// installs the oracle under that policy alone; an LRU run carries neither.
+TEST(EngineTest, InstallsNextUseOracleOnlyUnderLookahead) {
+  const Model model = TinyModel();
+  for (const EvictionPolicy eviction : {EvictionPolicy::kLru, EvictionPolicy::kLookahead}) {
+    MemoryPolicy policy = HarmonyPolicy();
+    policy.eviction = eviction;
+    EngineHarness h(1, 4 * kMiB, policy);
+    const Plan plan = TinySequentialPlan(model, &h.registry, /*iterations=*/2);
+    ASSERT_EQ(h.memory->next_use_oracle(), nullptr);
+    h.engine = std::make_unique<Engine>(&h.sim, &h.machine, h.memory.get(), h.transfers.get(),
+                                        h.collective.get(), &plan);
+    const bool lookahead = eviction == EvictionPolicy::kLookahead;
+    EXPECT_EQ(h.memory->next_use_oracle() != nullptr, lookahead);
+    const RunReport report = h.engine->Run();
+    EXPECT_GT(report.total_swap_in, 0);  // evictions ran under both policies
+  }
+}
+
 TEST(EngineDeathTest, MissingDependencyDataIsFatal) {
   const Model model = TinyModel();
   EngineHarness h(1, 64 * kMiB, HarmonyPolicy());

@@ -347,7 +347,7 @@ void CheckConservation(const ClusterReport& report) {
   EXPECT_EQ(tenant_jobs, static_cast<int>(report.jobs.size()));
 }
 
-TEST(SchedDeterminismTest, TracePolicyThreadGridIsByteIdentical) {
+TEST(SchedDeterminismTest, TracePolicyGridIsByteIdenticalAcrossTwoRuns) {
   const char* traces[] = {
       "poisson:seed=7,rate=0.5,horizon=12,serve_frac=0.4",
       "bursty:seed=19,rate=0.2,horizon=12,burst=2,period=6",

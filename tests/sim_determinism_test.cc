@@ -119,7 +119,7 @@ std::string RenderedRun(const Model& model, const SessionConfig& config) {
   return result.report.Summary() + "\n" + Attribute(result.report).Summary();
 }
 
-TEST(SimDeterminismTest, GoldenRegimesByteIdenticalAcrossThreadCounts) {
+TEST(SimDeterminismTest, GoldenRegimesByteIdenticalAcrossTwoRuns) {
   const Model model = SmallUniformModel();
   for (const NamedConfig& regime : GoldenRegimes(model)) {
     const std::string first = RenderedRun(model, regime.config);

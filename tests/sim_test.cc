@@ -477,7 +477,7 @@ TEST(FaultPlanTest, RandomPlanHonorsHorizonAndFailStopBudget) {
 // Watchdog period k must land at exactly k * timeout: re-arming relative to the
 // callback's fire time accumulates FP round-off across periods, and the drifted
 // deadlines diverge between runs that replay different prefixes of the schedule.
-TEST(WatchdogDeadlineTest, StallTimeIsExactPeriodMultipleAcrossThreadCounts) {
+TEST(WatchdogDeadlineTest, StallTimeIsExactPeriodMultipleAcrossTwoRuns) {
   const Model model = test_models::FaultModel();
   SessionConfig clean = test_models::FaultConfig(2, 4);
   const double makespan = RunTraining(model, clean).report.makespan;

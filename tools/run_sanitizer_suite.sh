@@ -25,6 +25,8 @@
 #                         checkpoint/restore protocol, and per-tenant quota
 #                         enforcement, which nest whole sessions inside an outer
 #                         event stream.
+#   - `ctest -L scale`  : the conservation invariants on 256- and 512-GPU fleets under
+#                         both eviction policies, past the 64-GPU waiter-bitmask limit.
 # Pass --full to run the entire ctest suite under each sanitizer instead (slower).
 #
 # Usage: tools/run_sanitizer_suite.sh [--full]
@@ -54,6 +56,7 @@ run_one() {
     (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L chaos)
     (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L cluster)
     (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L sched)
+    (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L scale)
   fi
   echo "==== $sanitizer: clean ===="
 }
