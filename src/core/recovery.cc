@@ -82,7 +82,12 @@ FaultPlan ShiftFaultPlan(const FaultPlan& plan, double offset, const std::vector
 
 ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config) {
   ElasticResult result;
-  const int total_gpus = config.server.num_gpus;
+  // Fault targets index GPUs across the whole fleet, so the bookkeeping does too.
+  const int total_gpus = config.total_gpus();
+  // Rebinding re-plans one server onto its survivors. A multi-node fleet keeps its
+  // per-node shape in every segment, so it cannot drop a GPU: a fail-stop there is a
+  // typed error and a straggler finishes degraded.
+  const bool can_shrink = config.num_nodes <= 1;
   const bool data_parallel = IsDataParallel(config.scheme);
   // DP configs give microbatches per GPU; the minibatch (hence SGD semantics) must survive
   // the shrink, so carry the total and re-divide per segment.
@@ -126,7 +131,9 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
     segment.iterations = config.iterations - next_iteration;
     segment.gpus = alive;
     segment.config = config;
-    segment.config.server.num_gpus = static_cast<int>(alive.size());
+    if (can_shrink) {
+      segment.config.server.num_gpus = static_cast<int>(alive.size());
+    }
     segment.config.iterations = segment.iterations;
     segment.config.straggler_threshold = straggler_threshold;
     // Segment-local commits land in the shared ring as global (iteration, time) pairs.
@@ -189,7 +196,7 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
       next_iteration += segment_completed;
       offset += makespan;
       const bool can_exclude =
-          failed_local >= 0 && alive.size() > 1 &&
+          can_shrink && failed_local >= 0 && alive.size() > 1 &&
           (!data_parallel ||
            total_microbatches % static_cast<int>(alive.size() - 1) == 0);
       if (can_exclude) {
@@ -222,6 +229,14 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
       if (failure_kind == "gpu-fail-stop") {
         ++result.stats.failures;
         const int dead_original = alive.at(static_cast<std::size_t>(failed_local));
+        if (!can_shrink) {
+          result.status = FailedPreconditionError(
+              "gpu" + std::to_string(dead_original) + " fail-stopped, but a fleet of " +
+              std::to_string(config.num_nodes) +
+              " nodes cannot drop a GPU: recovery rebinds onto one server's survivors only");
+          finalize();
+          return result;
+        }
         dead[static_cast<std::size_t>(dead_original)] = true;
         alive.erase(alive.begin() + failed_local);
       } else {

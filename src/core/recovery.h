@@ -60,7 +60,8 @@ struct RecoveryStats {
 struct ElasticResult {
   // Ok when training completed on some surviving set; an error (with the partial segments
   // kept) when recovery is impossible: every GPU dead, a DP shrink that cannot preserve
-  // the minibatch, an infeasible survivor configuration, or a watchdog stall.
+  // the minibatch, a fail-stop on a multi-node fleet (which cannot shrink), an infeasible
+  // survivor configuration, or a watchdog stall.
   Status status;
   std::vector<RecoverySegment> segments;
   RecoveryStats stats;
@@ -77,6 +78,8 @@ struct ElasticResult {
 
 // Runs training under `config`, recovering from injected GPU fail-stops by rebinding onto
 // the survivors. With no faults armed this degenerates to exactly one RunTraining call.
+// Only a single-server run rebinds; a multi-node fleet keeps its shape in every segment,
+// so a straggler there finishes degraded instead of being excluded.
 // Configurations should pass ValidateSessionConfig first; infeasible rebound
 // configurations surface in `status`, not as crashes.
 ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config);

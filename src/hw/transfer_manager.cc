@@ -44,7 +44,7 @@ TransferManager::TransferManager(Simulator* sim, const Topology* topology)
   link_active_.assign(static_cast<std::size_t>(topology->num_links()), 0);
   link_scale_.assign(static_cast<std::size_t>(topology->num_links()), 1.0);
   node_dead_.assign(static_cast<std::size_t>(topology->num_nodes()), false);
-  link_flows_.assign(static_cast<std::size_t>(topology->num_links()), {});
+  link_groups_.assign(static_cast<std::size_t>(topology->num_links()), {});
   link_stats_.assign(static_cast<std::size_t>(topology->num_links()), LinkStats{});
   node_io_.assign(static_cast<std::size_t>(topology->num_nodes()), NodeIoStats{});
   queue_timeline_.assign(static_cast<std::size_t>(topology->num_links()), {});
@@ -167,40 +167,61 @@ TransferManager::Flow& TransferManager::AttachFlow(Flow flow) {
   const auto [it, inserted] = flows_.emplace(id, std::move(flow));
   HCHECK(inserted);
   Flow& attached = it->second;  // stable address: unordered_map never moves elements
+  RouteGroup& group = groups_[attached.route];
+  group.route = attached.route;
   for (LinkId lid : *attached.route) {
     const auto slot = static_cast<std::size_t>(lid);
     ++link_active_[slot];
     link_stats_[slot].max_queue_depth =
         std::max(link_stats_[slot].max_queue_depth, link_active_[slot]);
-    link_flows_[slot].push_back(&attached);
+    if (group.members.empty()) {
+      link_groups_[slot].push_back(&group);
+    }
     if (record_queue_timeline_) {
       RecordQueueDepth(lid);
     }
   }
+  attached.group = &group;
+  attached.member_index = group.members.size();
+  group.members.push_back(&attached);
+  group.rate = 0.0;  // the newcomer has no stamp yet: force the member pass
   return attached;
 }
 
 void TransferManager::DetachFlow(Flow& flow, std::vector<LinkId>* dirty_links) {
+  RouteGroup& group = *flow.group;
+  Flow* last = group.members.back();
+  group.members[flow.member_index] = last;
+  last->member_index = flow.member_index;
+  group.members.pop_back();
+  flow.group = nullptr;
   for (LinkId lid : *flow.route) {
     const auto slot = static_cast<std::size_t>(lid);
     --link_active_[slot];
     HCHECK_GE(link_active_[slot], 0);
-    std::vector<Flow*>& on_link = link_flows_[slot];
-    const auto it = std::find(on_link.begin(), on_link.end(), &flow);
-    HCHECK(it != on_link.end());
-    *it = on_link.back();  // order within a link list is irrelevant to the model
-    on_link.pop_back();
+    if (group.members.empty()) {
+      std::vector<RouteGroup*>& on_link = link_groups_[slot];
+      const auto it = std::find(on_link.begin(), on_link.end(), &group);
+      HCHECK(it != on_link.end());
+      *it = on_link.back();  // order within a link list is irrelevant to the model
+      on_link.pop_back();
+    }
     dirty_links->push_back(lid);
     if (record_queue_timeline_) {
       RecordQueueDepth(lid);
     }
   }
-  HeapRemove(flow);
+  if (group.members.empty()) {
+    HeapRemove(group);
+    group.earliest = nullptr;
+  } else if (group.earliest == &flow) {
+    RekeyGroup(group);
+  }
 }
 
-double TransferManager::ComputeRate(const Flow& flow) const {
+double TransferManager::ComputeRate(const std::vector<LinkId>& route) const {
   double rate = std::numeric_limits<double>::infinity();
-  for (LinkId lid : *flow.route) {
+  for (LinkId lid : route) {
     const auto slot = static_cast<std::size_t>(lid);
     const double share = topology_->link(lid).spec.bandwidth_bytes_per_sec *
                          link_scale_[slot] / static_cast<double>(link_active_[slot]);
@@ -255,15 +276,17 @@ void TransferManager::FailNode(NodeId node) {
   node_dead_[static_cast<std::size_t>(node)] = true;
 
   // Every flow whose route crosses one of the node's links has a dead endpoint or a dead
-  // forwarder; abort them all. Collect ids first — DetachFlow mutates the per-link lists.
+  // forwarder; abort them all. Collect ids first — DetachFlow mutates the groups.
   std::vector<std::int64_t> doomed;
   for (LinkId lid = 0; lid < topology_->num_links(); ++lid) {
     const TopologyLink& link = topology_->link(lid);
     if (link.src != node && link.dst != node) {
       continue;
     }
-    for (const Flow* flow : link_flows_[static_cast<std::size_t>(lid)]) {
-      doomed.push_back(flow->id);
+    for (const RouteGroup* group : link_groups_[static_cast<std::size_t>(lid)]) {
+      for (const Flow* flow : group->members) {
+        doomed.push_back(flow->id);
+      }
     }
   }
   std::sort(doomed.begin(), doomed.end());
@@ -285,14 +308,16 @@ void TransferManager::FailNode(NodeId node) {
 int TransferManager::FlapLinkFlows(const std::vector<LinkId>& links) {
   AdvanceToNow();
 
-  // Collect victims first — DetachFlow mutates the per-link lists — and sort/dedupe so a
+  // Collect victims first — DetachFlow mutates the groups — and sort/dedupe so a
   // flow crossing several flapped links aborts once, in flow-id order (determinism).
   std::vector<std::int64_t> doomed;
   for (LinkId lid : links) {
     HCHECK_GE(lid, 0);
-    HCHECK_LT(static_cast<std::size_t>(lid), link_flows_.size());
-    for (const Flow* flow : link_flows_[static_cast<std::size_t>(lid)]) {
-      doomed.push_back(flow->id);
+    HCHECK_LT(static_cast<std::size_t>(lid), link_groups_.size());
+    for (const RouteGroup* group : link_groups_[static_cast<std::size_t>(lid)]) {
+      for (const Flow* flow : group->members) {
+        doomed.push_back(flow->id);
+      }
     }
   }
   std::sort(doomed.begin(), doomed.end());
@@ -343,8 +368,9 @@ int TransferManager::FlapLinkFlows(const std::vector<LinkId>& links) {
 }
 
 // ---- indexed completion heap ------------------------------------------------------------
-// A hand-rolled binary min-heap whose entries carry a pointer to their flow; every placement
-// writes the flow's heap_index back, so a flow's entry can be re-keyed or removed in place.
+// A hand-rolled binary min-heap whose entries carry a pointer to their group; every
+// placement writes the group's heap_index back, so an entry can be re-keyed or removed in
+// place.
 
 void TransferManager::HeapSiftUp(std::size_t i) {
   Completion item = completion_heap_[i];
@@ -354,11 +380,11 @@ void TransferManager::HeapSiftUp(std::size_t i) {
       break;
     }
     completion_heap_[i] = completion_heap_[parent];
-    completion_heap_[i].flow->heap_index = i;
+    completion_heap_[i].group->heap_index = i;
     i = parent;
   }
   completion_heap_[i] = item;
-  item.flow->heap_index = i;
+  item.group->heap_index = i;
 }
 
 void TransferManager::HeapSiftDown(std::size_t i) {
@@ -377,41 +403,41 @@ void TransferManager::HeapSiftDown(std::size_t i) {
       break;
     }
     completion_heap_[i] = completion_heap_[child];
-    completion_heap_[i].flow->heap_index = i;
+    completion_heap_[i].group->heap_index = i;
     i = child;
   }
   completion_heap_[i] = item;
-  item.flow->heap_index = i;
+  item.group->heap_index = i;
 }
 
-void TransferManager::HeapPush(Flow& flow) {
-  completion_heap_.push_back(Completion{flow.completion_time, &flow});
-  flow.heap_index = completion_heap_.size() - 1;
-  HeapSiftUp(flow.heap_index);
-}
-
-void TransferManager::HeapUpdate(Flow& flow) {
-  const std::size_t i = flow.heap_index;
+void TransferManager::HeapUpdate(RouteGroup& group) {
+  const Completion key{group.earliest->completion_time, group.earliest->id, &group};
+  if (group.heap_index == kNoHeapIndex) {
+    completion_heap_.push_back(key);
+    HeapSiftUp(completion_heap_.size() - 1);
+    return;
+  }
+  const std::size_t i = group.heap_index;
   HCHECK_LT(i, completion_heap_.size());
-  completion_heap_[i].when = flow.completion_time;
+  completion_heap_[i] = key;
   HeapSiftUp(i);
-  if (flow.heap_index == i) {
+  if (group.heap_index == i) {
     HeapSiftDown(i);
   }
 }
 
-void TransferManager::HeapRemove(Flow& flow) {
-  const std::size_t i = flow.heap_index;
+void TransferManager::HeapRemove(RouteGroup& group) {
+  const std::size_t i = group.heap_index;
   HCHECK_LT(i, completion_heap_.size());
   const std::size_t last = completion_heap_.size() - 1;
   if (i != last) {
     completion_heap_[i] = completion_heap_[last];
-    completion_heap_[i].flow->heap_index = i;
+    completion_heap_[i].group->heap_index = i;
   }
   completion_heap_.pop_back();
-  flow.heap_index = kNoHeapIndex;
+  group.heap_index = kNoHeapIndex;
   if (i < completion_heap_.size()) {
-    Flow* moved = completion_heap_[i].flow;
+    RouteGroup* moved = completion_heap_[i].group;
     HeapSiftUp(i);
     if (moved->heap_index == i) {  // did not move up; may need to go down
       HeapSiftDown(i);
@@ -419,69 +445,52 @@ void TransferManager::HeapRemove(Flow& flow) {
   }
 }
 
+void TransferManager::RekeyGroup(RouteGroup& group) {
+  HCHECK(!group.members.empty());
+  Flow* earliest = group.members.front();
+  for (Flow* flow : group.members) {
+    if (FlowBefore(*flow, *earliest)) {
+      earliest = flow;
+    }
+  }
+  group.earliest = earliest;
+  HeapUpdate(group);
+}
+
 void TransferManager::ReRateFlowsOnLinks(std::vector<LinkId>* dirty_links) {
   if (dirty_links->empty()) {
     return;
   }
   // A completion dirties every link on its route; dedupe links (tiny vector), then dedupe
-  // flows reached via several dirty links with a visit stamp instead of sorting ids.
+  // groups reached via several dirty links with a visit stamp instead of sorting.
   std::sort(dirty_links->begin(), dirty_links->end());
   dirty_links->erase(std::unique(dirty_links->begin(), dirty_links->end()),
                      dirty_links->end());
   ++rerate_mark_;
   const SimTime now = sim_->now();
 
-  // Strategy: when a change touches most of the heap (the paper's shared-uplink regime,
-  // where one oversubscribed link carries every flow), k individual re-keys cost O(k log k)
-  // sifts. Rewriting the keys in place and re-heapifying once (Floyd, O(k)) matches the old
-  // full-rebuild's linear cost there, while sparse changes keep the O(log) in-place re-key.
-  std::size_t touched_bound = 0;
   for (LinkId lid : *dirty_links) {
-    touched_bound += link_flows_[static_cast<std::size_t>(lid)].size();
-  }
-  const bool bulk =
-      completion_heap_.size() >= 16 && 2 * touched_bound >= completion_heap_.size();
-
-  for (LinkId lid : *dirty_links) {
-    // Only flows crossing a dirty link can see a changed active count; everyone else's rate
-    // is a pure function of unchanged counts and stays bit-identical without a recompute.
-    for (Flow* flow : link_flows_[static_cast<std::size_t>(lid)]) {
-      if (flow->rerate_mark == rerate_mark_) {
+    // Only groups crossing a dirty link can see a changed active count; every other
+    // group's rate is a pure function of unchanged counts and stays bit-identical.
+    for (RouteGroup* group : link_groups_[static_cast<std::size_t>(lid)]) {
+      if (group->rerate_mark == rerate_mark_) {
         continue;
       }
-      flow->rerate_mark = rerate_mark_;
-      const double rate = ComputeRate(*flow);
-      if (rate == flow->rate) {
-        // Same share as before (bottlenecked on an untouched link): the projected
-        // completion time is still valid and the heap entry stays where it is.
+      group->rerate_mark = rerate_mark_;
+      const double rate = ComputeRate(*group->route);
+      if (rate == group->rate) {
+        // Same share as before (bottlenecked on an untouched link) and no newcomer: every
+        // projection is still valid and the heap entry stays where it is.
         continue;
       }
-      flow->rate = rate;
-      flow->completion_time = now + flow->bytes_remaining / rate;
-      if (bulk) {
-        if (flow->heap_index == kNoHeapIndex) {
-          completion_heap_.push_back(Completion{flow->completion_time, flow});
-          flow->heap_index = completion_heap_.size() - 1;  // provisional; reindexed below
-        } else {
-          completion_heap_[flow->heap_index].when = flow->completion_time;
+      group->rate = rate;
+      for (Flow* flow : group->members) {
+        if (flow->rate != rate) {
+          flow->rate = rate;
+          flow->completion_time = now + flow->bytes_remaining / rate;
         }
-      } else if (flow->heap_index == kNoHeapIndex) {
-        HeapPush(*flow);
-      } else {
-        HeapUpdate(*flow);
       }
-    }
-  }
-
-  if (bulk) {
-    // comp(a, b) = "a after b" makes std::make_heap's max-at-root a min-heap under
-    // CompletionBefore, i.e. exactly the invariant the hand sifts maintain.
-    std::make_heap(completion_heap_.begin(), completion_heap_.end(),
-                   [](const Completion& a, const Completion& b) {
-                     return CompletionBefore(b, a);
-                   });
-    for (std::size_t i = 0; i < completion_heap_.size(); ++i) {
-      completion_heap_[i].flow->heap_index = i;
+      RekeyGroup(*group);
     }
   }
 }
@@ -507,12 +516,13 @@ void TransferManager::OnWakeup(std::uint64_t generation) {
   const SimTime now = sim_->now();
   dirty_scratch_.clear();
   while (!completion_heap_.empty() && completion_heap_.front().when <= now) {
-    Flow& flow = *completion_heap_.front().flow;
+    RouteGroup& group = *completion_heap_.front().group;
+    Flow& flow = *group.earliest;
     if (flow.bytes_remaining > kByteEpsilon) {
       // FP residue left the flow a hair short of done; re-key to the corrected projection.
       flow.completion_time = now + flow.bytes_remaining / flow.rate;
-      HeapUpdate(flow);
-      if (completion_heap_.front().flow == &flow) {
+      RekeyGroup(group);
+      if (completion_heap_.front().group->earliest == &flow) {
         break;  // correction did not advance past now; retry from the rescheduled wakeup
       }
       continue;
@@ -536,13 +546,11 @@ void TransferManager::OnWakeup(std::uint64_t generation) {
 
 std::string TransferManager::DebugCheckConsistency() const {
   std::ostringstream os;
-  // From-scratch link counts and flow lists.
+  // From-scratch link counts.
   std::vector<int> want_active(link_active_.size(), 0);
-  std::vector<std::vector<std::int64_t>> want_flows(link_flows_.size());
   for (const auto& [id, flow] : flows_) {
     for (LinkId lid : *flow.route) {
       ++want_active[static_cast<std::size_t>(lid)];
-      want_flows[static_cast<std::size_t>(lid)].push_back(id);
     }
   }
   for (std::size_t lid = 0; lid < link_active_.size(); ++lid) {
@@ -551,53 +559,112 @@ std::string TransferManager::DebugCheckConsistency() const {
          << " != from-scratch " << want_active[lid];
       return os.str();
     }
-    std::vector<std::int64_t> have;
-    have.reserve(link_flows_[lid].size());
-    for (const Flow* flow : link_flows_[lid]) {
-      have.push_back(flow->id);
-    }
-    std::sort(have.begin(), have.end());
-    std::sort(want_flows[lid].begin(), want_flows[lid].end());
-    if (have != want_flows[lid]) {
-      os << "link " << lid << ": flow list diverged from from-scratch rebuild";
+  }
+  // Membership: every active flow sits in its route's group at its member_index, and the
+  // groups hold nothing else (distinct slots and equal totals make it a bijection).
+  std::size_t members = 0;
+  std::size_t active_groups = 0;
+  for (const auto& [route, group] : groups_) {
+    if (group.route != route) {
+      os << "route group is keyed by another route";
       return os.str();
+    }
+    members += group.members.size();
+    if (!group.members.empty()) {
+      ++active_groups;
     }
   }
-  // From-scratch rates: pure function of the (verified) counts, so they must match bitwise.
-  for (const auto& [id, flow] : flows_) {
-    const double want_rate = ComputeRate(flow);
-    if (flow.rate != want_rate) {
-      os << "flow " << id << ": incremental rate " << flow.rate << " != from-scratch "
-         << want_rate;
-      return os.str();
-    }
-    // Completion projections are stamped at the flow's last rate change; algebra says they
-    // equal last_advance_ + remaining/rate (bytes_remaining is integrated only up to
-    // last_advance_, not to now()), FP says only to round-off.
-    const double want_completion = last_advance_ + flow.bytes_remaining / flow.rate;
-    const double tolerance = 1e-6 * (1.0 + std::abs(want_completion));
-    if (std::abs(flow.completion_time - want_completion) > tolerance) {
-      os << "flow " << id << ": completion time " << flow.completion_time
-         << " drifted from projection " << want_completion;
-      return os.str();
-    }
-  }
-  // Indexed-heap invariants: one entry per flow, back-pointers and keys agree, heap order.
-  if (completion_heap_.size() != flows_.size()) {
-    os << "completion heap has " << completion_heap_.size() << " entries for "
-       << flows_.size() << " flows";
+  if (members != flows_.size()) {
+    os << "route groups hold " << members << " members for " << flows_.size() << " flows";
     return os.str();
   }
   for (const auto& [id, flow] : flows_) {
-    if (flow.heap_index >= completion_heap_.size() ||
-        completion_heap_[flow.heap_index].flow != &flow) {
-      os << "flow " << id << ": heap_index back-pointer is broken";
+    const auto it = groups_.find(flow.route);
+    if (it == groups_.end() || flow.group != &it->second ||
+        flow.member_index >= flow.group->members.size() ||
+        flow.group->members[flow.member_index] != &flow) {
+      os << "flow " << id << ": not a member of its route's group";
       return os.str();
     }
-    if (completion_heap_[flow.heap_index].when != flow.completion_time) {
-      os << "flow " << id << ": heap key != flow completion_time";
+  }
+  // From-scratch per-link group lists: exactly the active groups whose route crosses the
+  // link, each once.
+  std::vector<std::vector<const RouteGroup*>> want_groups(link_groups_.size());
+  for (const auto& [route, group] : groups_) {
+    if (group.members.empty()) {
+      continue;
+    }
+    for (LinkId lid : *route) {
+      want_groups[static_cast<std::size_t>(lid)].push_back(&group);
+    }
+  }
+  for (std::size_t lid = 0; lid < link_groups_.size(); ++lid) {
+    std::vector<const RouteGroup*> have(link_groups_[lid].begin(), link_groups_[lid].end());
+    std::sort(have.begin(), have.end());
+    std::sort(want_groups[lid].begin(), want_groups[lid].end());
+    if (have != want_groups[lid]) {
+      os << "link " << lid << ": group list diverged from from-scratch rebuild";
       return os.str();
     }
+  }
+  for (const auto& [route, group] : groups_) {
+    if (group.members.empty()) {
+      if (group.earliest != nullptr || group.heap_index != kNoHeapIndex) {
+        os << "emptied route group kept an earliest member or a heap entry";
+        return os.str();
+      }
+      continue;
+    }
+    // From-scratch rate: a pure function of the (verified) counts, so it must match
+    // bitwise, and every member must carry it.
+    const double want_rate = ComputeRate(*route);
+    if (group.rate != want_rate) {
+      os << "route group rate " << group.rate << " != from-scratch " << want_rate;
+      return os.str();
+    }
+    const Flow* want_earliest = group.members.front();
+    for (const Flow* flow : group.members) {
+      if (flow->rate != want_rate) {
+        os << "flow " << flow->id << ": rate " << flow->rate << " != its group's "
+           << want_rate;
+        return os.str();
+      }
+      // Completion projections are stamped at the flow's last rate change; algebra says
+      // they equal last_advance_ + remaining/rate (bytes_remaining is integrated only up
+      // to last_advance_, not to now()), FP says only to round-off.
+      const double want_completion = last_advance_ + flow->bytes_remaining / flow->rate;
+      const double tolerance = 1e-6 * (1.0 + std::abs(want_completion));
+      if (std::abs(flow->completion_time - want_completion) > tolerance) {
+        os << "flow " << flow->id << ": completion time " << flow->completion_time
+           << " drifted from projection " << want_completion;
+        return os.str();
+      }
+      if (FlowBefore(*flow, *want_earliest)) {
+        want_earliest = flow;
+      }
+    }
+    if (group.earliest != want_earliest) {
+      os << "flow " << want_earliest->id
+         << " completes first on its route, but its group names another earliest member";
+      return os.str();
+    }
+    // The group's heap entry: back-pointer and key agree with the earliest member.
+    if (group.heap_index >= completion_heap_.size() ||
+        completion_heap_[group.heap_index].group != &group) {
+      os << "flow " << want_earliest->id << ": its group's heap_index back-pointer is broken";
+      return os.str();
+    }
+    const Completion& entry = completion_heap_[group.heap_index];
+    if (entry.when != want_earliest->completion_time || entry.id != want_earliest->id) {
+      os << "flow " << want_earliest->id << ": group heap key != earliest member's";
+      return os.str();
+    }
+  }
+  // One entry per active group (each verified above to point back at its group).
+  if (completion_heap_.size() != active_groups) {
+    os << "completion heap has " << completion_heap_.size() << " entries for "
+       << active_groups << " active route groups";
+    return os.str();
   }
   for (std::size_t i = 1; i < completion_heap_.size(); ++i) {
     if (CompletionBefore(completion_heap_[i], completion_heap_[(i - 1) / 2])) {

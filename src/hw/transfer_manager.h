@@ -6,17 +6,18 @@
 // allocation. Rates are recomputed whenever a flow starts or finishes, so contention on the
 // shared switch-to-host uplink (the paper's Fig. 2(a)/(b) bottleneck) emerges naturally.
 //
-// The implementation is *incremental*: per-link active-flow counts and per-link flow lists
-// are maintained on every arrival/departure instead of being rebuilt from scratch, and only
-// flows whose routes share a dirty link are re-rated (a flow's rate is a pure function of
-// its links' counts, so untouched flows keep their rate bit-for-bit). The next completion
-// comes from an indexed min-heap of projected completion times — each flow owns exactly one
-// entry, re-keyed in place on re-rate, so peeking the next completion is O(1) and no stale
-// entries ever accumulate. (A lazy heap with generation-tagged entries was tried first;
-// profiling showed the dead entries it sheds on every re-rate dominating the hot path in
-// the shared-uplink regime, where every arrival re-rates every flow.) Scheduled wakeups are
-// generation-tagged and invalidated by any later re-rate. No O(flows x links) scan per
-// event anywhere.
+// Flows on one route always share one rate (the rate is a pure function of the route's
+// link counts), so the manager keeps one *route group* per route with active flows: its
+// members, their shared rate, and its earliest member by (completion time, flow id). The
+// per-link lists hold groups, not flows. A change point (arrival, departure, bandwidth
+// scale) dirties the links it touches; each group crossing a dirty link is re-rated with
+// one rate computation, and only when that rate moved are its members re-stamped with
+// `now + bytes_remaining / rate`. The next completion comes from an indexed min-heap with
+// one entry per active group, keyed by the group's earliest member, so peeking it is O(1)
+// and a re-rate costs one re-key per group instead of one per flow. Completion times and
+// the order in which simultaneous completions fire (flow id) are bit-identical to rating
+// every flow on its own. Scheduled wakeups are generation-tagged and invalidated by any
+// later re-rate. No O(flows x links) scan per event anywhere.
 //
 // The manager also keeps byte/busy-time accounting per link and per transfer kind, which the
 // benches read back as "swap volume" and "link utilization".
@@ -174,16 +175,19 @@ class TransferManager {
 
   const Topology& topology() const { return *topology_; }
 
-  // Test hook: rebuilds link counts, link flow lists and per-flow rates from scratch and
-  // diffs them against the incrementally maintained state, then validates the completion
-  // heap (one entry per flow, index back-pointers, heap order). Returns an empty string
-  // when consistent, else a human-readable description of the first divergence. Counts and
+  // Test hook: rebuilds link counts, route-group membership, per-link group lists and
+  // rates from scratch and diffs them against the incrementally maintained state, then
+  // validates each group's earliest member and the completion heap (one entry per active
+  // group, index back-pointers, keys, heap order). Returns an empty string when
+  // consistent, else a human-readable description of the first divergence. Counts and
   // rates must match exactly (rates are pure functions of integer counts); projected
   // completion times may drift by FP round-off and are checked to a relative tolerance.
   std::string DebugCheckConsistency() const;
 
  private:
   static constexpr std::size_t kNoHeapIndex = static_cast<std::size_t>(-1);
+
+  struct RouteGroup;
 
   struct Flow {
     std::int64_t id = 0;
@@ -194,58 +198,81 @@ class TransferManager {
     NodeId dst = kInvalidNode;
     double bytes_remaining = 0.0;
     Bytes bytes_total = 0;
-    double rate = 0.0;  // bytes/sec under the current allocation
-    // Absolute sim time at which the flow drains at `rate` (stamped at the last re-rate).
+    double rate = 0.0;  // bytes/sec under the current allocation; 0 until first rated
+    // Absolute sim time at which the flow drains at `rate` (stamped at the last rate change).
     SimTime completion_time = 0.0;
-    // Visit stamp for the current re-rate pass; dedupes flows reached via several dirty
-    // links without sorting an id list.
-    std::uint64_t rerate_mark = 0;
-    // Position of this flow's entry in completion_heap_ (kNoHeapIndex before first rating).
-    std::size_t heap_index = kNoHeapIndex;
+    RouteGroup* group = nullptr;   // the route's group while the flow is active
+    std::size_t member_index = 0;  // position in group->members
     TransferKind kind = TransferKind::kOther;
     OneShotEvent* done = nullptr;
     int attempts = 0;  // transient aborts suffered so far (retry tier)
   };
 
-  // Indexed-heap entry. `flow` stays valid while the flow is active: unordered_map never
-  // moves its elements.
+  // The active flows on one route. A group is *active* while it has members: only then is
+  // it on its route's per-link lists and in the completion heap. An emptied group stays
+  // allocated (the route's next flow reuses it) but is unlinked from both.
+  struct RouteGroup {
+    const std::vector<LinkId>* route = nullptr;
+    std::vector<Flow*> members;
+    // The rate every member was last stamped at. Reset to 0 when a flow joins, so the next
+    // re-rate pass stamps the newcomer even if the route's share did not move.
+    double rate = 0.0;
+    Flow* earliest = nullptr;  // member with the least (completion_time, id); null if empty
+    std::size_t heap_index = kNoHeapIndex;  // position of the group's completion entry
+    // Visit stamp for the current re-rate pass; dedupes groups reached via several dirty
+    // links without sorting.
+    std::uint64_t rerate_mark = 0;
+  };
+
+  // Indexed-heap entry: the group's earliest member's projected completion and id.
   struct Completion {
     SimTime when = 0.0;
-    Flow* flow = nullptr;
+    std::int64_t id = 0;
+    RouteGroup* group = nullptr;
   };
 
   // Min order. Ties break on flow id so simultaneous completions pop — and therefore fire —
-  // in flow creation order, matching the old full scan's deterministic order.
+  // in flow creation order.
   static bool CompletionBefore(const Completion& a, const Completion& b) {
     if (a.when != b.when) {
       return a.when < b.when;
     }
-    return a.flow->id < b.flow->id;
+    return a.id < b.id;
+  }
+  static bool FlowBefore(const Flow& a, const Flow& b) {
+    if (a.completion_time != b.completion_time) {
+      return a.completion_time < b.completion_time;
+    }
+    return a.id < b.id;
   }
 
   // Integrates all active flows (and per-link busy time) forward to sim_->now() using the
   // rates computed at the previous change point. Must run before the flow set changes.
   void AdvanceToNow();
 
-  // Inserts the flow into the per-link indices (its heap entry appears at first re-rate).
+  // Inserts the flow into its route's group (activating the group on the per-link lists
+  // if it was empty); its stamp and the group's heap entry follow at the next re-rate.
   Flow& AttachFlow(Flow flow);
-  // Removes the flow from the per-link indices and its heap entry, appending its route to
-  // `dirty_links`.
+  // Removes the flow from its group, appending its route to `dirty_links`. An emptied
+  // group leaves the per-link lists and the heap; otherwise, if the flow was the group's
+  // earliest member, the group's heap entry is re-keyed to its new earliest member.
   void DetachFlow(Flow& flow, std::vector<LinkId>* dirty_links);
 
-  // Re-rates exactly the flows that cross any link in `dirty_links` and re-keys their heap
-  // entries in place. Flows whose recomputed share is unchanged (bottlenecked on an
-  // untouched link) keep their projection without touching the heap.
+  // Re-rates exactly the groups that cross any link in `dirty_links`: one rate computation
+  // per group. A group whose rate is unchanged (bottlenecked on an untouched link) keeps
+  // every projection and its heap entry; otherwise each member whose rate moved is
+  // re-stamped and the group's entry re-keyed in place.
   void ReRateFlowsOnLinks(std::vector<LinkId>* dirty_links);
-  double ComputeRate(const Flow& flow) const;
+  double ComputeRate(const std::vector<LinkId>& route) const;
+  // Points the group at its least (completion_time, id) member and re-keys its entry.
+  void RekeyGroup(RouteGroup& group);
 
-  // Indexed-heap primitives over completion_heap_; every placement writes the flow's
+  // Indexed-heap primitives over completion_heap_; every placement writes the group's
   // heap_index back-pointer.
   void HeapSiftUp(std::size_t i);
   void HeapSiftDown(std::size_t i);
-  void HeapPush(Flow& flow);
-  void HeapUpdate(Flow& flow);  // re-key after completion_time changed
-  void HeapRemove(Flow& flow);
+  void HeapUpdate(RouteGroup& group);  // (re)place after group.earliest changed
+  void HeapRemove(RouteGroup& group);
 
   // Peeks the heap root and schedules the wakeup for the next projected completion.
   void ScheduleNextCompletion();
@@ -261,6 +288,7 @@ class TransferManager {
   std::int64_t next_flow_id_ = 0;
   // Unordered is safe: no code depends on iteration order (completion order comes from the
   // heap comparator, rates are pure functions of counts), and lookups are on the hot path.
+  // Node-based, so the Flow* held by groups stay valid while a flow is active.
   std::unordered_map<std::int64_t, Flow> flows_;
   // Flows still inside their route-latency window (scheduled but not yet sharing
   // bandwidth); JoinFlow moves them into flows_.
@@ -278,8 +306,10 @@ class TransferManager {
   std::int64_t flows_retried_ = 0;      // transient aborts absorbed by a re-issue
   std::int64_t retry_exhausted_ = 0;    // flows that ran out of attempts
   double retry_backoff_sec_ = 0.0;      // total backoff delay injected by retries
-  std::vector<std::vector<Flow*>> link_flows_;  // flows crossing each link
-  std::vector<Completion> completion_heap_;     // indexed min-heap, one entry per flow
+  // One group per route that has ever carried a flow; node-based, so groups never move.
+  std::unordered_map<const std::vector<LinkId>*, RouteGroup> groups_;
+  std::vector<std::vector<RouteGroup*>> link_groups_;  // active groups crossing each link
+  std::vector<Completion> completion_heap_;  // indexed min-heap, one entry per active group
   std::vector<LinkStats> link_stats_;
   SimTime last_advance_ = 0.0;
   std::uint64_t wakeup_generation_ = 0;

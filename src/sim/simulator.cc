@@ -182,7 +182,9 @@ void OneShotEvent::Fire() {
   for (auto& waiter : waiters_) {
     sim_->ScheduleAfter(0.0, std::move(waiter));
   }
-  waiters_.clear();
+  // Release the buffer, not just the closures: owners such as TransferManager keep every
+  // fired event for their whole lifetime.
+  std::vector<Simulator::Closure>().swap(waiters_);
 }
 
 void OneShotEvent::OnFired(Simulator::Closure fn) {

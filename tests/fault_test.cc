@@ -478,6 +478,68 @@ TEST(FaultElasticTest, DpShrinkThatBreaksTheMinibatchIsATypedError) {
   EXPECT_NE(result.status.message().find("does not divide"), std::string::npos);
 }
 
+// A multi-node fleet indexes fault targets across every node, and it cannot shrink: each
+// segment keeps the per-node shape, a straggler finishes degraded on the full fleet, and a
+// fail-stop is a typed error naming the GPU that died.
+SessionConfig TwoNodeDpConfig(const char* faults) {
+  SessionConfig config = FaultConfig(4, 2);
+  config.num_nodes = 2;
+  config.scheme = Scheme::kHarmonyDp;
+  config.checkpoint_every = 1;
+  config.straggler_threshold = 1.5;
+  const StatusOr<FaultPlan> plan = ParseFaultSpec(faults);
+  HCHECK(plan.ok()) << plan.status().ToString();
+  config.faults = plan.value();
+  return config;
+}
+
+TEST(FaultElasticTest, MultiNodeStragglerLandsOnItsGpuAndFinishesDegraded) {
+  const Model model = FaultModel();
+  const SessionConfig config = TwoNodeDpConfig("gpu_slow@0.01:gpu5:0.2:inf");
+  ASSERT_TRUE(ValidateSessionConfig(model, config).ok());
+  const ElasticResult result = RunTrainingElastic(model, config);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.completed_iterations, config.iterations);
+  EXPECT_EQ(result.stats.failures, 0);
+  const std::vector<int> fleet = {0, 1, 2, 3, 4, 5, 6, 7};
+  for (const RecoverySegment& segment : result.segments) {
+    EXPECT_EQ(segment.gpus, fleet);
+    EXPECT_EQ(segment.config.num_nodes, 2);
+    EXPECT_EQ(segment.config.server.num_gpus, 4);
+    EXPECT_EQ(segment.config.microbatches, 2);
+  }
+  // Classified once, not excluded: the rest of the run goes on degraded on all 8 GPUs.
+  EXPECT_EQ(result.stats.degradations, 1);
+  ASSERT_EQ(result.segments.size(), 2u);
+  const RunReport& first = result.segments.front().result.report;
+  EXPECT_EQ(first.failure_kind, "gpu-straggler");
+  EXPECT_EQ(first.straggler_device, 5);
+  ASSERT_EQ(first.device_degraded_sec.size(), fleet.size());
+  for (int gpu : fleet) {
+    if (gpu == 5) {
+      EXPECT_GT(first.device_degraded_sec[5], 0.0);
+    } else {
+      EXPECT_EQ(first.device_degraded_sec[static_cast<std::size_t>(gpu)], 0.0) << gpu;
+    }
+  }
+  EXPECT_NE(result.FaultTrace().find("gpu5"), std::string::npos) << result.FaultTrace();
+}
+
+TEST(FaultElasticTest, MultiNodeFailStopIsATypedErrorNamingItsGpu) {
+  const Model model = FaultModel();
+  const SessionConfig config = TwoNodeDpConfig("fail@0.05:gpu5");
+  ASSERT_TRUE(ValidateSessionConfig(model, config).ok());
+  const ElasticResult result = RunTrainingElastic(model, config);
+  EXPECT_EQ(result.status.code(), StatusCode::kFailedPrecondition)
+      << result.status.ToString();
+  EXPECT_NE(result.status.message().find("gpu5"), std::string::npos)
+      << result.status.ToString();
+  EXPECT_EQ(result.stats.failures, 1);
+  ASSERT_EQ(result.segments.size(), 1u);
+  EXPECT_EQ(result.segments[0].result.report.failed_device, 5);
+  EXPECT_EQ(result.segments[0].result.report.failure_kind, "gpu-fail-stop");
+}
+
 TEST(FaultElasticTest, RecoveryIsDeterministicAcrossRuns) {
   const Model model = FaultModel();
   SessionConfig config = FaultConfig(4, 4);

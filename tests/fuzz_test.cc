@@ -12,9 +12,11 @@
 
 #include "src/core/session.h"
 #include "src/graph/model_zoo.h"
+#include "src/hw/topology.h"
 #include "src/hw/transfer_manager.h"
 #include "src/numeric/plan_executor.h"
 #include "src/numeric/reference.h"
+#include "src/runtime/retry_policy.h"
 #include "src/util/rng.h"
 #include "tests/test_models.h"
 
@@ -199,9 +201,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomNumericTest, ::testing::Range(0, 24));
 
 // Property test for the incremental flow model: drive a TransferManager through randomized
 // arrival/departure churn and, at interleaved probe times, check its incrementally
-// maintained state (per-link active counts, per-link flow lists, flow rates, completion
-// heap) against a from-scratch recomputation. DebugCheckConsistency returns an empty
-// string when everything matches and a description of the first divergence otherwise.
+// maintained state (per-link active counts, route groups and their per-link lists, rates,
+// each group's earliest member, completion heap) against a from-scratch recomputation.
+// DebugCheckConsistency returns an empty string when everything matches and a description
+// of the first divergence otherwise.
 class RandomFlowChurnTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomFlowChurnTest, IncrementalStateMatchesFromScratchRebuild) {
@@ -249,6 +252,186 @@ TEST_P(RandomFlowChurnTest, IncrementalStateMatchesFromScratchRebuild) {
   EXPECT_EQ(tm.num_active_flows(), 0);
   EXPECT_EQ(tm.flows_completed(), real_flows);
   EXPECT_EQ(completions_observed, transfers);  // every done event fires, flow or not
+}
+
+// The same property on a two-rack cluster, where NIC, ToR and spine links carry many route
+// groups at once. Bursts of equal-size flows start at one instant on two routes that share
+// their bottleneck: their completions tie, within and across the two route groups, and
+// must fire in flow-id order. The fault model's change points are
+// interleaved with the churn, each followed by a probe: bandwidth rescales, flow flaps
+// under a retry policy (retried flows re-join their route's group) and, on even seeds, a
+// GPU fail-stop.
+TEST_P(RandomFlowChurnTest, ClusterBurstsAndFaultsMatchFromScratchRebuild) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 101);
+
+  ClusterConfig cluster;
+  cluster.num_servers = 2 + static_cast<int>(rng.NextBounded(4));  // 2..5 nodes
+  cluster.nodes_per_rack = (cluster.num_servers + 1) / 2;           // in two racks
+  cluster.server.num_gpus = 2 + static_cast<int>(rng.NextBounded(3));
+  cluster.server.gpus_per_switch = 1 + static_cast<int>(rng.NextBounded(2));
+  const Topology topo = MakeClusterTopology(cluster);
+  ASSERT_EQ(topo.num_racks(), 2);
+  Simulator sim;
+  TransferManager tm(&sim, &topo);
+  const RetryPolicy retry{RetryPolicyConfig{}};
+  tm.SetRetryPolicy(&retry);
+
+  const auto random_index = [&rng](int n) {
+    return static_cast<int>(rng.NextBounded(static_cast<std::uint64_t>(n)));
+  };
+  const auto random_gpu = [&] { return random_index(topo.num_gpus()); };
+  // Half the traffic swaps to the GPU's own host; the rest goes GPU to GPU, mostly across
+  // nodes (NIC and ToR links) and often across racks (the spine).
+  const auto random_route = [&] {
+    const int gpu = random_gpu();
+    if (rng.NextBounded(2) == 0) {
+      return std::make_pair(topo.gpu_node(gpu), topo.HostNodeForGpu(gpu));
+    }
+    return std::make_pair(topo.gpu_node(gpu), topo.gpu_node(random_gpu()));
+  };
+  const auto probe = [&tm] { EXPECT_EQ(tm.DebugCheckConsistency(), ""); };
+
+  struct Transfer {
+    OneShotEvent* done = nullptr;
+    bool real = false;  // entered the flow model (distinct endpoints, nonzero bytes)
+    int fire_seq = -1;  // position in the order the done events fired
+  };
+  const int churn = 60 + random_index(120);
+  const int bursts = 3 + random_index(3);
+  std::vector<Transfer> transfers(static_cast<std::size_t>(churn));
+  std::vector<std::vector<std::size_t>> burst_members(static_cast<std::size_t>(bursts));
+  int next_fire_seq = 0;
+  const auto start = [&](std::size_t slot, NodeId src, NodeId dst, Bytes bytes) {
+    Transfer& transfer = transfers[slot];
+    transfer.real = src != dst && bytes > 0;
+    transfer.done = tm.StartTransfer(src, dst, bytes, TransferKind::kOther);
+    transfer.done->OnFired([&transfer, &next_fire_seq] { transfer.fire_seq = next_fire_seq++; });
+  };
+
+  for (std::size_t slot = 0; slot < transfers.size(); ++slot) {
+    const auto [src, dst] = random_route();
+    const Bytes bytes = static_cast<Bytes>(rng.NextBounded(24)) * kMiB;  // zero-byte legal
+    sim.ScheduleAfter(rng.NextDouble(0.0, 0.2),
+                      [&start, slot, src, dst, bytes] { start(slot, src, dst, bytes); });
+  }
+  const auto random_link = [&] { return random_index(topo.num_links()); };
+  const auto flap_at = [&sim, &tm, &probe](double when, std::vector<LinkId> links) {
+    sim.ScheduleAfter(when, [&tm, &probe, links] {
+      tm.FlapLinkFlows(links);
+      probe();
+    });
+  };
+
+  // Even seeds fail-stop one GPU inside the fault window [0, 0.3).
+  const NodeId victim = GetParam() % 2 == 0 ? topo.gpu_node(random_gpu()) : kInvalidNode;
+  // A random index in [0, n) other than `not_this`.
+  const auto other_than = [&](int not_this, int n) {
+    return (not_this + 1 + random_index(n - 1)) % n;
+  };
+  for (std::vector<std::size_t>& members : burst_members) {
+    // Members alternate between two routes from distinct GPUs of node a to GPUs of node b.
+    // Both cross a's and b's NIC links, the bottleneck, so the two route groups get the
+    // same rate. The last burst starts after the fault window and avoids the victim, so
+    // every seed checks a tie; the others are fair game for the faults.
+    const bool last = &members == &burst_members.back();
+    const int per_node = cluster.server.num_gpus;
+    std::pair<NodeId, NodeId> routes[2];
+    do {
+      const int a = random_index(cluster.num_servers);
+      const int b = other_than(a, cluster.num_servers);
+      const int first_src = random_index(per_node);
+      const int srcs[2] = {first_src, other_than(first_src, per_node)};
+      for (int r = 0; r < 2; ++r) {
+        routes[r] = {topo.gpu_node(a * per_node + srcs[r]),
+                     topo.gpu_node(b * per_node + random_index(per_node))};
+      }
+    } while (last && (routes[0].first == victim || routes[0].second == victim ||
+                      routes[1].first == victim || routes[1].second == victim));
+    const int size = 3 + random_index(10);
+    for (int m = 0; m < size; ++m) {
+      members.push_back(transfers.size());
+      transfers.emplace_back();
+    }
+    const Bytes bytes = (1 + static_cast<Bytes>(rng.NextBounded(16))) * kMiB;
+    const double when = last ? rng.NextDouble(0.3, 0.4) : rng.NextDouble(0.0, 0.2);
+    // One event starts the whole burst, so its flows take consecutive ids in member order.
+    sim.ScheduleAfter(when, [&start, &members, routes, bytes] {
+      for (std::size_t m = 0; m < members.size(); ++m) {
+        start(members[m], routes[m % 2].first, routes[m % 2].second, bytes);
+      }
+    });
+    if (&members == &burst_members.front()) {
+      // Flap the first burst 10 us after its flows joined (at least 3 MiB share a NIC
+      // link, so none has finished): the flapped members retry and re-join their group.
+      const std::vector<LinkId>& links = topo.Route(routes[0].first, routes[0].second);
+      double latency = 0.0;
+      for (LinkId link : links) {
+        latency += topo.link(link).spec.latency_sec;
+      }
+      flap_at(when + latency + 1e-5, {links[rng.NextBounded(links.size())]});
+    }
+  }
+  const double scales[] = {0.25, 0.5, 1.0};
+  for (int i = 0, n = 4 + random_index(5); i < n; ++i) {
+    const LinkId link = random_link();
+    const double scale = scales[rng.NextBounded(3)];
+    sim.ScheduleAfter(rng.NextDouble(0.0, 0.3), [&tm, &probe, link, scale] {
+      tm.SetLinkBandwidthScale(link, scale);
+      probe();
+    });
+  }
+  for (int i = 0, n = 2 + random_index(3); i < n; ++i) {
+    std::vector<LinkId> links = {random_link()};
+    if (rng.NextBounded(2) == 0) {
+      links.push_back(random_link());
+    }
+    flap_at(rng.NextDouble(0.0, 0.3), links);
+  }
+  if (victim != kInvalidNode) {
+    sim.ScheduleAfter(rng.NextDouble(0.05, 0.3), [&tm, &probe, victim] {
+      tm.FailNode(victim);
+      probe();
+    });
+  }
+  for (int i = 0; i < 96; ++i) {
+    sim.ScheduleAfter(rng.NextDouble(0.0, 0.5), probe);
+  }
+  sim.RunUntilIdle();
+
+  probe();
+  EXPECT_EQ(tm.num_active_flows(), 0);
+  std::int64_t completed = 0;
+  for (const Transfer& transfer : transfers) {
+    ASSERT_NE(transfer.done, nullptr);
+    EXPECT_GE(transfer.fire_seq, 0);  // every done event fires, flow or not
+    if (transfer.real && !tm.WasAborted(transfer.done)) {
+      ++completed;
+    }
+  }
+  EXPECT_EQ(tm.flows_completed(), completed);
+  EXPECT_GT(tm.flows_retried(), 0);
+
+  // Burst members that complete at one instant fire in flow-id (= member) order. A burst
+  // untouched by faults ties as a whole; retries scatter a flapped burst's members.
+  int cross_route_ties = 0;
+  for (const std::vector<std::size_t>& members : burst_members) {
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const OneShotEvent* earlier = transfers[members[i]].done;
+      for (std::size_t j = i + 1; j < members.size(); ++j) {
+        const OneShotEvent* later = transfers[members[j]].done;
+        if (tm.WasAborted(earlier) || tm.WasAborted(later) ||
+            earlier->fire_time() != later->fire_time()) {
+          continue;
+        }
+        EXPECT_LT(transfers[members[i]].fire_seq, transfers[members[j]].fire_seq)
+            << "burst member " << j << " fired before member " << i;
+        if ((j - i) % 2 == 1) {
+          ++cross_route_ties;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cross_route_ties, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomFlowChurnTest, ::testing::Range(0, 30));

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/hw/topology.h"
 #include "src/util/rng.h"
 #include "src/hw/transfer_manager.h"
@@ -131,6 +133,24 @@ TEST_F(TransferTest, PeerToPeerAvoidsUplinkContention) {
   sim_.RunUntilIdle();
   EXPECT_NEAR(p2p->fire_time(), 1.0, 1e-2);
   EXPECT_NEAR(swap->fire_time(), 1.0, 1e-2);
+}
+
+TEST_F(TransferTest, TiedCompletionsFireInFlowIdOrderAcrossRoutes) {
+  // gpu0->host and gpu1->host are two routes, so two route groups, bottlenecked on the one
+  // switch->host link: equal flows started together get one rate and finish at one
+  // instant. They must fire in start (flow id) order across the groups, not group by group.
+  std::vector<int> order;
+  std::vector<OneShotEvent*> done;
+  for (int i = 0; i < 6; ++i) {
+    done.push_back(tm_.StartTransfer(topo_.gpu_node(i % 2), topo_.host_node(), 64 * kMiB,
+                                     TransferKind::kSwapOut));
+    done.back()->OnFired([&order, i] { order.push_back(i); });
+  }
+  sim_.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  for (const OneShotEvent* event : done) {
+    EXPECT_EQ(event->fire_time(), done.front()->fire_time());
+  }
 }
 
 TEST_F(TransferTest, StaggeredFlowSpeedsUpAfterFirstFinishes) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Sanitizer job for the observability layer (DESIGN.md §8).
+# Sanitizer job for the observability layer (DESIGN.md §8), the flow model and recovery.
 #
-# Builds the tree twice — once under ThreadSanitizer, once under UBSan — and runs the
-# test selections that exercise the new instrumentation hot paths:
+# Builds the tree three times — under ThreadSanitizer, UBSan and AddressSanitizer — and
+# runs the test selections that exercise the hot paths each one guards. The labelled
+# suites run under TSan and UBSan:
 #   - `ctest -L trace`  : the observability suite (conservation invariants, churn
 #                         recounts, golden --explain output),
 #   - `ctest -R tuner`  : the tuner, whose ParallelFor profiling now calls Attribute()
@@ -27,10 +28,16 @@
 #                         event stream.
 #   - `ctest -L scale`  : the conservation invariants on 256- and 512-GPU fleets under
 #                         both eviction policies, past the 64-GPU waiter-bitmask limit.
+# The flow-model and fault selection runs under UBSan and ASan:
+#   - TransferTest, RandomFlowTest and RandomFlowChurnTest: the route-group flow model
+#                         (DESIGN.md §5), whose raw back-pointers (flow -> group,
+#                         group -> members, heap entry -> group) ASan keeps honest,
+#   - `ctest -R fault`  : fault injection and elastic recovery, whose bookkeeping is
+#                         indexed by fleet-wide GPU ids.
 # Pass --full to run the entire ctest suite under each sanitizer instead (slower).
 #
 # Usage: tools/run_sanitizer_suite.sh [--full]
-# Build trees land in build-tsan/ and build-ubsan/ next to the source tree.
+# Build trees land in build-tsan/, build-ubsan/ and build-asan/ next to the source tree.
 set -eu
 
 full=0
@@ -41,26 +48,44 @@ fi
 repo=$(cd "$(dirname "$0")/.." && pwd)
 jobs=$(nproc 2>/dev/null || echo 4)
 
+run_ctest() {
+  local build_dir=$1
+  shift
+  (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" "$@")
+}
+
+labelled_suites() {
+  run_ctest "$1" -L trace
+  run_ctest "$1" -R tuner
+  for label in lint simcore chaos cluster sched scale; do
+    run_ctest "$1" -L "$label"
+  done
+}
+
+flow_and_fault() {
+  run_ctest "$1" -R '(^|/)(TransferTest|RandomFlowTest|RandomFlowChurnTest)\.'
+  run_ctest "$1" -R fault
+}
+
+# run_one SANITIZER BUILD_DIR SELECTION...: builds the tree under SANITIZER and runs each
+# SELECTION function (or, with --full, the whole suite).
 run_one() {
   local sanitizer=$1 build_dir=$2
+  shift 2
   echo "==== HARMONY_SANITIZE=$sanitizer -> $build_dir ===="
   cmake -B "$repo/$build_dir" -S "$repo" -DHARMONY_SANITIZE="$sanitizer" >/dev/null
   cmake --build "$repo/$build_dir" -j "$jobs"
   if [[ $full -eq 1 ]]; then
-    (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs")
+    run_ctest "$build_dir"
   else
-    (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L trace)
-    (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -R tuner)
-    (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L lint)
-    (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L simcore)
-    (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L chaos)
-    (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L cluster)
-    (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L sched)
-    (cd "$repo/$build_dir" && ctest --output-on-failure -j "$jobs" -L scale)
+    for selection in "$@"; do
+      "$selection" "$build_dir"
+    done
   fi
   echo "==== $sanitizer: clean ===="
 }
 
-run_one thread build-tsan
-run_one undefined build-ubsan
-echo "OK   both sanitizer jobs clean"
+run_one thread build-tsan labelled_suites
+run_one undefined build-ubsan labelled_suites flow_and_fault
+run_one address build-asan flow_and_fault
+echo "OK   all three sanitizer jobs clean"
