@@ -19,8 +19,10 @@ int main(int argc, char** argv) {
   flags.Define("tuner_threads", "0",
                "worker threads for the tuner sweep (0 = one per hardware thread)");
   const Status parsed = flags.Parse(argc, argv);
-  if (!parsed.ok()) {
-    std::cerr << parsed.ToString() << "\n\n" << flags.Usage(argv[0]);
+  const StatusOr<int> threads =
+      parsed.ok() ? flags.GetCheckedInt("tuner_threads") : StatusOr<int>(parsed);
+  if (!threads.ok()) {
+    std::cerr << threads.status().ToString() << "\n\n" << flags.Usage(argv[0]);
     return 2;
   }
 
@@ -37,7 +39,7 @@ int main(int argc, char** argv) {
   options.group_sizes = {0, 2};  // whole-minibatch grouping vs 2-microbatch wavefronts
   options.microbatch_sizes = {1, 2, 4, 8};
   options.minibatch_samples = 32;
-  options.num_threads = flags.GetInt("tuner_threads");
+  options.num_threads = threads.value();
   const auto sweep_start = std::chrono::steady_clock::now();
   const TunerResult result = TunePp(bert, base, options);
   const double sweep_seconds =

@@ -1,10 +1,9 @@
 #include "src/hw/cluster_spec.h"
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <vector>
+
+#include "src/util/spec_grammar.h"
 
 namespace harmony {
 namespace {
@@ -16,137 +15,26 @@ std::string FormatG(double value) {
   return buffer;
 }
 
-struct Field {
-  std::string text;
-  std::size_t offset = 0;  // absolute byte offset in the spec string
-};
-
-Status MalformedSpec(std::size_t offset, const std::string& why) {
-  return InvalidArgumentError("malformed cluster spec: " + why + " (at byte " +
-                              std::to_string(offset) +
-                              "; see --help for the --cluster grammar)");
-}
-
-std::vector<Field> Split(const std::string& s, char sep) {
-  std::vector<Field> out;
-  std::string::size_type start = 0;
-  for (;;) {
-    const auto pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(Field{s.substr(start), start});
-      return out;
-    }
-    out.push_back(Field{s.substr(start, pos - start), start});
-    start = pos + 1;
-  }
-}
-
-StatusOr<int> ParseCount(const Field& field, const std::string& key, int min_value) {
-  char* end = nullptr;
-  const long value = std::strtol(field.text.c_str(), &end, 10);
-  if (field.text.empty() || end != field.text.c_str() + field.text.size() ||
-      value < min_value || value > 1 << 20) {
-    return MalformedSpec(field.offset, key + " must be an integer >= " +
-                                           std::to_string(min_value) + ", got '" +
-                                           field.text + "'");
-  }
-  return static_cast<int>(value);
-}
-
-StatusOr<double> ParseGbps(const Field& field, const std::string& key) {
-  char* end = nullptr;
-  const double value = std::strtod(field.text.c_str(), &end);
-  if (field.text.empty() || end != field.text.c_str() + field.text.size() ||
-      !std::isfinite(value) || value <= 0.0) {
-    return MalformedSpec(field.offset, key + " must be a positive number of Gbit/s, got '" +
-                                           field.text + "'");
-  }
-  return value;
-}
-
 }  // namespace
 
 StatusOr<ClusterSpec> ParseClusterSpec(const std::string& spec) {
+  const SpecGrammar g("malformed cluster spec", "--cluster grammar");
+  const auto positive = [](double v) { return v > 0.0; };
   ClusterSpec out;
-  bool seen[5] = {false, false, false, false, false};
-  for (const Field& kv : Split(spec, ',')) {
-    if (kv.text.empty()) {
-      continue;
-    }
-    const auto eq = kv.text.find('=');
-    if (eq == std::string::npos) {
-      return MalformedSpec(kv.offset, "expected key=value, got '" + kv.text + "'");
-    }
-    const std::string key = kv.text.substr(0, eq);
-    const Field value{kv.text.substr(eq + 1), kv.offset + eq + 1};
-    int slot;
-    if (key == "nodes") {
-      slot = 0;
-    } else if (key == "gpus_per_node") {
-      slot = 1;
-    } else if (key == "nodes_per_rack") {
-      slot = 2;
-    } else if (key == "nic_gbps") {
-      slot = 3;
-    } else if (key == "rack_gbps") {
-      slot = 4;
-    } else {
-      return MalformedSpec(kv.offset, "unknown cluster option '" + key + "'");
-    }
-    if (seen[slot]) {
-      return MalformedSpec(kv.offset, "duplicate cluster option '" + key + "'");
-    }
-    seen[slot] = true;
-    switch (slot) {
-      case 0: {
-        StatusOr<int> v = ParseCount(value, key, 1);
-        if (!v.ok()) {
-          return v.status();
-        }
-        out.nodes = v.value();
-        break;
-      }
-      case 1: {
-        StatusOr<int> v = ParseCount(value, key, 1);
-        if (!v.ok()) {
-          return v.status();
-        }
-        out.gpus_per_node = v.value();
-        break;
-      }
-      case 2: {
-        StatusOr<int> v = ParseCount(value, key, 0);
-        if (!v.ok()) {
-          return v.status();
-        }
-        out.nodes_per_rack = v.value();
-        break;
-      }
-      case 3: {
-        StatusOr<double> v = ParseGbps(value, key);
-        if (!v.ok()) {
-          return v.status();
-        }
-        out.nic_gbps = v.value();
-        break;
-      }
-      default: {
-        StatusOr<double> v = ParseGbps(value, key);
-        if (!v.ok()) {
-          return v.status();
-        }
-        out.rack_gbps = v.value();
-        break;
-      }
-    }
-  }
-  // Each factor is individually bounded by 1 << 20, but the *product* is the machine size;
-  // widen before multiplying (int would overflow at the limits) and bound the total.
+  HARMONY_RETURN_IF_ERROR(g.ParseKeyValues(
+      SpecField{spec, 0}, "cluster option",
+      {g.IntKey("nodes", 1, kMaxSpecCount, &out.nodes),
+       g.IntKey("gpus_per_node", 1, kMaxSpecCount, &out.gpus_per_node),
+       g.IntKey("nodes_per_rack", 0, kMaxSpecCount, &out.nodes_per_rack),
+       g.NumberKey("nic_gbps", &out.nic_gbps, "a positive number of Gbit/s", positive),
+       g.NumberKey("rack_gbps", &out.rack_gbps, "a positive number of Gbit/s", positive)}));
+  // Each factor is individually bounded, but the *product* is the machine size; widen
+  // before multiplying (int would overflow at the limits) and bound the total.
   const std::int64_t total_gpus = std::int64_t{out.nodes} * out.gpus_per_node;
   if (total_gpus > kMaxClusterGpus) {
-    return MalformedSpec(0, "nodes * gpus_per_node = " + std::to_string(total_gpus) +
-                                " GPUs exceeds the supported maximum of " +
-                                std::to_string(kMaxClusterGpus));
+    return g.Error(0, "nodes * gpus_per_node = " + std::to_string(total_gpus) +
+                          " GPUs exceeds the supported maximum of " +
+                          std::to_string(kMaxClusterGpus));
   }
   return out;
 }

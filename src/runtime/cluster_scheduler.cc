@@ -1,19 +1,19 @@
 #include "src/runtime/cluster_scheduler.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "src/graph/model_zoo.h"
 #include "src/sim/simulator.h"
 #include "src/util/check.h"
+#include "src/util/json.h"
 #include "src/util/rng.h"
+#include "src/util/spec_grammar.h"
 #include "src/util/table.h"
+#include "src/util/text_file.h"
 #include "src/util/units.h"
 
 namespace harmony {
@@ -27,54 +27,10 @@ constexpr double kReservationEps = 1e-9;
 // multi-hour simulation; the limit is far above any bench or test workload.
 constexpr int kMaxTraceJobs = 4096;
 
-struct Field {
-  std::string text;
-  std::size_t offset = 0;  // absolute byte offset in the spec string
-};
-
-Status Malformed(const char* what, std::size_t offset, const std::string& why) {
-  return InvalidArgumentError("malformed " + std::string(what) + " spec: " + why +
-                              " (at byte " + std::to_string(offset) +
-                              "; see --help for the grammar)");
-}
-
-std::vector<Field> Split(const std::string& s, char sep) {
-  std::vector<Field> out;
-  std::string::size_type start = 0;
-  for (;;) {
-    const auto pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(Field{s.substr(start), start});
-      return out;
-    }
-    out.push_back(Field{s.substr(start, pos - start), start});
-    start = pos + 1;
-  }
-}
-
-StatusOr<double> ParseNonNegative(const char* what, const Field& field,
+// The shared shape of the non-negative fields (arrival times, quota sizes).
+StatusOr<double> ParseNonNegative(const SpecGrammar& g, const SpecField& field,
                                   const std::string& key) {
-  char* end = nullptr;
-  const double value = std::strtod(field.text.c_str(), &end);
-  if (field.text.empty() || end != field.text.c_str() + field.text.size() ||
-      !std::isfinite(value) || value < 0.0) {
-    return Malformed(what, field.offset, key + " must be a finite number >= 0, got '" +
-                                             field.text + "'");
-  }
-  return value;
-}
-
-StatusOr<int> ParseIntField(const char* what, const Field& field, const std::string& key,
-                            int min_value, int max_value) {
-  char* end = nullptr;
-  const long value = std::strtol(field.text.c_str(), &end, 10);
-  if (field.text.empty() || end != field.text.c_str() + field.text.size() ||
-      value < min_value || value > max_value) {
-    return Malformed(what, field.offset,
-                     key + " must be an integer in [" + std::to_string(min_value) + ", " +
-                         std::to_string(max_value) + "], got '" + field.text + "'");
-  }
-  return static_cast<int>(value);
+  return g.Number(field, key, "a finite number >= 0", [](double v) { return v >= 0.0; });
 }
 
 bool ValidTenantName(const std::string& name) {
@@ -91,7 +47,7 @@ bool ValidTenantName(const std::string& name) {
   return true;
 }
 
-StatusOr<Scheme> TrainingSchemeByName(const char* what, const Field& field) {
+StatusOr<Scheme> TrainingSchemeByName(const SpecGrammar& g, const SpecField& field) {
   if (field.text == "baseline-dp") {
     return Scheme::kBaselineDp;
   }
@@ -107,31 +63,18 @@ StatusOr<Scheme> TrainingSchemeByName(const char* what, const Field& field) {
   if (field.text == "harmony-tp") {
     return Scheme::kHarmonyTp;
   }
-  return Malformed(what, field.offset,
-                   "unknown training scheme '" + field.text +
-                       "' (serving jobs use serve@; training schemes are baseline-dp, "
-                       "baseline-pp, harmony-dp, harmony-pp, harmony-tp)");
-}
-
-// Shortest decimal that round-trips to the same double (the ReportToJson rule), shared by
-// the canonical --jobs rendering and the JSON export: bursty-trace arrivals staggered by
-// 1e-3 at large t must stay distinct, and the bytes must be stable across runs.
-std::string RoundTripNumber(double value) {
-  char buffer[64];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) {
-      break;
-    }
-  }
-  return buffer;
+  return g.Error(field.offset,
+                 "unknown training scheme '" + field.text +
+                     "' (serving jobs use serve@; training schemes are baseline-dp, "
+                     "baseline-pp, harmony-dp, harmony-pp, harmony-tp)");
 }
 
 }  // namespace
 
 std::string JobSpec::ToString() const {
   std::string out = kind == JobKind::kServing ? "serve@" : "train@";
-  out += RoundTripNumber(arrival);
+  // The JSON number rule: bursty-trace arrivals staggered by 1e-3 at large t stay distinct.
+  out += JsonNumber(arrival);
   out += ":tenant=" + tenant;
   out += ",model=" + model;
   if (kind == JobKind::kTraining) {
@@ -146,16 +89,16 @@ std::string JobSpec::ToString() const {
 }
 
 StatusOr<std::vector<JobSpec>> ParseJobsSpec(const std::string& spec) {
+  const SpecGrammar g("malformed jobs spec", "--jobs grammar");
   std::vector<JobSpec> jobs;
-  for (const Field& entry : Split(spec, ';')) {
+  for (const SpecField& entry : SplitSpec(spec, ';')) {
     if (entry.text.empty()) {
       continue;
     }
     const auto at = entry.text.find('@');
     if (at == std::string::npos) {
-      return Malformed("jobs", entry.offset,
-                       "expected (train|serve)@<arrival>[:key=value,...], got '" +
-                           entry.text + "'");
+      return g.Error(entry.offset, "expected (train|serve)@<arrival>[:key=value,...], got '" +
+                                       entry.text + "'");
     }
     JobSpec job;
     const std::string kind = entry.text.substr(0, at);
@@ -166,126 +109,54 @@ StatusOr<std::vector<JobSpec>> ParseJobsSpec(const std::string& spec) {
       job.scheme = Scheme::kServing;
       job.microbatch_size = 1;
     } else {
-      return Malformed("jobs", entry.offset,
-                       "job kind must be 'train' or 'serve', got '" + kind + "'");
+      return g.Error(entry.offset, "job kind must be 'train' or 'serve', got '" + kind + "'");
     }
     const auto colon = entry.text.find(':', at + 1);
-    const std::string when_text = entry.text.substr(
-        at + 1, colon == std::string::npos ? std::string::npos : colon - at - 1);
-    const StatusOr<double> when =
-        ParseNonNegative("jobs", Field{when_text, entry.offset + at + 1}, "arrival time");
-    if (!when.ok()) {
-      return when.status();
+    // With no ':', colon - at - 1 runs past the end and substr clamps it.
+    const SpecField when{entry.text.substr(at + 1, colon - at - 1), entry.offset + at + 1};
+    const StatusOr<double> arrival = ParseNonNegative(g, when, "arrival time");
+    HARMONY_RETURN_IF_ERROR(arrival.status());
+    job.arrival = arrival.value();
+    if (colon == std::string::npos) {
+      jobs.push_back(std::move(job));
+      continue;
     }
-    job.arrival = when.value();
-    bool seen[8] = {};  // tenant model scheme gpus iters mb mbs prio
-    if (colon != std::string::npos) {
-      const std::string opts = entry.text.substr(colon + 1);
-      for (const Field& raw : Split(opts, ',')) {
-        const Field kv{raw.text, entry.offset + colon + 1 + raw.offset};
-        if (kv.text.empty()) {
-          continue;
-        }
-        const auto eq = kv.text.find('=');
-        if (eq == std::string::npos) {
-          return Malformed("jobs", kv.offset, "expected key=value, got '" + kv.text + "'");
-        }
-        const std::string key = kv.text.substr(0, eq);
-        const Field value{kv.text.substr(eq + 1), kv.offset + eq + 1};
-        int slot;
-        if (key == "tenant") {
-          slot = 0;
-        } else if (key == "model") {
-          slot = 1;
-        } else if (key == "scheme") {
-          slot = 2;
-        } else if (key == "gpus") {
-          slot = 3;
-        } else if (key == "iters") {
-          slot = 4;
-        } else if (key == "mb") {
-          slot = 5;
-        } else if (key == "mbs") {
-          slot = 6;
-        } else if (key == "prio") {
-          slot = 7;
-        } else {
-          return Malformed("jobs", kv.offset, "unknown job option '" + key + "'");
-        }
-        if (seen[slot]) {
-          return Malformed("jobs", kv.offset, "duplicate job option '" + key + "'");
-        }
-        seen[slot] = true;
-        switch (slot) {
-          case 0:
-            if (!ValidTenantName(value.text)) {
-              return Malformed("jobs", value.offset,
-                               "tenant must be a nonempty [A-Za-z0-9_.-]+ name, got '" +
-                                   value.text + "'");
+    HARMONY_RETURN_IF_ERROR(g.ParseKeyValues(
+        SpecField{entry.text.substr(colon + 1), entry.offset + colon + 1}, "job option",
+        {{"tenant",
+          [&](const SpecField& v) {
+            if (!ValidTenantName(v.text)) {
+              return g.Error(v.offset, "tenant must be a nonempty [A-Za-z0-9_.-]+ name, got '" +
+                                           v.text + "'");
             }
-            job.tenant = value.text;
-            break;
-          case 1:
-            if (value.text.empty()) {
-              return Malformed("jobs", value.offset, "model must be nonempty");
+            job.tenant = v.text;
+            return Status::Ok();
+          }},
+         {"model",
+          [&](const SpecField& v) {
+            if (v.text.empty()) {
+              return g.Error(v.offset, "model must be nonempty");
             }
-            job.model = value.text;
-            break;
-          case 2: {
+            job.model = v.text;
+            return Status::Ok();
+          }},
+         {"scheme",
+          [&](const SpecField& v) {
             if (job.kind == JobKind::kServing) {
-              return Malformed("jobs", kv.offset,
-                               "serving jobs have a fixed scheme; drop 'scheme='");
+              // The error names the whole "scheme=" entry, which starts 7 bytes earlier.
+              return g.Error(v.offset - 7, "serving jobs have a fixed scheme; drop 'scheme='");
             }
-            const StatusOr<Scheme> scheme = TrainingSchemeByName("jobs", value);
-            if (!scheme.ok()) {
-              return scheme.status();
+            const StatusOr<Scheme> scheme = TrainingSchemeByName(g, v);
+            if (scheme.ok()) {
+              job.scheme = scheme.value();
             }
-            job.scheme = scheme.value();
-            break;
-          }
-          case 3: {
-            const StatusOr<int> v = ParseIntField("jobs", value, key, 1, 1 << 20);
-            if (!v.ok()) {
-              return v.status();
-            }
-            job.gpus = v.value();
-            break;
-          }
-          case 4: {
-            const StatusOr<int> v = ParseIntField("jobs", value, key, 1, 1 << 20);
-            if (!v.ok()) {
-              return v.status();
-            }
-            job.iterations = v.value();
-            break;
-          }
-          case 5: {
-            const StatusOr<int> v = ParseIntField("jobs", value, key, 1, 1 << 20);
-            if (!v.ok()) {
-              return v.status();
-            }
-            job.microbatches = v.value();
-            break;
-          }
-          case 6: {
-            const StatusOr<int> v = ParseIntField("jobs", value, key, 1, 1 << 20);
-            if (!v.ok()) {
-              return v.status();
-            }
-            job.microbatch_size = v.value();
-            break;
-          }
-          default: {
-            const StatusOr<int> v = ParseIntField("jobs", value, key, 0, 1 << 20);
-            if (!v.ok()) {
-              return v.status();
-            }
-            job.priority = v.value();
-            break;
-          }
-        }
-      }
-    }
+            return scheme.status();
+          }},
+         g.IntKey("gpus", 1, kMaxSpecCount, &job.gpus),
+         g.IntKey("iters", 1, kMaxSpecCount, &job.iterations),
+         g.IntKey("mb", 1, kMaxSpecCount, &job.microbatches),
+         g.IntKey("mbs", 1, kMaxSpecCount, &job.microbatch_size),
+         g.IntKey("prio", 0, kMaxSpecCount, &job.priority)}));
     jobs.push_back(std::move(job));
   }
   return jobs;
@@ -299,130 +170,46 @@ StatusOr<std::vector<JobSpec>> GenerateTrace(const std::string& spec, int gpus_p
   const bool poisson = kind == "poisson";
   const bool bursty = kind == "bursty";
   const bool diurnal = kind == "diurnal";
+  const SpecGrammar g("malformed trace spec", "--trace grammar");
   if (!poisson && !bursty && !diurnal) {
-    return Malformed("trace", 0,
-                     "trace kind must be poisson, bursty, or diurnal, got '" + kind + "'");
+    return g.Error(0, "trace kind must be poisson, bursty, or diurnal, got '" + kind + "'");
   }
-  bool seen[6] = {};  // seed rate horizon serve_frac burst period
+  bool has_seed = false;
   std::uint64_t seed = 0;
+  // rate=, horizon=, burst= and period= reject zero, so zero means the key was not given.
   double rate = 0.0, horizon = 0.0, serve_frac = 0.25, period = 0.0;
   int burst = 0;
   if (colon != std::string::npos) {
-    for (const Field& kv : Split(spec.substr(colon + 1), ',')) {
-      const Field entry{kv.text, colon + 1 + kv.offset};
-      if (entry.text.empty()) {
-        continue;
-      }
-      const auto eq = entry.text.find('=');
-      if (eq == std::string::npos) {
-        return Malformed("trace", entry.offset,
-                         "expected key=value, got '" + entry.text + "'");
-      }
-      const std::string key = entry.text.substr(0, eq);
-      const Field value{entry.text.substr(eq + 1), entry.offset + eq + 1};
-      int slot;
-      if (key == "seed") {
-        slot = 0;
-      } else if (key == "rate") {
-        slot = 1;
-      } else if (key == "horizon") {
-        slot = 2;
-      } else if (key == "serve_frac") {
-        slot = 3;
-      } else if (key == "burst") {
-        slot = 4;
-      } else if (key == "period") {
-        slot = 5;
-      } else {
-        return Malformed("trace", entry.offset, "unknown trace option '" + key + "'");
-      }
-      if (seen[slot]) {
-        return Malformed("trace", entry.offset, "duplicate trace option '" + key + "'");
-      }
-      seen[slot] = true;
-      switch (slot) {
-        case 0: {
-          char* end = nullptr;
-          errno = 0;
-          const unsigned long long parsed = std::strtoull(value.text.c_str(), &end, 10);
-          if (value.text.empty() || end != value.text.c_str() + value.text.size() ||
-              errno == ERANGE) {
-            return Malformed("trace", value.offset,
-                             "seed must be an unsigned integer, got '" + value.text + "'");
-          }
-          seed = parsed;
-          break;
-        }
-        case 1: {
-          const StatusOr<double> v = ParseNonNegative("trace", value, key);
-          if (!v.ok()) {
-            return v.status();
-          }
-          if (v.value() <= 0.0) {
-            return Malformed("trace", value.offset, "rate must be > 0 jobs/s");
-          }
-          rate = v.value();
-          break;
-        }
-        case 2: {
-          const StatusOr<double> v = ParseNonNegative("trace", value, key);
-          if (!v.ok()) {
-            return v.status();
-          }
-          if (v.value() <= 0.0) {
-            return Malformed("trace", value.offset, "horizon must be > 0 seconds");
-          }
-          horizon = v.value();
-          break;
-        }
-        case 3: {
-          const StatusOr<double> v = ParseNonNegative("trace", value, key);
-          if (!v.ok()) {
-            return v.status();
-          }
-          if (v.value() > 1.0) {
-            return Malformed("trace", value.offset, "serve_frac must be in [0, 1]");
-          }
-          serve_frac = v.value();
-          break;
-        }
-        case 4: {
-          const StatusOr<int> v = ParseIntField("trace", value, key, 1, kMaxTraceJobs);
-          if (!v.ok()) {
-            return v.status();
-          }
-          burst = v.value();
-          break;
-        }
-        default: {
-          const StatusOr<double> v = ParseNonNegative("trace", value, key);
-          if (!v.ok()) {
-            return v.status();
-          }
-          if (v.value() <= 0.0) {
-            return Malformed("trace", value.offset, "period must be > 0 seconds");
-          }
-          period = v.value();
-          break;
-        }
-      }
-    }
+    const auto positive = [](double v) { return v > 0.0; };
+    HARMONY_RETURN_IF_ERROR(g.ParseKeyValues(
+        SpecField{spec.substr(colon + 1), colon + 1}, "trace option",
+        {{"seed",
+          [&](const SpecField& v) {
+            has_seed = true;
+            return g.SeedKey("seed", &seed).parse(v);
+          }},
+         g.NumberKey("rate", &rate, "> 0 jobs/s", positive),
+         g.NumberKey("horizon", &horizon, "> 0 seconds", positive),
+         g.NumberKey("serve_frac", &serve_frac, "in [0, 1]",
+                     [](double v) { return v >= 0.0 && v <= 1.0; }),
+         g.IntKey("burst", 1, kMaxTraceJobs, &burst),
+         g.NumberKey("period", &period, "> 0 seconds", positive)}));
   }
-  if (!seen[0] || !seen[1] || !seen[2]) {
-    return Malformed("trace", 0, "seed=, rate=, and horizon= are required");
+  if (!has_seed || rate == 0.0 || horizon == 0.0) {
+    return g.Error(0, "seed=, rate=, and horizon= are required");
   }
   if (bursty && (burst == 0 || period == 0.0)) {
-    return Malformed("trace", 0, "bursty traces require burst= and period=");
+    return g.Error(0, "bursty traces require burst= and period=");
   }
   if (diurnal && period == 0.0) {
-    return Malformed("trace", 0, "diurnal traces require period=");
+    return g.Error(0, "diurnal traces require period=");
   }
-  if (poisson && (seen[4] || seen[5])) {
-    return Malformed("trace", 0, "burst=/period= do not apply to poisson traces");
+  if (poisson && (burst != 0 || period != 0.0)) {
+    return g.Error(0, "burst=/period= do not apply to poisson traces");
   }
   // Diurnal *requires* period=, so only burst= is foreign there.
-  if (diurnal && seen[4]) {
-    return Malformed("trace", 0, "burst= only applies to bursty traces");
+  if (diurnal && burst != 0) {
+    return g.Error(0, "burst= only applies to bursty traces");
   }
 
   Rng rng(seed);
@@ -442,9 +229,8 @@ StatusOr<std::vector<JobSpec>> GenerateTrace(const std::string& spec, int gpus_p
     }
     arrivals.push_back(t);
     if (static_cast<int>(arrivals.size()) > kMaxTraceJobs) {
-      return Malformed("trace", 0,
-                       "trace generates more than " + std::to_string(kMaxTraceJobs) +
-                           " jobs; lower rate or horizon");
+      return g.Error(0, "trace generates more than " + std::to_string(kMaxTraceJobs) +
+                            " jobs; lower rate or horizon");
     }
   }
   if (bursty) {
@@ -455,9 +241,8 @@ StatusOr<std::vector<JobSpec>> GenerateTrace(const std::string& spec, int gpus_p
         arrivals.push_back(b + 1e-3 * static_cast<double>(i));
       }
       if (static_cast<int>(arrivals.size()) > kMaxTraceJobs) {
-        return Malformed("trace", 0,
-                         "trace generates more than " + std::to_string(kMaxTraceJobs) +
-                             " jobs; lower rate, burst, or horizon");
+        return g.Error(0, "trace generates more than " + std::to_string(kMaxTraceJobs) +
+                              " jobs; lower rate, burst, or horizon");
       }
     }
   }
@@ -506,67 +291,39 @@ const TenantQuota& QuotaMap::For(const std::string& tenant) const {
 }
 
 StatusOr<QuotaMap> ParseQuotaSpec(const std::string& spec) {
+  const SpecGrammar g("malformed quota spec", "--quota grammar");
   QuotaMap out;
   bool seen_fallback = false;
-  for (const Field& entry : Split(spec, ';')) {
+  for (const SpecField& entry : SplitSpec(spec, ';')) {
     if (entry.text.empty()) {
       continue;
     }
     const auto colon = entry.text.find(':');
     if (colon == std::string::npos) {
-      return Malformed("quota", entry.offset,
-                       "expected <tenant|*>:key=value[,key=value], got '" + entry.text +
-                           "'");
+      return g.Error(entry.offset, "expected <tenant|*>:key=value[,key=value], got '" +
+                                       entry.text + "'");
     }
     const std::string tenant = entry.text.substr(0, colon);
     if (tenant != "*" && !ValidTenantName(tenant)) {
-      return Malformed("quota", entry.offset,
-                       "tenant must be '*' or a [A-Za-z0-9_.-]+ name, got '" + tenant +
-                           "'");
+      return g.Error(entry.offset,
+                     "tenant must be '*' or a [A-Za-z0-9_.-]+ name, got '" + tenant + "'");
     }
     if (tenant == "*" ? seen_fallback : out.tenants.count(tenant) > 0) {
-      return Malformed("quota", entry.offset, "duplicate quota for tenant '" + tenant + "'");
+      return g.Error(entry.offset, "duplicate quota for tenant '" + tenant + "'");
     }
     TenantQuota quota;
-    bool seen[2] = {};  // mem_gib bw
-    for (const Field& raw : Split(entry.text.substr(colon + 1), ',')) {
-      const Field kv{raw.text, entry.offset + colon + 1 + raw.offset};
-      if (kv.text.empty()) {
-        continue;
-      }
-      const auto eq = kv.text.find('=');
-      if (eq == std::string::npos) {
-        return Malformed("quota", kv.offset, "expected key=value, got '" + kv.text + "'");
-      }
-      const std::string key = kv.text.substr(0, eq);
-      const Field value{kv.text.substr(eq + 1), kv.offset + eq + 1};
-      int slot;
-      if (key == "mem_gib") {
-        slot = 0;
-      } else if (key == "bw") {
-        slot = 1;
-      } else {
-        return Malformed("quota", kv.offset, "unknown quota option '" + key + "'");
-      }
-      if (seen[slot]) {
-        return Malformed("quota", kv.offset, "duplicate quota option '" + key + "'");
-      }
-      seen[slot] = true;
-      const StatusOr<double> v = ParseNonNegative("quota", value, key);
-      if (!v.ok()) {
-        return v.status();
-      }
-      if (slot == 0) {
-        quota.host_mem_bytes =
-            static_cast<Bytes>(v.value() * static_cast<double>(kGiB));
-      } else {
-        if (v.value() <= 0.0 || v.value() > 1.0) {
-          return Malformed("quota", value.offset,
-                           "bw must be a bandwidth fraction in (0, 1]");
-        }
-        quota.bw_fraction = v.value();
-      }
-    }
+    HARMONY_RETURN_IF_ERROR(g.ParseKeyValues(
+        SpecField{entry.text.substr(colon + 1), entry.offset + colon + 1}, "quota option",
+        {{"mem_gib",
+          [&](const SpecField& v) {
+            const StatusOr<double> gib = ParseNonNegative(g, v, "mem_gib");
+            if (gib.ok()) {
+              quota.host_mem_bytes = static_cast<Bytes>(gib.value() * static_cast<double>(kGiB));
+            }
+            return gib.status();
+          }},
+         g.NumberKey("bw", &quota.bw_fraction, "a bandwidth fraction in (0, 1]",
+                     [](double v) { return v > 0.0 && v <= 1.0; })}));
     if (tenant == "*") {
       seen_fallback = true;
       out.fallback = quota;
@@ -1228,36 +985,6 @@ std::string ClusterReport::RenderTenantTable() const {
   return os.str();
 }
 
-namespace {
-
-// The cluster export uses the same shortest-round-trip rule as the spec rendering.
-std::string JsonNumber(double value) { return RoundTripNumber(value); }
-
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
-}  // namespace
-
 std::string ClusterReportToJson(const ClusterReport& report) {
   std::ostringstream os;
   os << "{\n";
@@ -1325,16 +1052,7 @@ std::string ClusterReportToJson(const ClusterReport& report) {
 }
 
 Status WriteClusterReportJson(const ClusterReport& report, const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return InvalidArgumentError("cannot open '" + path + "' for writing");
-  }
-  out << ClusterReportToJson(report);
-  out.close();
-  if (!out) {
-    return InvalidArgumentError("failed writing cluster report to '" + path + "'");
-  }
-  return Status::Ok();
+  return WriteTextFile(path, ClusterReportToJson(report));
 }
 
 std::string ClusterReport::Render() const {

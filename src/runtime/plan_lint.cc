@@ -8,6 +8,8 @@
 #include <sstream>
 #include <utility>
 
+#include "src/util/json.h"
+
 namespace harmony {
 
 const char* LintCheckName(LintCheck check) {
@@ -77,37 +79,10 @@ std::string LintReport::Render() const {
   return os.str();
 }
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
-}  // namespace
-
 std::string LintReport::ToJson() const {
   std::ostringstream os;
   os << "{\"schema\": \"harmony-lint-report\", \"version\": 1";
-  os << ", \"scheme\": " << JsonEscape(scheme);
+  os << ", \"scheme\": " << JsonString(scheme);
   os << ", \"tasks\": " << num_tasks << ", \"devices\": " << num_devices;
   os << ", \"deep\": " << (deep_ran ? "true" : "false");
   os << ", \"truncated\": " << (truncated ? "true" : "false");
@@ -118,9 +93,9 @@ std::string LintReport::ToJson() const {
     if (i > 0) {
       os << ", ";
     }
-    os << "{\"check\": " << JsonEscape(LintCheckName(f.check));
-    os << ", \"severity\": " << JsonEscape(LintSeverityName(f.severity));
-    os << ", \"message\": " << JsonEscape(f.message);
+    os << "{\"check\": " << JsonString(LintCheckName(f.check));
+    os << ", \"severity\": " << JsonString(LintSeverityName(f.severity));
+    os << ", \"message\": " << JsonString(f.message);
     os << ", \"tasks\": [";
     for (std::size_t t = 0; t < f.tasks.size(); ++t) {
       os << (t > 0 ? ", " : "") << f.tasks[t];

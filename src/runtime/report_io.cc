@@ -1,51 +1,15 @@
 #include "src/runtime/report_io.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
+#include "src/util/json.h"
 #include "src/util/table.h"
+#include "src/util/text_file.h"
 
 namespace harmony {
 
 namespace {
-
-// Shortest decimal that round-trips to the same double: try %.15g..%.17g and take the
-// first exact match. Deterministic, so the JSON export is byte-stable across runs.
-std::string JsonNumber(double value) {
-  char buffer[64];
-  for (int precision = 15; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) {
-      break;
-    }
-  }
-  return buffer;
-}
-
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
 
 // `{"kSwapIn": 123, ...}` with zero-valued kinds omitted (keeps tensor-heavy exports
 // readable); emits `{}` when nothing flowed.
@@ -274,27 +238,11 @@ std::string ReportToJson(const RunReport& report) {
 }
 
 Status WriteReportCsv(const RunReport& report, const std::string& path) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    return InternalError("cannot open report file " + path);
-  }
-  file << ReportToCsv(report);
-  if (!file.good()) {
-    return InternalError("failed writing report file " + path);
-  }
-  return Status::Ok();
+  return WriteTextFile(path, ReportToCsv(report));
 }
 
 Status WriteReportJson(const RunReport& report, const std::string& path) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    return InternalError("cannot open report file " + path);
-  }
-  file << ReportToJson(report);
-  if (!file.good()) {
-    return InternalError("failed writing report file " + path);
-  }
-  return Status::Ok();
+  return WriteTextFile(path, ReportToJson(report));
 }
 
 }  // namespace harmony

@@ -21,8 +21,8 @@ std::string ReportToMarkdown(const RunReport& report);
 // Full structured export: run header, per-device wall-clock decomposition, per-link and
 // per-node byte accounting, per-tensor churn, per-iteration stats, and the distilled
 // bottleneck attribution. Deterministic byte-for-byte: fixed key order, integers as
-// integers, doubles as shortest round-trip (%.17g trimmed) — the explain golden test
-// byte-compares this output. Parse it back with util/json.h.
+// integers, strings and doubles through util/json.h's JsonString / JsonNumber — the
+// explain golden test byte-compares this output. Parse it back with util/json.h.
 std::string ReportToJson(const RunReport& report);
 
 Status WriteReportCsv(const RunReport& report, const std::string& path);

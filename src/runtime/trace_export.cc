@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+
+#include "src/util/json.h"
+#include "src/util/text_file.h"
 
 namespace harmony {
 namespace {
@@ -24,15 +25,6 @@ const char* CategoryOf(TaskKind kind) {
   return "other";
 }
 
-void AppendEscaped(std::string& out, const std::string& text) {
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-    }
-    out += c;
-  }
-}
-
 }  // namespace
 
 std::string TimelineToChromeTrace(const Plan& plan, const std::vector<TaskTrace>& timeline) {
@@ -50,9 +42,9 @@ std::string TimelineToChromeTrace(const Plan& plan, const std::vector<TaskTrace>
       out += ",";
     }
     first = false;
-    out += "{\"name\":\"";
-    AppendEscaped(out, task.DebugName());
-    out += "\",\"cat\":\"";
+    out += "{\"name\":";
+    out += JsonString(task.DebugName());
+    out += ",\"cat\":\"";
     out += CategoryOf(task.kind);
     // pid = 0 (one process), tid = device index; timestamps in microseconds.
     std::snprintf(buffer, sizeof(buffer),
@@ -82,13 +74,12 @@ std::string TimelineToChromeTrace(const Plan& plan, const std::vector<TaskTrace>
       if (points.empty()) {
         continue;
       }
-      std::string name = "queue ";
-      AppendEscaped(name, report->links[l].name);
+      const std::string name = JsonString("queue " + report->links[l].name);
       for (const RunReport::LinkQueuePoint& point : points) {
-        out += ",{\"name\":\"";
+        out += ",{\"name\":";
         out += name;
         std::snprintf(buffer, sizeof(buffer),
-                      "\",\"ph\":\"C\",\"pid\":1,\"ts\":%.3f,\"args\":{\"flows\":%d}}",
+                      ",\"ph\":\"C\",\"pid\":1,\"ts\":%.3f,\"args\":{\"flows\":%d}}",
                       point.time * 1e6, point.depth);
         out += buffer;
       }
@@ -103,15 +94,7 @@ std::string TimelineToChromeTrace(const Plan& plan, const std::vector<TaskTrace>
 
 Status WriteChromeTrace(const Plan& plan, const std::vector<TaskTrace>& timeline,
                         const std::string& path, const RunReport* report) {
-  std::ofstream file(path, std::ios::trunc);
-  if (!file) {
-    return InternalError("cannot open trace file " + path);
-  }
-  file << TimelineToChromeTrace(plan, timeline, report);
-  if (!file.good()) {
-    return InternalError("failed writing trace file " + path);
-  }
-  return Status::Ok();
+  return WriteTextFile(path, TimelineToChromeTrace(plan, timeline, report));
 }
 
 }  // namespace harmony

@@ -1,12 +1,13 @@
 #include "src/sim/fault_plan.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "src/util/rng.h"
+#include "src/util/spec_grammar.h"
 
 namespace harmony {
 namespace {
@@ -25,196 +26,63 @@ std::string FormatDuration(double duration) {
   return duration == 0.0 ? "inf" : FormatFixed(duration);
 }
 
-// A field within one event, remembering where it starts in the original spec so parse
-// errors can point at the offending byte (same convention as util/json.cc).
-struct Field {
-  std::string text;
-  std::size_t offset = 0;  // absolute byte offset in the spec string
-};
-
-Status MalformedEvent(const std::string& event, std::size_t offset,
-                      const std::string& why) {
-  return InvalidArgumentError("malformed fault event '" + event + "': " + why +
-                              " (at byte " + std::to_string(offset) +
-                              "; see --help for the --faults grammar)");
-}
-
-// Splits on `sep`, keeping empty fields and recording each field's absolute offset
-// (`base` = offset of `s` within the full spec).
-std::vector<Field> Split(const std::string& s, char sep, std::size_t base) {
-  std::vector<Field> out;
-  std::string::size_type start = 0;
-  for (;;) {
-    const auto pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(Field{s.substr(start), base + start});
-      return out;
-    }
-    out.push_back(Field{s.substr(start, pos - start), base + start});
-    start = pos + 1;
-  }
-}
-
-StatusOr<double> ParseDouble(const std::string& event, const Field& field,
-                             const std::string& what) {
-  char* end = nullptr;
-  const double value = std::strtod(field.text.c_str(), &end);
-  if (field.text.empty() || end != field.text.c_str() + field.text.size() ||
-      !std::isfinite(value)) {
-    return MalformedEvent(event, field.offset,
-                          what + " must be a finite number, got '" + field.text + "'");
-  }
-  return value;
+// Errors name the event they are in: "malformed fault event '<event>': <why> (at byte N;
+// see --help for the --faults grammar)".
+SpecGrammar EventGrammar(const std::string& event) {
+  return SpecGrammar("malformed fault event '" + event + "'", "--faults grammar");
 }
 
 // Scales are multipliers in (0, 1]; zero, negative, out-of-range and NaN all reject.
-StatusOr<double> ParseScale(const std::string& event, const Field& field) {
-  StatusOr<double> scale = ParseDouble(event, field, "scale");
-  if (!scale.ok()) {
-    return scale.status();
-  }
-  if (scale.value() <= 0.0 || scale.value() > 1.0) {
-    return MalformedEvent(event, field.offset, "scale must be in (0, 1]");
-  }
-  return scale.value();
+StatusOr<double> ParseScale(const SpecGrammar& g, const SpecField& field) {
+  return g.Number(field, "scale", "in (0, 1]", [](double v) { return v > 0.0 && v <= 1.0; });
 }
 
 // Durations are strictly positive seconds or the literal "inf" (permanent; internal
 // sentinel 0.0). Zero, negative and NaN durations reject at parse time.
-StatusOr<double> ParseDurationField(const std::string& event, const Field& field) {
+StatusOr<double> ParseDurationField(const SpecGrammar& g, const SpecField& field) {
   if (field.text == "inf") {
     return 0.0;
   }
-  StatusOr<double> duration = ParseDouble(event, field, "duration");
-  if (!duration.ok()) {
-    return duration.status();
-  }
-  if (duration.value() <= 0.0) {
-    return MalformedEvent(event, field.offset,
-                          "duration must be > 0 seconds or 'inf' (permanent)");
-  }
-  return duration.value();
-}
-
-StatusOr<int> ParseGpuField(const std::string& event, const Field& field) {
-  if (field.text.rfind("gpu", 0) != 0 || field.text.size() == 3) {
-    return MalformedEvent(event, field.offset,
-                          "expected a target like 'gpu2', got '" + field.text + "'");
-  }
-  const std::string digits = field.text.substr(3);
-  char* end = nullptr;
-  const long gpu = std::strtol(digits.c_str(), &end, 10);
-  if (end != digits.c_str() + digits.size() || gpu < 0) {
-    return MalformedEvent(event, field.offset,
-                          "expected a target like 'gpu2', got '" + field.text + "'");
-  }
-  return static_cast<int>(gpu);
+  return g.Number(field, "duration", "> 0 seconds or 'inf' (permanent)",
+                  [](double v) { return v > 0.0; });
 }
 
 // Parses "gpu<i>" or "host" (host encodes as gpu = -1).
-StatusOr<int> ParseTargetField(const std::string& event, const Field& field) {
+StatusOr<int> ParseTargetField(const SpecGrammar& g, const SpecField& field) {
   if (field.text == "host") {
     return -1;
   }
-  return ParseGpuField(event, field);
-}
-
-// Non-negative index following `prefix`, or -1 when the field does not start with it.
-// "nic" alone (no digits) and negative/garbage indices reject via the caller.
-int ParseIndexAfter(const std::string& text, const char* prefix) {
-  const std::size_t len = std::char_traits<char>::length(prefix);
-  if (text.rfind(prefix, 0) != 0 || text.size() == len) {
-    return -1;
-  }
-  const std::string digits = text.substr(len);
-  char* end = nullptr;
-  const long value = std::strtol(digits.c_str(), &end, 10);
-  if (end != digits.c_str() + digits.size() || value < 0) {
-    return -1;
-  }
-  return static_cast<int>(value);
+  return g.Target(field, "gpu");
 }
 
 // Network-capable target for flow_flap / brownout: "gpu<i>", "host", "nic<i>" or "rack<i>".
 // Exactly one of the out-params is set (host = gpu stays -1 with nic/rack -1).
-Status ParseNetworkTargetField(const std::string& event, const Field& field, FaultEvent* e) {
-  if (field.text.rfind("nic", 0) == 0) {
-    const int nic = ParseIndexAfter(field.text, "nic");
-    if (nic < 0) {
-      return MalformedEvent(event, field.offset,
-                            "expected a target like 'nic0', got '" + field.text + "'");
-    }
-    e->nic = nic;
-    return Status::Ok();
-  }
-  if (field.text.rfind("rack", 0) == 0) {
-    const int rack = ParseIndexAfter(field.text, "rack");
-    if (rack < 0) {
-      return MalformedEvent(event, field.offset,
-                            "expected a target like 'rack0', got '" + field.text + "'");
-    }
-    e->rack = rack;
-    return Status::Ok();
-  }
-  StatusOr<int> target = ParseTargetField(event, field);
-  if (!target.ok()) {
-    return target.status();
-  }
-  e->gpu = target.value();
+Status ParseNetworkTargetField(const SpecGrammar& g, const SpecField& field, FaultEvent* e) {
+  const bool nic = field.text.rfind("nic", 0) == 0;
+  const bool rack = field.text.rfind("rack", 0) == 0;
+  StatusOr<int> target = nic    ? g.Target(field, "nic")
+                         : rack ? g.Target(field, "rack")
+                                : ParseTargetField(g, field);
+  HARMONY_RETURN_IF_ERROR(target.status());
+  (nic ? e->nic : rack ? e->rack : e->gpu) = target.value();
   return Status::Ok();
 }
 
 StatusOr<FaultPlan> ParseRandSpec(const std::string& event, std::size_t offset) {
+  const SpecGrammar g = EventGrammar(event);
+  const auto positive = [](double v) { return v > 0.0; };
   RandomFaultOptions options;
   // event = "rand:key=value,key=value,..."
-  for (const Field& kv : Split(event.substr(5), ',', offset + 5)) {
-    const auto eq = kv.text.find('=');
-    if (eq == std::string::npos) {
-      return MalformedEvent(event, kv.offset,
-                            "rand options must be key=value, got '" + kv.text + "'");
-    }
-    const std::string key = kv.text.substr(0, eq);
-    const Field value{kv.text.substr(eq + 1), kv.offset + eq + 1};
-    if (key == "seed") {
-      options.seed = std::strtoull(value.text.c_str(), nullptr, 10);
-    } else if (key == "mtbf") {
-      StatusOr<double> v = ParseDouble(event, value, "mtbf");
-      if (!v.ok()) {
-        return v.status();
-      }
-      options.mtbf = v.value();
-    } else if (key == "horizon") {
-      StatusOr<double> v = ParseDouble(event, value, "horizon");
-      if (!v.ok()) {
-        return v.status();
-      }
-      options.horizon = v.value();
-    } else if (key == "gpus") {
-      options.num_gpus = static_cast<int>(std::strtol(value.text.c_str(), nullptr, 10));
-    } else if (key == "nics" || key == "racks") {
-      char* end = nullptr;
-      const long count = std::strtol(value.text.c_str(), &end, 10);
-      if (value.text.empty() || end != value.text.c_str() + value.text.size() || count < 0) {
-        return MalformedEvent(event, value.offset,
-                              key + " must be a non-negative integer, got '" + value.text +
-                                  "'");
-      }
-      (key == "nics" ? options.num_nics : options.num_racks) = static_cast<int>(count);
-    } else if (key == "fail" || key == "ext" || key == "ckpt") {
-      const bool on = value.text == "1" || value.text == "true";
-      if (!on && value.text != "0" && value.text != "false") {
-        return MalformedEvent(event, value.offset,
-                              key + " must be 0, 1, true or false, got '" + value.text + "'");
-      }
-      (key == "fail" ? options.allow_fail_stop
-                     : key == "ext" ? options.transient : options.ckpt_faults) = on;
-    } else {
-      return MalformedEvent(event, kv.offset, "unknown rand option '" + key + "'");
-    }
-  }
-  if (options.mtbf <= 0.0 || options.horizon <= 0.0 || options.num_gpus <= 0) {
-    return MalformedEvent(event, offset, "mtbf, horizon and gpus must all be positive");
-  }
+  HARMONY_RETURN_IF_ERROR(g.ParseKeyValues(
+      SpecField{event.substr(5), offset + 5}, "rand option",
+      {g.SeedKey("seed", &options.seed),
+       g.NumberKey("mtbf", &options.mtbf, "a positive number", positive),
+       g.NumberKey("horizon", &options.horizon, "a positive number", positive),
+       g.IntKey("gpus", 1, INT_MAX, &options.num_gpus),
+       g.IntKey("nics", 0, INT_MAX, &options.num_nics),
+       g.IntKey("racks", 0, INT_MAX, &options.num_racks),
+       g.BoolKey("fail", &options.allow_fail_stop), g.BoolKey("ext", &options.transient),
+       g.BoolKey("ckpt", &options.ckpt_faults)}));
   return MakeRandomFaultPlan(options);
 }
 
@@ -308,7 +176,7 @@ std::string FaultPlan::ToString() const {
 
 StatusOr<FaultPlan> ParseFaultSpec(const std::string& spec) {
   FaultPlan plan;
-  for (const Field& item : Split(spec, ';', 0)) {
+  for (const SpecField& item : SplitSpec(spec, ';')) {
     const std::string& event = item.text;
     const std::size_t offset = item.offset;
     if (event.empty()) {
@@ -316,134 +184,79 @@ StatusOr<FaultPlan> ParseFaultSpec(const std::string& spec) {
     }
     if (event.rfind("rand:", 0) == 0) {
       StatusOr<FaultPlan> random = ParseRandSpec(event, offset);
-      if (!random.ok()) {
-        return random.status();
-      }
+      HARMONY_RETURN_IF_ERROR(random.status());
       for (const FaultEvent& e : random.value().events()) {
         plan.Add(e);
       }
       continue;
     }
+    const SpecGrammar g = EventGrammar(event);
     const auto at = event.find('@');
     if (at == std::string::npos) {
-      return MalformedEvent(event, offset, "expected '<kind>@<time>:...'");
+      return g.Error(offset, "expected '<kind>@<time>:...'");
     }
     const std::string kind = event.substr(0, at);
-    const std::vector<Field> fields = Split(event.substr(at + 1), ':', offset + at + 1);
-    StatusOr<double> time = ParseDouble(event, fields[0], "time");
-    if (!time.ok()) {
-      return time.status();
-    }
-    if (time.value() < 0.0) {
-      return MalformedEvent(event, fields[0].offset, "time must be >= 0");
-    }
+    const std::vector<SpecField> fields =
+        SplitSpec(std::string_view(event).substr(at + 1), ':', offset + at + 1);
+    StatusOr<double> time =
+        g.Number(fields[0], "time", "a finite number >= 0", [](double v) { return v >= 0.0; });
+    HARMONY_RETURN_IF_ERROR(time.status());
+    // `n` fields after the '@' (the time included), or a shape error for the whole event.
+    const auto expect = [&](std::size_t n, const char* shape) {
+      return fields.size() == n ? Status::Ok() : g.Error(offset, std::string("expected ") + shape);
+    };
+    // The "<scale>:<dur>" pair starting at fields[first].
+    const auto scale_and_duration = [&](std::size_t first, FaultEvent* e) {
+      StatusOr<double> scale = ParseScale(g, fields[first]);
+      HARMONY_RETURN_IF_ERROR(scale.status());
+      StatusOr<double> duration = ParseDurationField(g, fields[first + 1]);
+      HARMONY_RETURN_IF_ERROR(duration.status());
+      e->scale = scale.value();
+      e->duration = duration.value();
+      return Status::Ok();
+    };
 
     FaultEvent e;
     e.time = time.value();
     if (kind == "fail") {
-      if (fields.size() != 2) {
-        return MalformedEvent(event, offset, "expected fail@<t>:gpu<i>");
-      }
-      StatusOr<int> gpu = ParseGpuField(event, fields[1]);
-      if (!gpu.ok()) {
-        return gpu.status();
-      }
+      HARMONY_RETURN_IF_ERROR(expect(2, "fail@<t>:gpu<i>"));
+      StatusOr<int> gpu = g.Target(fields[1], "gpu");
+      HARMONY_RETURN_IF_ERROR(gpu.status());
       e.kind = FaultKind::kGpuFailStop;
       e.gpu = gpu.value();
     } else if (kind == "degrade") {
-      if (fields.size() != 4) {
-        return MalformedEvent(event, offset,
-                              "expected degrade@<t>:<gpu<i>|host>:<scale>:<dur>");
-      }
-      StatusOr<double> scale = ParseScale(event, fields[2]);
-      if (!scale.ok()) {
-        return scale.status();
-      }
-      StatusOr<double> duration = ParseDurationField(event, fields[3]);
-      if (!duration.ok()) {
-        return duration.status();
-      }
-      e.scale = scale.value();
-      e.duration = duration.value();
-      StatusOr<int> target = ParseTargetField(event, fields[1]);
-      if (!target.ok()) {
-        return target.status();
-      }
+      HARMONY_RETURN_IF_ERROR(expect(4, "degrade@<t>:<gpu<i>|host>:<scale>:<dur>"));
+      HARMONY_RETURN_IF_ERROR(scale_and_duration(2, &e));
+      StatusOr<int> target = ParseTargetField(g, fields[1]);
+      HARMONY_RETURN_IF_ERROR(target.status());
       e.gpu = target.value();
       e.kind = e.gpu < 0 ? FaultKind::kHostLinkDegrade : FaultKind::kGpuLinkDegrade;
     } else if (kind == "mem") {
-      if (fields.size() != 3) {
-        return MalformedEvent(event, offset, "expected mem@<t>:<scale>:<dur>");
-      }
-      StatusOr<double> scale = ParseScale(event, fields[1]);
-      if (!scale.ok()) {
-        return scale.status();
-      }
-      StatusOr<double> duration = ParseDurationField(event, fields[2]);
-      if (!duration.ok()) {
-        return duration.status();
-      }
+      HARMONY_RETURN_IF_ERROR(expect(3, "mem@<t>:<scale>:<dur>"));
+      HARMONY_RETURN_IF_ERROR(scale_and_duration(1, &e));
       e.kind = FaultKind::kHostMemPressure;
-      e.scale = scale.value();
-      e.duration = duration.value();
     } else if (kind == "flow_flap") {
-      if (fields.size() != 2) {
-        return MalformedEvent(event, offset,
-                              "expected flow_flap@<t>:<gpu<i>|host|nic<i>|rack<i>>");
-      }
-      const Status target = ParseNetworkTargetField(event, fields[1], &e);
-      if (!target.ok()) {
-        return target;
-      }
+      HARMONY_RETURN_IF_ERROR(expect(2, "flow_flap@<t>:<gpu<i>|host|nic<i>|rack<i>>"));
+      HARMONY_RETURN_IF_ERROR(ParseNetworkTargetField(g, fields[1], &e));
       e.kind = FaultKind::kFlowFlap;
     } else if (kind == "brownout") {
-      if (fields.size() != 4) {
-        return MalformedEvent(event, offset,
-                              "expected brownout@<t>:<gpu<i>|host|nic<i>|rack<i>>:<scale>:<dur>");
-      }
-      StatusOr<double> scale = ParseScale(event, fields[2]);
-      if (!scale.ok()) {
-        return scale.status();
-      }
-      StatusOr<double> duration = ParseDurationField(event, fields[3]);
-      if (!duration.ok()) {
-        return duration.status();
-      }
-      const Status target = ParseNetworkTargetField(event, fields[1], &e);
-      if (!target.ok()) {
-        return target;
-      }
+      HARMONY_RETURN_IF_ERROR(
+          expect(4, "brownout@<t>:<gpu<i>|host|nic<i>|rack<i>>:<scale>:<dur>"));
+      HARMONY_RETURN_IF_ERROR(scale_and_duration(2, &e));
+      HARMONY_RETURN_IF_ERROR(ParseNetworkTargetField(g, fields[1], &e));
       e.kind = FaultKind::kLinkBrownout;
-      e.scale = scale.value();
-      e.duration = duration.value();
     } else if (kind == "gpu_slow") {
-      if (fields.size() != 4) {
-        return MalformedEvent(event, offset,
-                              "expected gpu_slow@<t>:gpu<i>:<scale>:<dur>");
-      }
-      StatusOr<int> gpu = ParseGpuField(event, fields[1]);
-      if (!gpu.ok()) {
-        return gpu.status();
-      }
-      StatusOr<double> scale = ParseScale(event, fields[2]);
-      if (!scale.ok()) {
-        return scale.status();
-      }
-      StatusOr<double> duration = ParseDurationField(event, fields[3]);
-      if (!duration.ok()) {
-        return duration.status();
-      }
+      HARMONY_RETURN_IF_ERROR(expect(4, "gpu_slow@<t>:gpu<i>:<scale>:<dur>"));
+      StatusOr<int> gpu = g.Target(fields[1], "gpu");
+      HARMONY_RETURN_IF_ERROR(gpu.status());
+      HARMONY_RETURN_IF_ERROR(scale_and_duration(2, &e));
       e.kind = FaultKind::kGpuSlow;
       e.gpu = gpu.value();
-      e.scale = scale.value();
-      e.duration = duration.value();
     } else if (kind == "ckpt_corrupt") {
-      if (fields.size() != 1) {
-        return MalformedEvent(event, offset, "expected ckpt_corrupt@<t>");
-      }
+      HARMONY_RETURN_IF_ERROR(expect(1, "ckpt_corrupt@<t>"));
       e.kind = FaultKind::kCkptCorrupt;
     } else {
-      return MalformedEvent(event, offset, "unknown fault kind '" + kind + "'");
+      return g.Error(offset, "unknown fault kind '" + kind + "'");
     }
     plan.Add(e);
   }

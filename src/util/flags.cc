@@ -1,11 +1,11 @@
 #include "src/util/flags.h"
 
 #include <climits>
-#include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <sstream>
 
 #include "src/util/check.h"
+#include "src/util/spec_grammar.h"
 
 namespace harmony {
 
@@ -56,51 +56,34 @@ const std::string& FlagParser::Get(const std::string& name) const {
   return it->second.value;
 }
 
-int FlagParser::GetInt(const std::string& name) const {
-  return static_cast<int>(std::strtol(Get(name).c_str(), nullptr, 10));
-}
-
-double FlagParser::GetDouble(const std::string& name) const {
-  return std::strtod(Get(name).c_str(), nullptr);
-}
-
-bool FlagParser::GetBool(const std::string& name) const {
-  const std::string& v = Get(name);
-  return v == "true" || v == "1" || v == "yes" || v == "on";
-}
-
 StatusOr<int> FlagParser::GetCheckedInt(const std::string& name) const {
   const std::string& v = Get(name);
-  char* end = nullptr;
-  const long value = std::strtol(v.c_str(), &end, 10);
-  if (v.empty() || end != v.c_str() + v.size()) {
+  const std::optional<std::int64_t> value = ParseInteger(v, INT64_MIN, INT64_MAX);
+  if (!value) {
     return InvalidArgumentError("--" + name + " expects an integer, got '" + v + "'");
   }
-  if (value < INT_MIN || value > INT_MAX) {
+  if (*value < INT_MIN || *value > INT_MAX) {
     return InvalidArgumentError("--" + name + " value '" + v + "' is out of range");
   }
-  return static_cast<int>(value);
+  return static_cast<int>(*value);
 }
 
 StatusOr<double> FlagParser::GetCheckedDouble(const std::string& name) const {
   const std::string& v = Get(name);
-  char* end = nullptr;
-  const double value = std::strtod(v.c_str(), &end);
-  if (v.empty() || end != v.c_str() + v.size() || !std::isfinite(value)) {
+  const std::optional<double> value = ParseFinite(v);
+  if (!value) {
     return InvalidArgumentError("--" + name + " expects a finite number, got '" + v + "'");
   }
-  return value;
+  return *value;
 }
 
 StatusOr<bool> FlagParser::GetCheckedBool(const std::string& name) const {
   const std::string& v = Get(name);
-  if (v == "true" || v == "1" || v == "yes" || v == "on") {
-    return true;
+  const std::optional<bool> value = ParseBool(v);
+  if (!value) {
+    return InvalidArgumentError("--" + name + " expects true/false, got '" + v + "'");
   }
-  if (v == "false" || v == "0" || v == "no" || v == "off") {
-    return false;
-  }
-  return InvalidArgumentError("--" + name + " expects true/false, got '" + v + "'");
+  return *value;
 }
 
 std::string FlagParser::Usage(const std::string& program) const {

@@ -24,14 +24,10 @@ class FlagParser {
   Status Parse(int argc, const char* const* argv);
 
   const std::string& Get(const std::string& name) const;
-  // Permissive getters: garbage silently parses as 0/0.0/false (strtol semantics). Prefer
-  // the checked variants below in anything user-facing.
-  int GetInt(const std::string& name) const;
-  double GetDouble(const std::string& name) const;
-  bool GetBool(const std::string& name) const;
 
-  // Checked getters: the whole value must parse, otherwise an actionable error naming the
-  // flag and the offending text (instead of a silent zero).
+  // Typed getters (util/spec_grammar.h value rules): the whole value must parse, otherwise
+  // an actionable error naming the flag and the offending text. Booleans accept
+  // true/1/yes/on and false/0/no/off.
   StatusOr<int> GetCheckedInt(const std::string& name) const;
   StatusOr<double> GetCheckedDouble(const std::string& name) const;
   StatusOr<bool> GetCheckedBool(const std::string& name) const;

@@ -1,6 +1,8 @@
 #include "src/util/json.h"
 
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
@@ -407,6 +409,54 @@ class Parser {
 
 StatusOr<JsonValue> ParseJson(std::string_view text) {
   return Parser(text).Parse();
+}
+
+std::string JsonString(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  std::size_t run = 0;  // start of the bytes not yet copied to `out`
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') {
+      continue;
+    }
+    out.append(s, run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        char buffer[8];
+        std::snprintf(buffer, sizeof(buffer), "\\u%04x", static_cast<unsigned>(c));
+        out += buffer;
+      }
+    }
+  }
+  out.append(s, run);
+  out.push_back('"');
+  return out;
+}
+
+std::string JsonNumber(double value) {
+  // to_chars with a precision prints exactly what printf's "%.*g" prints, and from_chars
+  // reads back exactly what strtod reads, without printf's format parsing and locale cost.
+  char buffer[64];
+  char* end = buffer;
+  for (int precision = 15; precision <= 17; ++precision) {
+    end = std::to_chars(buffer, buffer + sizeof(buffer), value, std::chars_format::general,
+                        precision)
+              .ptr;
+    double back = 0.0;
+    std::from_chars(buffer, end, back);
+    if (back == value) {
+      break;
+    }
+  }
+  return std::string(buffer, end);
 }
 
 }  // namespace harmony

@@ -1,10 +1,12 @@
-// Minimal JSON document model + parser for the observability layer (DESIGN.md §8).
+// Minimal JSON document model + parser for the observability layer (DESIGN.md §8), and the
+// two leaf emitters every JSON writer shares.
 //
-// The simulator *emits* JSON with hand-formatted writers (deterministic field order and
-// number formatting, see runtime/report_io.h); this parser exists so tests can round-trip
-// and schema-check that output without an external dependency. It supports the whole JSON
-// grammar (objects, arrays, strings with escapes, numbers, booleans, null) but is tuned for
-// trust-the-producer inputs: recursion depth is bounded and errors carry byte offsets.
+// Each writer lays out its document by hand (fixed key order, so exports are byte-stable)
+// and renders its strings and doubles with JsonString / JsonNumber below. The parser exists
+// so tests can round-trip and schema-check that output without an external dependency. It
+// supports the whole JSON grammar (objects, arrays, strings with escapes, numbers, booleans,
+// null) but is tuned for trust-the-producer inputs: recursion depth is bounded and errors
+// carry byte offsets.
 #ifndef HARMONY_SRC_UTIL_JSON_H_
 #define HARMONY_SRC_UTIL_JSON_H_
 
@@ -80,6 +82,14 @@ class JsonValue {
 // Parses one JSON document (trailing whitespace allowed, trailing garbage is an error).
 // Errors are INVALID_ARGUMENT with a byte offset, e.g. "json: offset 17: expected ':'".
 StatusOr<JsonValue> ParseJson(std::string_view text);
+
+// A quoted JSON string literal: '"' and '\\' are escaped, \n \r \t get their short escapes
+// and every other control character becomes \u00XX; all other bytes pass through.
+std::string JsonString(std::string_view s);
+
+// The shortest of %.15g, %.16g and %.17g (printf notation) that reads back as the same
+// double, so exports are deterministic and lose no bits.
+std::string JsonNumber(double value);
 
 }  // namespace harmony
 

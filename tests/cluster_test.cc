@@ -448,12 +448,12 @@ TEST(ClusterSpecFuzz, MalformedSpecsReturnTypedByteOffsetErrors) {
       {"nodes", "expected key=value", 0},
       {"nodes=2,bogus=3", "unknown cluster option 'bogus'", 8},
       {"nodes=2,nodes=3", "duplicate cluster option 'nodes'", 8},
-      {"nodes=x", "must be an integer >= 1", 6},
-      {"nodes=0", "must be an integer >= 1", 6},
-      {"nodes_per_rack=-1", "must be an integer >= 0", 15},
+      {"nodes=x", "nodes must be an integer in [1, 1048576]", 6},
+      {"nodes=0", "nodes must be an integer in [1, 1048576]", 6},
+      {"nodes_per_rack=-1", "nodes_per_rack must be an integer in [0, 1048576]", 15},
       {"nic_gbps=-5", "must be a positive number", 9},
       {"gpus_per_node=4,rack_gbps=fast", "must be a positive number", 26},
-      {"nodes=2,gpus_per_node=", "must be an integer >= 1", 22},
+      {"nodes=2,gpus_per_node=", "gpus_per_node must be an integer in [1, 1048576]", 22},
   };
   for (const auto& c : cases) {
     const StatusOr<ClusterSpec> parsed = ParseClusterSpec(c.spec);

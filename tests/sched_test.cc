@@ -210,6 +210,11 @@ TEST(TraceSpecTest, MalformedTracesReturnTypedErrors) {
       {"diurnal:seed=1,rate=1,horizon=5,period=3,burst=2",
        "burst= only applies to bursty traces"},
       {"poisson:seed=1,rate=1,horizon=5,seed=2", "duplicate trace option 'seed'"},
+      // strtoull would wrap a negative seed to 2^64 - 1.
+      {"poisson:seed=-1,rate=1,horizon=5",
+       "seed must be an unsigned integer, got '-1' (at byte 13;"},
+      {"poisson:seed=18446744073709551616,rate=1,horizon=5",
+       "seed must be an unsigned integer"},
       {"poisson:seed=1,rate=999,horizon=99999", "lower rate or horizon"},
   };
   for (const auto& c : cases) {

@@ -13,6 +13,7 @@
 #include "src/core/session.h"
 #include "src/core/tuner.h"
 #include "src/graph/model_zoo.h"
+#include "src/runtime/cluster_scheduler.h"
 #include "src/runtime/report_io.h"
 #include "src/runtime/trace_export.h"
 #include "src/util/flags.h"
@@ -215,6 +216,20 @@ TEST_F(TimelineTest, WriteChromeTraceCreatesFile) {
 TEST(TraceExportTest, RejectsUnwritablePath) {
   Plan plan;
   EXPECT_FALSE(WriteChromeTrace(plan, {}, "/nonexistent-dir/trace.json").ok());
+}
+
+// /dev/full opens fine and fails only when the buffered text is flushed, which is the case
+// a writer that checks the stream before closing it reports as success.
+TEST_F(TimelineTest, WritersReportAFullDevice) {
+  for (const Status& written :
+       {WriteReportCsv(result_.report, "/dev/full"), WriteReportJson(result_.report, "/dev/full"),
+        WriteChromeTrace(result_.plan, result_.timeline, "/dev/full", &result_.report),
+        WriteClusterReportJson(ClusterReport{}, "/dev/full")}) {
+    ASSERT_FALSE(written.ok());
+    EXPECT_EQ(written.code(), StatusCode::kInternal);
+    EXPECT_NE(written.message().find("failed writing /dev/full"), std::string::npos)
+        << written.ToString();
+  }
 }
 
 // ---- Multi-server cluster topology -------------------------------------------------------------
@@ -453,10 +468,17 @@ TEST(FlagsTest, ParsesAllForms) {
       .Define("delta", "0.5", "");
   const char* argv[] = {"prog", "--alpha=7", "--beta", "hello", "--gamma"};
   ASSERT_TRUE(flags.Parse(5, argv).ok());
-  EXPECT_EQ(flags.GetInt("alpha"), 7);
+  ASSERT_TRUE(flags.GetCheckedInt("alpha").ok());
+  EXPECT_EQ(flags.GetCheckedInt("alpha").value(), 7);
   EXPECT_EQ(flags.Get("beta"), "hello");
-  EXPECT_TRUE(flags.GetBool("gamma"));
-  EXPECT_DOUBLE_EQ(flags.GetDouble("delta"), 0.5);  // default preserved
+  ASSERT_TRUE(flags.GetCheckedBool("gamma").ok());
+  EXPECT_TRUE(flags.GetCheckedBool("gamma").value());
+  ASSERT_TRUE(flags.GetCheckedDouble("delta").ok());
+  EXPECT_DOUBLE_EQ(flags.GetCheckedDouble("delta").value(), 0.5);  // default preserved
+  // Malformed text is an error naming the flag, never a silent zero.
+  EXPECT_FALSE(flags.GetCheckedInt("beta").ok());
+  EXPECT_FALSE(flags.GetCheckedDouble("beta").ok());
+  EXPECT_FALSE(flags.GetCheckedBool("beta").ok());
 }
 
 TEST(FlagsTest, RejectsUnknownFlagAndPositional) {

@@ -352,6 +352,11 @@ TEST(FaultPlanTest, MalformedSpecsReturnActionableErrors) {
       "gpu_slow@1:gpu0:0.5:0",  // zero duration
       "ckpt_corrupt@1:gpu0",    // takes no target
       "rand:ext=2",             // ext must be 0|1
+      // Indices past INT_MAX must reject, not wrap to a small index when narrowed.
+      "fail@1:gpu4294967296",                          // would strike gpu0
+      "degrade@1:gpu4294967295:0.5:1",                 // would render as a host degrade
+      "flow_flap@1:nic4294967296",                     // would strike nic0
+      "rand:seed=1,mtbf=1,horizon=3,nics=4294967297",  // would read as nics=1
   };
   for (const char* spec : bad) {
     const StatusOr<FaultPlan> plan = ParseFaultSpec(spec);
@@ -516,6 +521,43 @@ TEST(WatchdogDeadlineTest, HealthyRunIsByteIdenticalWithWatchdogArmed) {
   EXPECT_FALSE(guarded.failed);
   EXPECT_EQ(guarded.makespan, plain.makespan);
   EXPECT_EQ(guarded.iterations.size(), plain.iterations.size());
+}
+
+TEST(FaultPlanTest, RangeAndSeedErrorsPointAtTheirField) {
+  const struct {
+    const char* spec;
+    const char* why_fragment;
+    int offset;
+  } cases[] = {
+      {"fail@1:gpu4294967296", "expected a target like 'gpu0'", 7},
+      {"degrade@1:gpu4294967295:0.5:1", "expected a target like 'gpu0'", 10},
+      {"flow_flap@1:nic4294967296", "expected a target like 'nic0'", 12},
+      {"rand:seed=1,mtbf=1,horizon=3,nics=4294967297",
+       "nics must be an integer in [0, 2147483647]", 34},
+      {"rand:seed=abc,mtbf=1,horizon=3", "seed must be an unsigned integer", 10},
+      {"rand:seed=-1,mtbf=1,horizon=3", "seed must be an unsigned integer", 10},
+      {"rand:seed=1,mtbf=1,horizon=3,gpus=4x", "gpus must be an integer in [1, 2147483647]",
+       34},
+      {"rand:seed=1,seed=2,mtbf=1,horizon=3", "duplicate rand option 'seed'", 12},
+      {"fail@1:gpu0;rand:mtbf=0", "mtbf must be a positive number", 22},
+  };
+  for (const auto& c : cases) {
+    const StatusOr<FaultPlan> plan = ParseFaultSpec(c.spec);
+    ASSERT_FALSE(plan.ok()) << c.spec << " parsed as " << plan.value().ToString();
+    const std::string message = plan.status().ToString();
+    EXPECT_NE(message.find("INVALID_ARGUMENT"), std::string::npos) << message;
+    EXPECT_NE(message.find(c.why_fragment), std::string::npos) << message;
+    EXPECT_NE(message.find("(at byte " + std::to_string(c.offset) + ";"), std::string::npos)
+        << c.spec << " -> " << message;
+  }
+}
+
+TEST(FaultPlanTest, RandBooleansTakeTheFlagVocabulary) {
+  const StatusOr<FaultPlan> words = ParseFaultSpec("rand:seed=3,mtbf=1,horizon=8,fail=no,ext=on");
+  const StatusOr<FaultPlan> digits = ParseFaultSpec("rand:seed=3,mtbf=1,horizon=8,fail=0,ext=1");
+  ASSERT_TRUE(words.ok()) << words.status().ToString();
+  ASSERT_TRUE(digits.ok()) << digits.status().ToString();
+  EXPECT_EQ(words.value().ToString(), digits.value().ToString());
 }
 
 TEST(FaultPlanTest, RandSpecMatchesDirectConstruction) {

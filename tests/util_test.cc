@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/util/check.h"
 #include "src/util/json.h"
 #include "src/util/rng.h"
+#include "src/util/spec_grammar.h"
 #include "src/util/status.h"
 #include "src/util/table.h"
+#include "src/util/text_file.h"
 #include "src/util/units.h"
 
 namespace harmony {
@@ -232,6 +240,174 @@ TEST(JsonStringTest, BmpEscapesStillDecode) {
   const StatusOr<JsonValue> parsed = ParseJson("\"\\u00e9\\u4e2d\"");  // é中
   ASSERT_TRUE(parsed.ok());
   EXPECT_EQ(parsed.value().as_string(), "\xC3\xA9\xE4\xB8\xAD");
+}
+
+// ---- Spec grammar kit --------------------------------------------------------------------------
+
+TEST(SpecGrammarTest, SplitKeepsEmptyFieldsAndAbsoluteOffsets) {
+  const std::vector<SpecField> fields = SplitSpec("a,,bc,", ',', 10);
+  ASSERT_EQ(fields.size(), 4u);
+  EXPECT_EQ(fields[0].text, "a");
+  EXPECT_EQ(fields[0].offset, 10u);
+  EXPECT_EQ(fields[1].text, "");
+  EXPECT_EQ(fields[1].offset, 12u);
+  EXPECT_EQ(fields[2].text, "bc");
+  EXPECT_EQ(fields[2].offset, 13u);
+  EXPECT_EQ(fields[3].text, "");
+  EXPECT_EQ(fields[3].offset, 16u);
+  const std::vector<SpecField> empty = SplitSpec("", ';');
+  ASSERT_EQ(empty.size(), 1u);
+  EXPECT_EQ(empty[0].offset, 0u);
+}
+
+TEST(SpecGrammarTest, IntegerParserChecksRangeBeforeNarrowing) {
+  EXPECT_EQ(ParseInteger("42", 0, 100), 42);
+  EXPECT_EQ(ParseInteger("-7", -10, 10), -7);
+  EXPECT_EQ(ParseInteger("+3", 0, 10), 3);  // strtol rules, as every grammar had
+  EXPECT_EQ(ParseInteger("", INT64_MIN, INT64_MAX), std::nullopt);
+  EXPECT_EQ(ParseInteger("12x", INT64_MIN, INT64_MAX), std::nullopt);
+  EXPECT_EQ(ParseInteger("1.5", INT64_MIN, INT64_MAX), std::nullopt);
+  EXPECT_EQ(ParseInteger("4294967296", INT_MIN, INT_MAX), std::nullopt);
+  EXPECT_EQ(ParseInteger("2147483648", INT_MIN, INT_MAX), std::nullopt);
+  EXPECT_EQ(ParseInteger("2147483647", INT_MIN, INT_MAX), INT_MAX);
+  EXPECT_EQ(ParseInteger("99999999999999999999", INT64_MIN, INT64_MAX), std::nullopt);
+  EXPECT_EQ(ParseInteger("-1", 0, INT_MAX), std::nullopt);
+}
+
+TEST(SpecGrammarTest, UnsignedParserRejectsSignsAndOverflow) {
+  EXPECT_EQ(ParseUnsigned("0"), 0u);
+  EXPECT_EQ(ParseUnsigned("18446744073709551615"), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(ParseUnsigned(""), std::nullopt);
+  EXPECT_EQ(ParseUnsigned("7abc"), std::nullopt);
+  EXPECT_EQ(ParseUnsigned("-1"), std::nullopt);
+  EXPECT_EQ(ParseUnsigned(" -1"), std::nullopt);
+  EXPECT_EQ(ParseUnsigned("18446744073709551616"), std::nullopt);
+}
+
+TEST(SpecGrammarTest, FiniteParserRejectsNanInfAndGarbage) {
+  EXPECT_EQ(ParseFinite("0.25"), 0.25);
+  EXPECT_EQ(ParseFinite("-3e2"), -300.0);
+  for (const char* bad : {"", "x", "1.5x", "nan", "NaN", "inf", "-inf", "1e999"}) {
+    EXPECT_EQ(ParseFinite(bad), std::nullopt) << bad;
+  }
+}
+
+TEST(SpecGrammarTest, BoolParserTakesTheFlagVocabulary) {
+  for (const char* yes : {"true", "1", "yes", "on"}) {
+    EXPECT_EQ(ParseBool(yes), true) << yes;
+  }
+  for (const char* no : {"false", "0", "no", "off"}) {
+    EXPECT_EQ(ParseBool(no), false) << no;
+  }
+  for (const char* bad : {"", "2", "maybe", "TRUE "}) {
+    EXPECT_EQ(ParseBool(bad), std::nullopt) << bad;
+  }
+}
+
+TEST(SpecGrammarTest, TypedParsersReportTheFieldOffset) {
+  const SpecGrammar g("malformed test spec", "--test grammar");
+  const StatusOr<int> wide = g.Int(SpecField{"4294967296", 7}, "count", 0, INT_MAX);
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().message(),
+            "malformed test spec: count must be an integer in [0, 2147483647], got "
+            "'4294967296' (at byte 7; see --help for the --test grammar)");
+  const StatusOr<std::uint64_t> seed = g.Seed(SpecField{"-1", 3}, "seed");
+  ASSERT_FALSE(seed.ok());
+  EXPECT_NE(seed.status().message().find("seed must be an unsigned integer, got '-1' (at byte 3;"),
+            std::string::npos)
+      << seed.status().message();
+  const StatusOr<double> nan = g.Number(SpecField{"nan", 5}, "scale");
+  ASSERT_FALSE(nan.ok());
+  EXPECT_NE(nan.status().message().find("scale must be a finite number, got 'nan' (at byte 5;"),
+            std::string::npos);
+  const StatusOr<double> zero =
+      g.Number(SpecField{"0", 2}, "rate", "> 0", [](double v) { return v > 0.0; });
+  ASSERT_FALSE(zero.ok());
+  EXPECT_NE(zero.status().message().find("rate must be > 0, got '0' (at byte 2;"),
+            std::string::npos);
+  const StatusOr<int> target = g.Target(SpecField{"gpu4294967296", 9}, "gpu");
+  ASSERT_FALSE(target.ok());
+  EXPECT_NE(target.status().message().find("expected a target like 'gpu0'"), std::string::npos);
+  EXPECT_NE(target.status().message().find("(at byte 9;"), std::string::npos);
+  for (const char* bad : {"gpu", "gpu-1", "gpu1x", "nic1", ""}) {
+    EXPECT_FALSE(g.Target(SpecField{bad, 0}, "gpu").ok()) << bad;
+  }
+  EXPECT_EQ(g.Target(SpecField{"gpu12", 0}, "gpu").value(), 12);
+}
+
+TEST(SpecGrammarTest, KeyValueWalkerReportsUnknownAndRepeatedKeysAtTheirOffset) {
+  const SpecGrammar g("malformed test spec", "--test grammar");
+  int a = 0;
+  double b = 0.0;
+  const auto parse = [&](const std::string& list) {
+    return g.ParseKeyValues(SpecField{list, 5}, "test option",
+                            {g.IntKey("a", 0, 9, &a), g.NumberKey("b", &b)});
+  };
+  ASSERT_TRUE(parse("a=3,,b=0.5,").ok());
+  EXPECT_EQ(a, 3);
+  EXPECT_EQ(b, 0.5);
+  const Status unknown = parse("a=1,zz=2");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_NE(unknown.message().find("unknown test option 'zz' (at byte 9;"), std::string::npos)
+      << unknown.message();
+  const Status repeated = parse("a=1,b=2,a=3");
+  ASSERT_FALSE(repeated.ok());
+  EXPECT_NE(repeated.message().find("duplicate test option 'a' (at byte 13;"), std::string::npos)
+      << repeated.message();
+  const Status bare = parse("a=1,b");
+  ASSERT_FALSE(bare.ok());
+  EXPECT_NE(bare.message().find("expected key=value, got 'b' (at byte 9;"), std::string::npos)
+      << bare.message();
+  const Status value = parse("b=1,a=10");
+  ASSERT_FALSE(value.ok());
+  EXPECT_NE(value.message().find("a must be an integer in [0, 9], got '10' (at byte 11;"),
+            std::string::npos)
+      << value.message();
+}
+
+// ---- JSON leaf emitters and the text-file writer ------------------------------------------------
+
+TEST(JsonEmitterTest, StringsEscapeQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(JsonString("plain"), "\"plain\"");
+  EXPECT_EQ(JsonString("a\"b\\c"), "\"a\\\"b\\\\c\"");
+  EXPECT_EQ(JsonString("\n\r\t"), "\"\\n\\r\\t\"");
+  EXPECT_EQ(JsonString(std::string("\x01\x1f\0", 3)), "\"\\u0001\\u001f\\u0000\"");
+  EXPECT_EQ(JsonString("caf\xC3\xA9"), "\"caf\xC3\xA9\"");  // UTF-8 passes through
+  // And the parser reads every escape back to the original bytes.
+  const std::string raw("q\"\\\n\x02z", 6);
+  const StatusOr<JsonValue> parsed = ParseJson(JsonString(raw));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed.value().as_string(), raw);
+}
+
+TEST(JsonEmitterTest, NumbersTakeTheShortestRoundTripPrecision) {
+  EXPECT_EQ(JsonNumber(0.0), "0");
+  EXPECT_EQ(JsonNumber(2.0), "2");
+  EXPECT_EQ(JsonNumber(0.1), "0.1");
+  EXPECT_EQ(JsonNumber(-1.5e-7), "-1.5e-07");
+  EXPECT_EQ(JsonNumber(1.0 / 3.0), "0.3333333333333333");  // 16 digits
+  // 0.1 + 0.2 needs all 17 significant digits to come back as the same double.
+  const double sum = 0.1 + 0.2;
+  EXPECT_EQ(JsonNumber(sum), "0.30000000000000004");
+  EXPECT_EQ(std::strtod(JsonNumber(sum).c_str(), nullptr), sum);
+  EXPECT_EQ(JsonNumber(86400.001), "86400.001");
+}
+
+TEST(TextFileTest, WritesWholeTextAndReportsFailures) {
+  const std::string path = ::testing::TempDir() + "harmony_text_file_test.txt";
+  ASSERT_TRUE(WriteTextFile(path, "one\ntwo\n").ok());
+  std::ifstream file(path);
+  const std::string contents((std::istreambuf_iterator<char>(file)),
+                             std::istreambuf_iterator<char>());
+  EXPECT_EQ(contents, "one\ntwo\n");
+  std::remove(path.c_str());
+  const Status missing = WriteTextFile("/nonexistent-dir/out.txt", "x");
+  EXPECT_EQ(missing.code(), StatusCode::kInternal);
+  EXPECT_NE(missing.message().find("cannot open"), std::string::npos);
+  // The device accepts the open and fails on the flush at close.
+  const Status full = WriteTextFile("/dev/full", "x");
+  EXPECT_EQ(full.code(), StatusCode::kInternal);
+  EXPECT_NE(full.message().find("failed writing /dev/full"), std::string::npos);
 }
 
 }  // namespace

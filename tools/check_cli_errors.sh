@@ -70,6 +70,11 @@ expect_reject "at byte" --faults='fail@1:gpu0;degrade@2:gpu0:0.5:nan'
 expect_reject "must be 0, 1, true or false" --faults='rand:ext=2'
 expect_reject "expected a target like 'nic0'" --faults='flow_flap@1:nic'
 expect_reject "expected a target like" --faults='brownout@1:rack-1:0.5:1'
+# Values past their target type's range and malformed rand: options reject; they must not
+# wrap (gpu4294967296 is not gpu0), read as 0, or let a later key silently win.
+expect_reject "expected a target like 'gpu0'" --faults='fail@1:gpu4294967296'
+expect_reject "seed must be an unsigned integer" --faults='rand:seed=abc,mtbf=1,horizon=3'
+expect_reject "duplicate rand option 'seed'" --faults='rand:seed=1,seed=2,mtbf=1,horizon=3'
 
 # Scheduler-mode grammars (DESIGN.md §13): --sched, --jobs, --trace and --quota are all
 # parsed up front; malformed specs are typed errors with the byte offset of the offending
@@ -81,6 +86,7 @@ expect_reject "duplicate job option" --sched=fifo --jobs='train@0:gpus=2,gpus=4'
 expect_reject "trace kind must be" --sched=fifo --trace='weekly:seed=1,rate=1,horizon=9'
 expect_reject "at byte" --sched=fifo --trace='poisson:seed=1,rate=-1,horizon=9'
 expect_reject "duplicate trace option" --sched=fifo --trace='poisson:seed=1,seed=2,rate=1,horizon=9'
+expect_reject "seed must be an unsigned integer" --sched=fifo --trace='poisson:seed=-1,rate=1,horizon=9'
 expect_reject "require burst= and period=" --sched=fifo --trace='bursty:seed=1,rate=1,horizon=9'
 expect_reject "do not apply to poisson" --sched=fifo --trace='poisson:seed=1,rate=1,horizon=9,burst=2'
 expect_reject "burst= only applies to bursty" --sched=fifo --trace='diurnal:seed=1,rate=1,horizon=9,period=3,burst=2'
@@ -111,6 +117,20 @@ if [[ $code -ne 1 || "$err" != *"targets nic5"* ]]; then
 else
   echo "ok   --nodes=2 --faults=flow_flap@1:nic5 -> exit 1 (validation)"
 fi
+
+# A report that cannot be written is an error (exit 1), never a "wrote ..." success line:
+# /dev/full accepts the open and fails only when the text is flushed.
+for args in "--iterations=1 --csv=/dev/full" "--lint --iterations=1 --json=/dev/full"; do
+  # shellcheck disable=SC2086
+  err=$("$sim" $args 2>&1 >/dev/null)
+  code=$?
+  if [[ $code -ne 1 || "$err" != *"failed writing /dev/full"* ]]; then
+    echo "FAIL $args : exit $code, want 1 with a write error; stderr: $err" >&2
+    failures=$((failures + 1))
+  else
+    echo "ok   $args -> exit 1 (write error)"
+  fi
+done
 
 # Unknown flags are rejected up front with the full usage text.
 err=$("$sim" --no_such_flag=1 2>&1 >/dev/null)

@@ -7,7 +7,6 @@
 // Prints the run report (throughput, per-iteration swap volume by tensor class, per-device
 // accounting) and optionally writes a chrome://tracing timeline.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
 #include "src/core/recovery.h"
@@ -22,6 +21,7 @@
 #include "src/runtime/trace_export.h"
 #include "src/util/flags.h"
 #include "src/util/table.h"
+#include "src/util/text_file.h"
 
 namespace harmony {
 namespace {
@@ -342,12 +342,11 @@ int Run(int argc, char** argv) {
     const LintReport report = LintPlan(plan, registry, options);
     std::cout << report.Render();
     if (!flags.Get("json").empty()) {
-      std::ofstream file(flags.Get("json"), std::ios::trunc);
-      if (!file) {
-        std::cerr << "cannot open lint report file " << flags.Get("json") << "\n";
+      const Status written = WriteTextFile(flags.Get("json"), report.ToJson() + "\n");
+      if (!written.ok()) {
+        std::cerr << written.ToString() << "\n";
         return 1;
       }
-      file << report.ToJson() << "\n";
       std::cout << "wrote lint report to " << flags.Get("json") << "\n";
     }
     return report.num_errors() > 0 ? 1 : 0;
