@@ -36,13 +36,15 @@ int main() {
     Simulator sim;
     TransferManager tm(&sim, &topo8);
     const Bytes bytes = static_cast<Bytes>(1 * kGB);
-    std::vector<OneShotEvent*> done;
+    std::vector<double> landed(static_cast<std::size_t>(n), -1.0);
     for (int g = 0; g < n; ++g) {
-      done.push_back(
-          tm.StartTransfer(topo8.gpu_node(g), topo8.host_node(), bytes, TransferKind::kSwapOut));
+      tm.StartTransfer(topo8.gpu_node(g), topo8.host_node(), bytes, TransferKind::kSwapOut,
+                       [&landed, &sim, g](TransferOutcome) {
+                         landed[static_cast<std::size_t>(g)] = sim.now();
+                       });
     }
     sim.RunUntilIdle();
-    const double t = done.back()->fire_time();
+    const double t = landed.back();
     contention.Row()
         .Cell(std::to_string(n))
         .Cell(FormatBandwidth(static_cast<double>(bytes) / t))
@@ -57,8 +59,9 @@ int main() {
   {
     Simulator sim;
     TransferManager tm(&sim, &topo);
-    OneShotEvent* done = tm.StartTransfer(topo.gpu_node(0), topo.gpu_node(1),
-                                          static_cast<Bytes>(1 * kGB), TransferKind::kPeerToPeer);
+    double landed = -1.0;
+    tm.StartTransfer(topo.gpu_node(0), topo.gpu_node(1), static_cast<Bytes>(1 * kGB),
+                     TransferKind::kPeerToPeer, [&](TransferOutcome) { landed = sim.now(); });
     sim.RunUntilIdle();
     Bytes uplink = 0;
     for (LinkId l = 0; l < topo.num_links(); ++l) {
@@ -70,21 +73,20 @@ int main() {
     modes.Row()
         .Cell("p2p (Harmony)")
         .Cell("gpu0 -> switch -> gpu1")
-        .Cell(done->fire_time(), 3)
+        .Cell(landed, 3)
         .Cell(FormatBytesDecimal(static_cast<double>(uplink)));
   }
   {
     Simulator sim;
     TransferManager tm(&sim, &topo);
     // Per-GPU virtualization: swap-out to host, then swap-in on the peer (serialized).
-    OneShotEvent* out = tm.StartTransfer(topo.gpu_node(0), topo.host_node(),
-                                         static_cast<Bytes>(1 * kGB), TransferKind::kSwapOut);
     double total = -1.0;
-    out->OnFired([&] {
-      OneShotEvent* in = tm.StartTransfer(topo.host_node(), topo.gpu_node(1),
-                                          static_cast<Bytes>(1 * kGB), TransferKind::kSwapIn);
-      in->OnFired([&] { total = sim.now(); });
-    });
+    tm.StartTransfer(topo.gpu_node(0), topo.host_node(), static_cast<Bytes>(1 * kGB),
+                     TransferKind::kSwapOut, [&](TransferOutcome) {
+                       tm.StartTransfer(topo.host_node(), topo.gpu_node(1),
+                                        static_cast<Bytes>(1 * kGB), TransferKind::kSwapIn,
+                                        [&](TransferOutcome) { total = sim.now(); });
+                     });
     sim.RunUntilIdle();
     Bytes uplink = 0;
     for (LinkId l = 0; l < topo.num_links(); ++l) {

@@ -78,7 +78,7 @@ void BM_FairShareFlows(benchmark::State& state) {
     TransferManager tm(&sim, &topo);
     for (int f = 0; f < flows; ++f) {
       tm.StartTransfer(topo.gpu_node(f % 8), topo.host_node(), 64 * kMiB,
-                       TransferKind::kSwapOut);
+                       TransferKind::kSwapOut, [](TransferOutcome) {});
     }
     sim.RunUntilIdle();
     benchmark::DoNotOptimize(tm.flows_completed());
@@ -110,7 +110,7 @@ void BM_FlowChurn(benchmark::State& state) {
       const double start = rng.NextDouble(0.0, 0.05);
       const TransferKind kind = to_host ? TransferKind::kSwapOut : TransferKind::kPeerToPeer;
       sim.ScheduleAfter(start, [&tm, src, dst, bytes, kind] {
-        tm.StartTransfer(src, dst, bytes, kind);
+        tm.StartTransfer(src, dst, bytes, kind, [](TransferOutcome) {});
       });
     }
     sim.RunUntilIdle();

@@ -50,19 +50,18 @@ TransferManager::TransferManager(Simulator* sim, const Topology* topology)
   queue_timeline_.assign(static_cast<std::size_t>(topology->num_links()), {});
 }
 
-OneShotEvent* TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes,
-                                             TransferKind kind) {
+void TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes, TransferKind kind,
+                                    Continuation done) {
   HCHECK_GE(bytes, 0);
-  events_.push_back(std::make_unique<OneShotEvent>(sim_));
-  OneShotEvent* done = events_.back().get();
+  HCHECK(done) << "StartTransfer needs a continuation";
+  const std::uint32_t slot = ParkContinuation(std::move(done));
 
   if (NodeFailed(src) || NodeFailed(dst)) {
-    // Typed failure instead of a crash: the event fires now, flagged aborted, and the
-    // caller decides what a dead endpoint means for it.
-    aborted_events_.insert(done);
+    // Typed failure instead of a crash: the transfer ends now, aborted, and the caller
+    // decides what a dead endpoint means for it.
     ++flows_aborted_;
-    sim_->ScheduleAfter(0.0, [done] { done->Fire(); });
-    return done;
+    sim_->ScheduleAfter(0.0, [this, slot] { Finish(slot, TransferOutcome::kAborted); });
+    return;
   }
 
   if (src == dst || bytes == 0) {
@@ -72,8 +71,8 @@ OneShotEvent* TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes
         latency += topology_->link(lid).spec.latency_sec;
       }
     }
-    sim_->ScheduleAfter(latency, [done] { done->Fire(); });
-    return done;
+    sim_->ScheduleAfter(latency, [this, slot] { Finish(slot, TransferOutcome::kCompleted); });
+    return;
   }
 
   const std::vector<LinkId>& route = topology_->Route(src, dst);
@@ -96,14 +95,32 @@ OneShotEvent* TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes
   flow.bytes_remaining = static_cast<double>(bytes);
   flow.bytes_total = bytes;
   flow.kind = kind;
-  flow.done = done;
+  flow.continuation = slot;
   pending_.emplace(id, std::move(flow));
 
   // The flow joins the network after its route latency; that keeps latency out of the
   // bandwidth-sharing math while still delaying short transfers realistically. The flow
   // body lives in pending_ so the event closure carries two words, not the whole route.
   sim_->ScheduleAfter(latency, [this, id] { JoinFlow(id); });
-  return done;
+}
+
+std::uint32_t TransferManager::ParkContinuation(Continuation done) {
+  if (free_continuations_.empty()) {
+    continuations_.push_back(std::move(done));
+    return static_cast<std::uint32_t>(continuations_.size() - 1);
+  }
+  const std::uint32_t slot = free_continuations_.back();
+  free_continuations_.pop_back();
+  continuations_[slot] = std::move(done);
+  return slot;
+}
+
+void TransferManager::Finish(std::uint32_t slot, TransferOutcome outcome) {
+  sim_->ScheduleAfter(0.0, [this, slot, outcome] {
+    Continuation done = std::move(continuations_[slot]);
+    free_continuations_.push_back(slot);
+    done(outcome);
+  });
 }
 
 void TransferManager::JoinFlow(std::int64_t id) {
@@ -113,9 +130,8 @@ void TransferManager::JoinFlow(std::int64_t id) {
   pending_.erase(it);
   if (NodeFailed(flow.src) || NodeFailed(flow.dst)) {
     // An endpoint died while the transfer was still in its latency window.
-    aborted_events_.insert(flow.done);
     ++flows_aborted_;
-    flow.done->Fire();
+    Finish(flow.continuation, TransferOutcome::kAborted);
     return;
   }
   AdvanceToNow();
@@ -297,8 +313,7 @@ void TransferManager::FailNode(NodeId node) {
     Flow& flow = flows_.at(id);
     DetachFlow(flow, &dirty_scratch_);
     ++flows_aborted_;
-    aborted_events_.insert(flow.done);
-    flow.done->Fire();
+    Finish(flow.continuation, TransferOutcome::kAborted);
     flows_.erase(id);
   }
   ReRateFlowsOnLinks(&dirty_scratch_);
@@ -354,8 +369,7 @@ int TransferManager::FlapLinkFlows(const std::vector<LinkId>& links) {
       // victim, plus the typed exhaustion escalation.
       ++flows_aborted_;
       ++retry_exhausted_;
-      aborted_events_.insert(flow.done);
-      flow.done->Fire();
+      Finish(flow.continuation, TransferOutcome::kAborted);
       flows_.erase(id);
       if (retry_exhausted_handler_) {
         retry_exhausted_handler_(id, sim_->now());
@@ -535,9 +549,8 @@ void TransferManager::OnWakeup(std::uint64_t generation) {
     }
     DetachFlow(flow, &dirty_scratch_);
     ++flows_completed_;
-    OneShotEvent* done = flow.done;
     const std::int64_t id = flow.id;
-    done->Fire();
+    Finish(flow.continuation, TransferOutcome::kCompleted);
     flows_.erase(id);
   }
   ReRateFlowsOnLinks(&dirty_scratch_);

@@ -65,10 +65,10 @@ MemoryManager::Acquisition MemoryManager::Acquire(WorkingSet set, bool best_effo
 
   Pending pending;
   pending.handle = next_handle_++;
-  pending.ready = system_->NewEvent();
+  pending.ready = std::make_unique<OneShotEvent>(&system_->sim());
   pending.set = std::move(set);
   pending.best_effort = best_effort;
-  const Acquisition result{pending.handle, pending.ready};
+  const Acquisition result{pending.handle, pending.ready.get()};
   pending_.push_back(std::move(pending));
   system_->SchedulePump(device_index_);
   return result;
@@ -229,7 +229,8 @@ bool MemoryManager::PumpHead() {
   Held held;
   held.set = std::move(head.set);
   held.scratch_offset = head.scratch_allocated ? head.scratch_offset : -1;
-  OneShotEvent* ready = head.ready;
+  OneShotEvent* ready = head.ready.get();
+  held.ready = std::move(head.ready);
   held_.emplace(head.handle, std::move(held));
   pending_.pop_front();
   ready->Fire();
@@ -335,8 +336,9 @@ void MemoryManager::CancelHead() {
   if (head.scratch_allocated) {
     allocator_.Free(head.scratch_offset, head.set.scratch_bytes);
   }
-  cancelled_.insert(head.handle);
-  head.ready->Fire();
+  OneShotEvent* ready = head.ready.get();
+  cancelled_.emplace(head.handle, std::move(head.ready));
+  ready->Fire();
 }
 
 Bytes MemoryManager::AllocateWithEviction(Bytes bytes, const char* what) {
@@ -576,9 +578,7 @@ bool MemoryManager::EvictOne() {
   ++evictions_in_flight_;
   counters_.swap_out[static_cast<int>(meta.cls)] += meta.bytes;
   system_->NoteChurn(victim, device_index_, ChurnKind::kEvictWriteBack, meta.bytes);
-  OneShotEvent* done = system_->transfers().StartTransfer(device_node_, host_node_,
-                                                          meta.bytes, TransferKind::kSwapOut);
-  done->OnFired([this, victim] {
+  auto written_back = [this, victim](TransferOutcome) {
     TensorRegistry& registry = system_->registry();
     TensorState& state = registry.mutable_state(victim);
     const TensorMeta& m = registry.meta(victim);
@@ -594,7 +594,10 @@ bool MemoryManager::EvictOne() {
     --evictions_in_flight_;
     system_->SchedulePump(device_index_);
     system_->WakeTensorWaiters(victim);
-  });
+  };
+  static_assert(TransferManager::Continuation::kStoredInline<decltype(written_back)>);
+  system_->transfers().StartTransfer(device_node_, host_node_, meta.bytes,
+                                     TransferKind::kSwapOut, std::move(written_back));
   return true;
 }
 
@@ -611,9 +614,7 @@ void MemoryManager::BeginSwapIn(TensorId id, Bytes offset) {
   system_->NoteChurn(id, device_index_, ChurnKind::kSwapIn, meta.bytes);
   NoteUsage();
   system_->NoteInboundStart(device_index_);
-  OneShotEvent* done = system_->transfers().StartTransfer(host_node_, device_node_, meta.bytes,
-                                                          TransferKind::kSwapIn);
-  done->OnFired([this, id] {
+  auto landed = [this, id](TransferOutcome) {
     system_->NoteInboundEnd(device_index_);
     TensorRegistry& registry = system_->registry();
     TensorState& state = registry.mutable_state(id);
@@ -624,7 +625,10 @@ void MemoryManager::BeginSwapIn(TensorId id, Bytes offset) {
     IndexTickChange(id);
     system_->SchedulePump(device_index_);
     system_->WakeTensorWaiters(id);
-  });
+  };
+  static_assert(TransferManager::Continuation::kStoredInline<decltype(landed)>);
+  system_->transfers().StartTransfer(host_node_, device_node_, meta.bytes,
+                                     TransferKind::kSwapIn, std::move(landed));
 }
 
 void MemoryManager::BeginPeerFetch(TensorId id, Bytes offset, MemoryManager* peer) {
@@ -655,9 +659,7 @@ void MemoryManager::BeginPeerFetch(TensorId id, Bytes offset, MemoryManager* pee
   NoteUsage();
 
   system_->NoteInboundStart(device_index_);
-  OneShotEvent* done = system_->transfers().StartTransfer(peer->device_node_, device_node_,
-                                                          meta.bytes, TransferKind::kPeerToPeer);
-  done->OnFired([this, id] {
+  auto landed = [this, id](TransferOutcome) {
     system_->NoteInboundEnd(device_index_);
     TensorRegistry& registry = system_->registry();
     TensorState& state = registry.mutable_state(id);
@@ -667,7 +669,10 @@ void MemoryManager::BeginPeerFetch(TensorId id, Bytes offset, MemoryManager* pee
     IndexTickChange(id);
     system_->SchedulePump(device_index_);
     system_->WakeTensorWaiters(id);
-  });
+  };
+  static_assert(TransferManager::Continuation::kStoredInline<decltype(landed)>);
+  system_->transfers().StartTransfer(peer->device_node_, device_node_, meta.bytes,
+                                     TransferKind::kPeerToPeer, std::move(landed));
 }
 
 void MemoryManager::BeginStagedFetchFromPeer(TensorId id, MemoryManager* peer) {
@@ -675,15 +680,6 @@ void MemoryManager::BeginStagedFetchFromPeer(TensorId id, MemoryManager* peer) {
   TensorState& s = reg.mutable_state(id);
   const TensorMeta& meta = reg.meta(id);
   const AcquireHandle handle = pending_.front().handle;
-
-  auto release_issue = [this, handle, id] {
-    for (Pending& pending : pending_) {
-      if (pending.handle == handle) {
-        pending.issued.erase(id);
-      }
-    }
-    system_->SchedulePump(device_index_);
-  };
 
   if (!s.dirty && s.host_valid) {
     // Host already has a valid copy; the owner just drops its replica (no DMA). Note this
@@ -694,8 +690,9 @@ void MemoryManager::BeginStagedFetchFromPeer(TensorId id, MemoryManager* peer) {
     s.residency = Residency::kNone;
     s.device = -1;
     s.alloc_offset = -1;
-    system_->MarkDeviceDirty(peer->device_index_);  // freed memory; rides release_issue's pump
-    release_issue();
+    // Freed memory; its wakeup rides FinishStagedOwnerLeg's pump.
+    system_->MarkDeviceDirty(peer->device_index_);
+    FinishStagedOwnerLeg(handle, id);
     return;
   }
 
@@ -703,9 +700,7 @@ void MemoryManager::BeginStagedFetchFromPeer(TensorId id, MemoryManager* peer) {
   ++peer->evictions_in_flight_;
   peer->counters_.swap_out[static_cast<int>(meta.cls)] += meta.bytes;
   system_->NoteChurn(id, peer->device_index_, ChurnKind::kPeerStageWriteBack, meta.bytes);
-  OneShotEvent* done = system_->transfers().StartTransfer(
-      peer->device_node_, peer->host_node_, meta.bytes, TransferKind::kSwapOut);
-  done->OnFired([this, id, peer, release_issue] {
+  auto written_back = [this, id, peer, handle](TransferOutcome) {
     TensorRegistry& registry = system_->registry();
     TensorState& state = registry.mutable_state(id);
     const TensorMeta& m = registry.meta(id);
@@ -721,8 +716,20 @@ void MemoryManager::BeginStagedFetchFromPeer(TensorId id, MemoryManager* peer) {
     --peer->evictions_in_flight_;
     system_->SchedulePump(peer->device_index_);
     system_->WakeTensorWaiters(id);
-    release_issue();
-  });
+    FinishStagedOwnerLeg(handle, id);
+  };
+  static_assert(TransferManager::Continuation::kStoredInline<decltype(written_back)>);
+  system_->transfers().StartTransfer(peer->device_node_, peer->host_node_, meta.bytes,
+                                     TransferKind::kSwapOut, std::move(written_back));
+}
+
+void MemoryManager::FinishStagedOwnerLeg(AcquireHandle handle, TensorId id) {
+  for (Pending& pending : pending_) {
+    if (pending.handle == handle) {
+      pending.issued.erase(id);
+    }
+  }
+  system_->SchedulePump(device_index_);
 }
 
 void MemoryManager::NoteUsage() {
@@ -1136,11 +1143,6 @@ Status MemorySystem::CheckQuiescent() const {
     }
   }
   return Status::Ok();
-}
-
-OneShotEvent* MemorySystem::NewEvent() {
-  events_.push_back(std::make_unique<OneShotEvent>(sim_));
-  return events_.back().get();
 }
 
 Bytes MemorySystem::TotalSwapIn() const {

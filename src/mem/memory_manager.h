@@ -4,7 +4,8 @@
 // engine asks a device to Acquire a task's working set (inputs to fetch, accumulators to
 // fetch-or-init, outputs to allocate, transient scratch); the manager pins the set, evicts
 // LRU victims under pressure, and issues DMA flows through the TransferManager. The returned
-// event fires when the whole set is resident.
+// event fires when the whole set is resident; it belongs to the acquisition and dies at its
+// Release.
 //
 // Two policy bits differentiate the paper's schemes:
 //   - write_back_clean: evicting an unmodified tensor still copies it to host (IBM-LMS-style
@@ -139,7 +140,9 @@ class MemoryManager {
 
   struct Acquisition {
     AcquireHandle handle;
-    OneShotEvent* ready;  // owned by the manager; fires when the set is resident+pinned
+    // Fires when the set is resident and pinned, or when a best-effort request is
+    // cancelled. Owned by the acquisition's record: valid until Release(handle), not after.
+    OneShotEvent* ready;
   };
 
   // Queues a working-set acquisition. Requests are granted FIFO per device. A best-effort
@@ -152,7 +155,8 @@ class MemoryManager {
   // cancelled handle is a no-op.
   bool WasCancelled(AcquireHandle handle) const { return cancelled_.count(handle) > 0; }
 
-  // Unpins the set and frees its scratch. Tensors stay resident until evicted or freed.
+  // Unpins the set, frees its scratch and destroys its `ready` event. Tensors stay resident
+  // until evicted or freed.
   void Release(AcquireHandle handle);
 
   // Marks a resident tensor's device copy as diverged from host (output written).
@@ -177,10 +181,12 @@ class MemoryManager {
  private:
   friend class MemorySystem;
 
+  // An acquisition's `ready` event moves with it from Pending to Held (or into cancelled_)
+  // and is destroyed by Release, so the manager keeps events only for live acquisitions.
   struct Pending {
     AcquireHandle handle;
     WorkingSet set;
-    OneShotEvent* ready;
+    std::unique_ptr<OneShotEvent> ready;
     std::set<TensorId> issued;  // bring-actions already in flight for this request
     bool scratch_allocated = false;
     Bytes scratch_offset = -1;
@@ -196,6 +202,7 @@ class MemoryManager {
   struct Held {
     WorkingSet set;
     Bytes scratch_offset = -1;
+    std::unique_ptr<OneShotEvent> ready;
   };
 
   // Tries to make progress on the head pending request; returns true if it was granted.
@@ -220,6 +227,9 @@ class MemoryManager {
   void BeginSwapIn(TensorId id, Bytes offset);
   void BeginPeerFetch(TensorId id, Bytes offset, MemoryManager* peer);
   void BeginStagedFetchFromPeer(TensorId id, MemoryManager* peer);
+  // A staged fetch of `id` for request `handle` finished its owner-side leg: lets the
+  // request issue the host leg and re-pumps this device.
+  void FinishStagedOwnerLeg(AcquireHandle handle, TensorId id);
   void NoteUsage();
 
   // ---- Indexed victim selection (DESIGN.md §5, "Indexed eviction") ----
@@ -285,7 +295,8 @@ class MemoryManager {
 
   std::deque<Pending> pending_;
   std::map<AcquireHandle, Held> held_;
-  std::set<AcquireHandle> cancelled_;
+  // Cancelled best-effort requests, each with its fired `ready` event, until Release.
+  std::map<AcquireHandle, std::unique_ptr<OneShotEvent>> cancelled_;
   std::set<TensorId> resident_;  // tensors whose allocation lives on this device
   int evictions_in_flight_ = 0;
   AcquireHandle next_handle_ = 1;
@@ -344,9 +355,6 @@ class MemorySystem {
   // BM_EvictionChurn. Index maintenance still runs so the comparison is honest.
   void set_reference_scan_eviction(bool on) { reference_scan_eviction_ = on; }
   bool reference_scan_eviction() const { return reference_scan_eviction_; }
-
-  // Allocates a completion event owned by the system (for staged multi-hop fetches).
-  OneShotEvent* NewEvent();
 
   // Post-run hygiene check: no pending acquisitions, no held pins, no in-flight
   // transfers anywhere. Returns an error describing the first violation (leaked pins and
@@ -431,7 +439,6 @@ class MemorySystem {
   MemoryPolicy policy_;
   std::vector<std::unique_ptr<MemoryManager>> managers_;
   NextUseFn next_use_;
-  std::vector<std::unique_ptr<OneShotEvent>> events_;
   bool pump_scheduled_ = false;
   std::vector<char> dirty_;                     // per-device "pump me" bits
   std::vector<std::uint64_t> tensor_waiters_;   // per-tensor bitmask of waiting devices

@@ -187,10 +187,10 @@ void CollectiveEngine::RunScriptedRound(std::shared_ptr<Script> script, std::siz
     } else {
       inter_node_bytes_moved_ += hop.bytes;
     }
-    OneShotEvent* done =
-        transfers_->StartTransfer(topo.gpu_node(hop.src_device), topo.gpu_node(hop.dst_device),
-                                  hop.bytes, TransferKind::kCollective);
-    done->OnFired([barrier] { barrier->Arrive(); });
+    auto arrived = [barrier](TransferOutcome) { barrier->Arrive(); };
+    static_assert(TransferManager::Continuation::kStoredInline<decltype(arrived)>);
+    transfers_->StartTransfer(topo.gpu_node(hop.src_device), topo.gpu_node(hop.dst_device),
+                              hop.bytes, TransferKind::kCollective, std::move(arrived));
   }
   barrier->OnFired([this, script = std::move(script), round]() mutable {
     RunScriptedRound(std::move(script), round + 1);
@@ -214,8 +214,9 @@ void CollectiveEngine::RunRound(Group group_state, int round) {
     const NodeId dst =
         topo.gpu_node(group_state.devices[static_cast<std::size_t>((i + 1) % n)]);
     total_bytes_moved_ += chunk;
-    OneShotEvent* done = transfers_->StartTransfer(src, dst, chunk, TransferKind::kCollective);
-    done->OnFired([barrier] { barrier->Arrive(); });
+    auto arrived = [barrier](TransferOutcome) { barrier->Arrive(); };
+    static_assert(TransferManager::Continuation::kStoredInline<decltype(arrived)>);
+    transfers_->StartTransfer(src, dst, chunk, TransferKind::kCollective, std::move(arrived));
   }
   barrier->OnFired([this, group_state = std::move(group_state), round]() mutable {
     RunRound(std::move(group_state), round + 1);

@@ -1,4 +1,4 @@
-// Move-only `void()` callable with small-buffer inline storage.
+// Move-only callable with small-buffer inline storage.
 //
 // The simulator schedules hundreds of millions of events per run, and nearly every event
 // closure is tiny — a `this` pointer plus two or three scalars. std::function heap-allocates
@@ -7,8 +7,9 @@
 // to kInlineBytes bytes directly in the object; larger callables fall back to a single heap
 // allocation, exactly like std::function, so correctness never depends on the capture size.
 //
-// Unlike std::function it is move-only (no copy, so captures can own resources) and
-// supports only the `void()` signature — all the event loop needs.
+// Unlike std::function it is move-only (no copy, so captures can own resources). The
+// signature defaults to `void()`, the event loop's closure; transfer continuations take
+// their outcome as an argument (`InlineFunction<32, void(TransferOutcome)>`).
 #ifndef HARMONY_SRC_UTIL_INLINE_FUNCTION_H_
 #define HARMONY_SRC_UTIL_INLINE_FUNCTION_H_
 
@@ -19,8 +20,11 @@
 
 namespace harmony {
 
-template <std::size_t kInlineBytes>
-class InlineFunction {
+template <std::size_t kInlineBytes, typename Signature = void()>
+class InlineFunction;
+
+template <std::size_t kInlineBytes, typename R, typename... Args>
+class InlineFunction<kInlineBytes, R(Args...)> {
   static_assert(kInlineBytes >= sizeof(void*), "buffer must at least hold a pointer");
 
  public:
@@ -36,12 +40,14 @@ class InlineFunction {
   // Implicit by design, mirroring std::function: call sites pass lambdas directly.
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, InlineFunction> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
+                                        std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   InlineFunction(F&& fn) {  // NOLINT(google-explicit-constructor)
     using D = std::decay_t<F>;
     if constexpr (kStoredInline<F>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
-      invoke_ = [](void* buf) { (*Stored<D>(buf))(); };
+      invoke_ = [](void* buf, Args... args) -> R {
+        return (*Stored<D>(buf))(std::forward<Args>(args)...);
+      };
       manage_ = [](Op op, void* self, void* other) {
         switch (op) {
           case Op::kDestroy:
@@ -57,7 +63,9 @@ class InlineFunction {
       };
     } else {
       ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(fn)));
-      invoke_ = [](void* buf) { (**Stored<D*>(buf))(); };
+      invoke_ = [](void* buf, Args... args) -> R {
+        return (**Stored<D*>(buf))(std::forward<Args>(args)...);
+      };
       manage_ = [](Op op, void* self, void* other) {
         switch (op) {
           case Op::kDestroy:
@@ -111,7 +119,7 @@ class InlineFunction {
   explicit operator bool() const { return invoke_ != nullptr; }
 
   // Calling an empty InlineFunction is undefined, like std::function without the throw.
-  void operator()() { invoke_(buf_); }
+  R operator()(Args... args) { return invoke_(buf_, std::forward<Args>(args)...); }
 
  private:
   enum class Op { kDestroy, kMoveFrom };
@@ -121,7 +129,7 @@ class InlineFunction {
     return std::launder(reinterpret_cast<T*>(buf));
   }
 
-  void (*invoke_)(void*) = nullptr;
+  R (*invoke_)(void*, Args...) = nullptr;
   void (*manage_)(Op, void*, void*) = nullptr;
   alignas(void*) unsigned char buf_[kInlineBytes];
 };

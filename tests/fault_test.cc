@@ -22,6 +22,7 @@
 #include "src/sim/fault_plan.h"
 #include "src/sim/simulator.h"
 #include "src/util/check.h"
+#include "tests/recording_transfer_manager.h"
 #include "tests/test_models.h"
 
 namespace harmony {
@@ -54,7 +55,7 @@ class FaultTransferTest : public ::testing::Test {
 
   Simulator sim_;
   Topology topo_;
-  TransferManager tm_;
+  RecordingTransferManager tm_;
 };
 
 TEST_F(FaultTransferTest, DegradedLinkHalvesFlowRate) {
@@ -277,7 +278,7 @@ TEST(FaultInjectorTest, RackBrownoutScalesTheTorLinks) {
 TEST(FaultInjectorTest, NicFlowFlapAbortsCrossNodeFlowsOnly) {
   Topology topo = MakeClusterTopology(TwoNodeCluster());
   Simulator sim;
-  TransferManager tm(&sim, &topo);
+  RecordingTransferManager tm(&sim, &topo);
   FaultInjector injector(&sim, &tm);
   // gpu0 -> gpu2 crosses node 0's NIC; gpu0 -> gpu1 stays behind the PCIe switch.
   OneShotEvent* doomed = tm.StartTransfer(topo.gpu_node(0), topo.gpu_node(2),

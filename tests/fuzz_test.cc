@@ -18,6 +18,7 @@
 #include "src/numeric/reference.h"
 #include "src/runtime/retry_policy.h"
 #include "src/util/rng.h"
+#include "tests/recording_transfer_manager.h"
 #include "tests/test_models.h"
 
 namespace harmony {
@@ -215,7 +216,7 @@ TEST_P(RandomFlowChurnTest, IncrementalStateMatchesFromScratchRebuild) {
   server.gpus_per_switch = 2 + static_cast<int>(rng.NextBounded(3));
   Topology topo = MakeCommodityServerTopology(server);
   Simulator sim;
-  TransferManager tm(&sim, &topo);
+  RecordingTransferManager tm(&sim, &topo);
 
   const auto gpu = [&](std::uint64_t bound) {
     return topo.gpu_node(static_cast<int>(rng.NextBounded(bound)));
@@ -272,7 +273,7 @@ TEST_P(RandomFlowChurnTest, ClusterBurstsAndFaultsMatchFromScratchRebuild) {
   const Topology topo = MakeClusterTopology(cluster);
   ASSERT_EQ(topo.num_racks(), 2);
   Simulator sim;
-  TransferManager tm(&sim, &topo);
+  RecordingTransferManager tm(&sim, &topo);
   const RetryPolicy retry{RetryPolicyConfig{}};
   tm.SetRetryPolicy(&retry);
 

@@ -321,6 +321,41 @@ TEST_F(MemorySystemTest, BestEffortRequestCancelsWhenStuck) {
   EXPECT_EQ(reg_.state(b).residency, Residency::kNone);
 }
 
+TEST_F(MemorySystemTest, CancelledAcquisitionKeepsItsReadyEventUntilRelease) {
+  Init(HarmonyPolicy(), /*capacity=*/1536);
+  const TensorId a = NewTensor("A", 1024, TensorClass::kWeight, true);
+  const TensorId b = NewTensor("B", 1024, TensorClass::kWeight, true);
+  WorkingSet set_a;
+  set_a.fetch = {a};
+  const auto handle_a = AcquireNow(0, set_a);
+
+  WorkingSet set_b;
+  set_b.fetch = {b};
+  auto prefetch = system_->manager(0).Acquire(set_b, /*best_effort=*/true);
+  sim_.RunUntilIdle();
+  ASSERT_TRUE(system_->manager(0).WasCancelled(prefetch.handle));
+  const SimTime cancelled_at = prefetch.ready->fire_time();
+
+  // Later traffic on the device (A released, B fetched for real) leaves the cancelled
+  // record and its event alone: a waiter attached late, as the engine attaches one to a
+  // prefetch when its task starts, still runs.
+  system_->manager(0).Release(handle_a);
+  const auto handle_b = AcquireNow(0, set_b);
+  ASSERT_GT(sim_.now(), cancelled_at);
+  bool late_waiter_ran = false;
+  prefetch.ready->OnFired([&late_waiter_ran] { late_waiter_ran = true; });
+  sim_.RunUntilIdle();
+  EXPECT_TRUE(late_waiter_ran);
+  EXPECT_DOUBLE_EQ(prefetch.ready->fire_time(), cancelled_at);
+
+  // Release destroys the event (reading `prefetch.ready` after this is a use-after-free).
+  system_->manager(0).Release(prefetch.handle);
+  EXPECT_FALSE(system_->manager(0).WasCancelled(prefetch.handle));
+  system_->manager(0).Release(handle_b);
+  sim_.RunUntilIdle();
+  EXPECT_TRUE(system_->CheckQuiescent().ok()) << system_->CheckQuiescent().ToString();
+}
+
 TEST_F(MemorySystemTest, NormalRequestWaitsForReleaseInsteadOfCancelling) {
   Init(HarmonyPolicy(), /*capacity=*/1536);
   const TensorId a = NewTensor("A", 1024, TensorClass::kWeight, true);

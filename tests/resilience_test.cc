@@ -22,6 +22,7 @@
 #include "src/runtime/retry_policy.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/simulator.h"
+#include "tests/recording_transfer_manager.h"
 #include "tests/test_models.h"
 
 namespace harmony {
@@ -105,7 +106,7 @@ class RetryTransferTest : public ::testing::Test {
 
   Simulator sim_;
   Topology topo_;
-  TransferManager tm_;
+  RecordingTransferManager tm_;
 };
 
 TEST_F(RetryTransferTest, FlapWithoutPolicyAbortsImmediately) {
