@@ -149,18 +149,20 @@ AttributionReport Attribute(const RunReport& report, int top_tensors) {
     out.bottleneck_queue_depth = link->avg_queue_depth;
     out.bottleneck_bytes = link->bytes;
   }
-  out.top_churn = report.tensor_churn;
-  std::sort(out.top_churn.begin(), out.top_churn.end(),
-            [](const RunReport::TensorChurn& a, const RunReport::TensorChurn& b) {
-              if (a.moved_bytes() != b.moved_bytes()) {
-                return a.moved_bytes() > b.moved_bytes();
-              }
-              return a.tensor < b.tensor;
-            });
-  if (top_tensors >= 0 &&
-      out.top_churn.size() > static_cast<std::size_t>(top_tensors)) {
-    out.top_churn.resize(static_cast<std::size_t>(top_tensors));
-  }
+  // Copy out only the entries returned. Tensor ids are unique, so the order is total and
+  // the selection equals the prefix of a full sort.
+  const std::size_t churned = report.tensor_churn.size();
+  const std::size_t keep =
+      top_tensors < 0 ? churned : std::min(churned, static_cast<std::size_t>(top_tensors));
+  out.top_churn.resize(keep);
+  std::partial_sort_copy(report.tensor_churn.begin(), report.tensor_churn.end(),
+                         out.top_churn.begin(), out.top_churn.end(),
+                         [](const RunReport::TensorChurn& a, const RunReport::TensorChurn& b) {
+                           if (a.moved_bytes() != b.moved_bytes()) {
+                             return a.moved_bytes() > b.moved_bytes();
+                           }
+                           return a.tensor < b.tensor;
+                         });
   out.tiers = report.tiers;
   out.flows_retried = report.flows_retried;
   out.retry_exhausted = report.retry_exhausted;

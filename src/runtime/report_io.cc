@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "src/util/json.h"
 #include "src/util/table.h"
@@ -234,7 +235,7 @@ std::string ReportToJson(const RunReport& report) {
   os << "]\n";
   os << "  }\n";
   os << "}\n";
-  return os.str();
+  return std::move(os).str();
 }
 
 Status WriteReportCsv(const RunReport& report, const std::string& path) {

@@ -182,8 +182,8 @@ void OneShotEvent::Fire() {
   for (auto& waiter : waiters_) {
     sim_->ScheduleAfter(0.0, std::move(waiter));
   }
-  // Release the buffer, not just the closures: owners such as TransferManager keep every
-  // fired event for their whole lifetime.
+  // Release the buffer, not just the closures: the engine keeps every task's fired
+  // completion event for the whole run.
   std::vector<Simulator::Closure>().swap(waiters_);
 }
 

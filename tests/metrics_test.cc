@@ -306,6 +306,54 @@ TEST(AttributionTest, RefetchesCountArrivalsBeyondTheFirst) {
   EXPECT_EQ(churn.refetches(), 4);
 }
 
+// Attribute selects its top churners without copying the whole list; the selection must
+// equal the prefix of a full sort, ties on moved bytes included, for every cap.
+TEST(AttributionTest, TopChurnEqualsThePrefixOfAFullSort) {
+  const auto more_churn = [](const RunReport::TensorChurn& a, const RunReport::TensorChurn& b) {
+    if (a.moved_bytes() != b.moved_bytes()) {
+      return a.moved_bytes() > b.moved_bytes();
+    }
+    return a.tensor < b.tensor;
+  };
+  for (int seed = 0; seed < 20; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 3);
+    const int n = static_cast<int>(rng.NextBounded(40));
+    RunReport report;
+    for (int i = 0; i < n; ++i) {
+      RunReport::TensorChurn churn;
+      churn.tensor = static_cast<TensorId>(i);
+      churn.name = "t" + std::to_string(i);
+      // Moved bytes drawn from {0, 100, ..., 400}, split across the three directions: most
+      // entries tie with several others.
+      const Bytes moved = 100 * static_cast<Bytes>(rng.NextBounded(5));
+      churn.swap_in_bytes = moved / 2;
+      churn.swap_out_bytes = static_cast<Bytes>(rng.NextBounded(2)) * (moved - moved / 2);
+      churn.p2p_in_bytes = moved - churn.swap_in_bytes - churn.swap_out_bytes;
+      report.tensor_churn.push_back(std::move(churn));
+    }
+    // Any input order: swap random pairs.
+    for (int i = 0; i + 1 < n; ++i) {
+      const std::size_t j =
+          static_cast<std::size_t>(i) + rng.NextBounded(static_cast<std::uint64_t>(n - i));
+      std::swap(report.tensor_churn[static_cast<std::size_t>(i)], report.tensor_churn[j]);
+    }
+    std::vector<RunReport::TensorChurn> sorted = report.tensor_churn;
+    std::sort(sorted.begin(), sorted.end(), more_churn);
+
+    for (const int top : {-1, 0, 1, 5, n + 3}) {
+      const std::vector<RunReport::TensorChurn> got = Attribute(report, top).top_churn;
+      const std::size_t want =
+          top < 0 ? sorted.size() : std::min(sorted.size(), static_cast<std::size_t>(top));
+      ASSERT_EQ(got.size(), want) << "seed " << seed << ", top " << top;
+      for (std::size_t k = 0; k < want; ++k) {
+        EXPECT_EQ(got[k].tensor, sorted[k].tensor) << "seed " << seed << ", top " << top;
+        EXPECT_EQ(got[k].name, sorted[k].name);
+        EXPECT_EQ(got[k].moved_bytes(), sorted[k].moved_bytes());
+      }
+    }
+  }
+}
+
 // ---- JSON parser unit tests -------------------------------------------------------------------
 
 TEST(JsonTest, ParsesScalarsObjectsAndArrays) {

@@ -6,7 +6,9 @@
 # there). This script runs each golden bench TWICE — catching nondeterminism within one
 # build (iteration-order leaks, uninitialized reads, time-dependent output) — and compares
 # the hash against the committed manifest, catching semantic drift against the recorded
-# baseline.
+# baseline. The two passes run concurrently, and every bench runs in its own temporary
+# working directory, so the BENCH_*.json files some benches write there never collide
+# between passes or land in the caller's directory.
 #
 # Usage: check_stdout_stable.sh <bench_dir> [manifest]
 #   bench_dir  directory holding the built bench binaries (e.g. build/bench)
@@ -35,8 +37,28 @@ benches=(
   bench_multitenant
 )
 
+if [[ -d "$bench_dir" ]]; then
+  bench_dir=$(cd "$bench_dir" && pwd)  # the benches run from other directories
+fi
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
+
+# run_pass NAME: runs every bench once, each from its own working directory, writing its
+# stdout to $workdir/<bench>.NAME and its exit code to $workdir/<bench>.NAME.rc.
+run_pass() {
+  local name=$1 bench
+  for bench in "${benches[@]}"; do
+    [[ -x "$bench_dir/$bench" ]] || continue
+    mkdir -p "$workdir/cwd.$name/$bench"
+    (cd "$workdir/cwd.$name/$bench" && "$bench_dir/$bench" > "$workdir/$bench.$name" 2> /dev/null)
+    echo $? > "$workdir/$bench.$name.rc"
+  done
+}
+
+# Run 1's output keeps the name the manifest lists (<bench>.stdout).
+run_pass stdout &
+run_pass run2 &
+wait
 
 fail=0
 for bench in "${benches[@]}"; do
@@ -46,12 +68,12 @@ for bench in "${benches[@]}"; do
     fail=1
     continue
   fi
-  if ! "$bin" > "$workdir/$bench.stdout" 2> /dev/null; then
+  if [[ $(cat "$workdir/$bench.stdout.rc") != 0 ]]; then
     echo "FAIL $bench: run 1 exited non-zero"
     fail=1
     continue
   fi
-  if ! "$bin" > "$workdir/$bench.run2" 2> /dev/null; then
+  if [[ $(cat "$workdir/$bench.run2.rc") != 0 ]]; then
     echo "FAIL $bench: run 2 exited non-zero"
     fail=1
     continue

@@ -34,6 +34,8 @@
 #                         group -> members, heap entry -> group) ASan keeps honest,
 #   - `ctest -R fault`  : fault injection and elastic recovery, whose bookkeeping is
 #                         indexed by fleet-wide GPU ids.
+# ASan also runs the whole of mem_test and mem_churn_test: an acquisition's `ready` event
+# dies at its Release, so a late read of it is a use-after-free.
 # Pass --full to run the entire ctest suite under each sanitizer instead (slower).
 #
 # Usage: tools/run_sanitizer_suite.sh [--full]
@@ -67,6 +69,11 @@ flow_and_fault() {
   run_ctest "$1" -R fault
 }
 
+memory_suites() {
+  "$repo/$1/tests/mem_test"
+  "$repo/$1/tests/mem_churn_test"
+}
+
 # run_one SANITIZER BUILD_DIR SELECTION...: builds the tree under SANITIZER and runs each
 # SELECTION function (or, with --full, the whole suite).
 run_one() {
@@ -87,5 +94,5 @@ run_one() {
 
 run_one thread build-tsan labelled_suites
 run_one undefined build-ubsan labelled_suites flow_and_fault
-run_one address build-asan flow_and_fault
+run_one address build-asan flow_and_fault memory_suites
 echo "OK   all three sanitizer jobs clean"
