@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "src/core/recovery.h"
 #include "src/core/session.h"
 #include "src/graph/model_zoo.h"
@@ -193,26 +194,20 @@ int main() {
                "2, keep 2) ---\n"
             << table.ToString() << "\n";
 
-  std::FILE* json = std::fopen("BENCH_chaos.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"clean_goodput_samples_per_s\": %.6f,\n  \"ladder\": [\n",
-                 clean_goodput);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const LadderPoint& p = points[i];
-      std::fprintf(json,
-                   "    {\"rung\": \"%s\", \"mtbf_s\": %.6f, \"plan_events\": %d, "
-                   "\"flows_retried\": %lld, \"retry_exhausted\": %lld, "
-                   "\"degradations\": %d, \"rollbacks\": %d, \"iterations\": %d, "
-                   "\"goodput_samples_per_s\": %.6f, \"goodput_ratio\": %.6f}%s\n",
-                   p.rung.c_str(), p.mtbf, p.plan_events,
-                   static_cast<long long>(p.flows_retried),
-                   static_cast<long long>(p.retry_exhausted), p.degradations, p.rollbacks,
-                   p.completed, p.goodput, p.goodput_ratio,
-                   i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::cout << "wrote BENCH_chaos.json\n";
+  std::string json;
+  Appendf(&json, "{\n  \"clean_goodput_samples_per_s\": %.6f,\n  \"ladder\": [\n",
+          clean_goodput);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const LadderPoint& p = points[i];
+    Appendf(&json,
+            "    {\"rung\": \"%s\", \"mtbf_s\": %.6f, \"plan_events\": %d, "
+            "\"flows_retried\": %lld, \"retry_exhausted\": %lld, "
+            "\"degradations\": %d, \"rollbacks\": %d, \"iterations\": %d, "
+            "\"goodput_samples_per_s\": %.6f, \"goodput_ratio\": %.6f}%s\n",
+            p.rung.c_str(), p.mtbf, p.plan_events, static_cast<long long>(p.flows_retried),
+            static_cast<long long>(p.retry_exhausted), p.degradations, p.rollbacks,
+            p.completed, p.goodput, p.goodput_ratio, i + 1 < points.size() ? "," : "");
   }
-  return 0;
+  Appendf(&json, "  ]\n}\n");
+  return WriteBenchJson("BENCH_chaos.json", json);
 }

@@ -15,8 +15,10 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "src/core/session.h"
 #include "src/graph/model_zoo.h"
 #include "src/runtime/metrics.h"
@@ -84,9 +86,9 @@ int main() {
     SessionConfig config = base;
     config.num_nodes = shape.nodes;
     config.nodes_per_rack = shape.nodes_per_rack;
-    const Status valid = ValidateSessionConfig(model, config);
-    HCHECK(valid.ok()) << valid.ToString();
-    const SessionResult result = RunTraining(model, config);
+    StatusOr<PreparedSession> prepared = PrepareSession(model, config);
+    HCHECK(prepared.ok()) << prepared.status().ToString();
+    const SessionResult result = RunTraining(std::move(prepared).value());
     const RunReport& report = result.report;
 
     ScalePoint p;
@@ -174,28 +176,23 @@ int main() {
                "rack) ---\n"
             << table.ToString() << "\n";
 
-  std::FILE* json = std::fopen("BENCH_cluster.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"ladder\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const ScalePoint& p = points[i];
-      std::fprintf(json,
-                   "    {\"gpus\": %d, \"nodes\": %d, \"racks\": %d, "
-                   "\"steady_iter_s\": %.6f, \"throughput_samples_per_s\": %.6f, "
-                   "\"swap_bytes_per_gpu_per_iter\": %.0f, "
-                   "\"collective_bytes_per_gpu\": %.0f, \"pcie_bytes\": %.0f, "
-                   "\"nic_bytes\": %.0f, \"rack_bytes\": %.0f, \"nic_swap_bytes\": %.0f, "
-                   "\"rack_swap_bytes\": %.0f, \"worst_stall\": \"%s\", "
-                   "\"hot_link\": \"%s\", \"hot_link_utilization\": %.6f}%s\n",
-                   p.gpus, p.nodes, p.racks, p.steady_iter_s, p.throughput, p.swap_per_gpu,
-                   p.collective_per_gpu, p.pcie_bytes, p.nic_bytes, p.rack_bytes,
-                   p.nic_swap, p.rack_swap, p.worst_stall.c_str(), p.hot_link.c_str(),
-                   p.hot_util,
-                   i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::cout << "wrote BENCH_cluster.json\n";
+  std::string json;
+  Appendf(&json, "{\n  \"ladder\": [\n");
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const ScalePoint& p = points[i];
+    Appendf(&json,
+            "    {\"gpus\": %d, \"nodes\": %d, \"racks\": %d, "
+            "\"steady_iter_s\": %.6f, \"throughput_samples_per_s\": %.6f, "
+            "\"swap_bytes_per_gpu_per_iter\": %.0f, "
+            "\"collective_bytes_per_gpu\": %.0f, \"pcie_bytes\": %.0f, "
+            "\"nic_bytes\": %.0f, \"rack_bytes\": %.0f, \"nic_swap_bytes\": %.0f, "
+            "\"rack_swap_bytes\": %.0f, \"worst_stall\": \"%s\", "
+            "\"hot_link\": \"%s\", \"hot_link_utilization\": %.6f}%s\n",
+            p.gpus, p.nodes, p.racks, p.steady_iter_s, p.throughput, p.swap_per_gpu,
+            p.collective_per_gpu, p.pcie_bytes, p.nic_bytes, p.rack_bytes, p.nic_swap,
+            p.rack_swap, p.worst_stall.c_str(), p.hot_link.c_str(), p.hot_util,
+            i + 1 < points.size() ? "," : "");
   }
-  return 0;
+  Appendf(&json, "  ]\n}\n");
+  return WriteBenchJson("BENCH_cluster.json", json);
 }

@@ -32,7 +32,7 @@ Outcome RunBest(const char* name, const harmony::Model& model,
   std::vector<Outcome> outcomes;
   outcomes.reserve(candidates.size());
   for (const auto& [suffix, config] : candidates) {
-    const auto peaks = CachedProbePeakWorkingSet(model, config);
+    const auto peaks = ProbePeakWorkingSet(model, config);
     if (*std::max_element(peaks.begin(), peaks.end()) > config.server.gpu.memory_bytes) {
       continue;  // infeasible point
     }

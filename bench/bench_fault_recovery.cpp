@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "src/core/recovery.h"
 #include "src/core/session.h"
 #include "src/graph/model_zoo.h"
@@ -225,51 +226,43 @@ int main() {
             << ckpt_table.ToString() << "\n";
 
   // ---- JSON artifact ---------------------------------------------------------------------
-  std::FILE* json = std::fopen("BENCH_fault_recovery.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"throughput_vs_mtbf\": [\n");
-    for (std::size_t i = 0; i < mtbf_points.size(); ++i) {
-      const MtbfPoint& p = mtbf_points[i];
-      std::fprintf(json,
-                   "    {\"mtbf_s\": %.6f, \"failures\": %d, \"iterations\": %d, "
-                   "\"throughput_samples_per_s\": %.6f, \"lost_work_s\": %.6f, "
-                   "\"recovery_latency_s\": %.6f, \"reswap_gb\": %.6f}%s\n",
-                   p.mtbf, p.failures, p.completed, p.throughput, p.lost_work,
-                   p.recovery_latency, p.reswap_gb,
-                   i + 1 < mtbf_points.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n  \"failstop_recovery\": [\n");
-    for (std::size_t i = 0; i < failstop_points.size(); ++i) {
-      const MtbfPoint& p = failstop_points[i];
-      std::fprintf(json,
-                   "    {\"fail_stops\": %d, \"iterations\": %d, "
-                   "\"throughput_samples_per_s\": %.6f, \"lost_work_s\": %.6f, "
-                   "\"recovery_latency_s\": %.6f, \"reswap_gb\": %.6f}%s\n",
-                   p.failures, p.completed, p.throughput, p.lost_work,
-                   p.recovery_latency, p.reswap_gb,
-                   i + 1 < failstop_points.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n  \"degraded_mode_overhead\": [\n");
-    for (std::size_t i = 0; i < degrade_points.size(); ++i) {
-      const OverheadPoint& p = degrade_points[i];
-      std::fprintf(json,
-                   "    {\"host_uplink_scale\": %.2f, \"makespan_s\": %.6f, "
-                   "\"overhead\": %.6f}%s\n",
-                   p.value, p.makespan, p.overhead,
-                   i + 1 < degrade_points.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n  \"checkpoint_overhead\": [\n");
-    for (std::size_t i = 0; i < checkpoint_points.size(); ++i) {
-      const OverheadPoint& p = checkpoint_points[i];
-      std::fprintf(json,
-                   "    {\"checkpoint_every\": %.0f, \"makespan_s\": %.6f, "
-                   "\"overhead\": %.6f}%s\n",
-                   p.value, p.makespan, p.overhead,
-                   i + 1 < checkpoint_points.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::cout << "wrote BENCH_fault_recovery.json\n";
+  std::string json;
+  Appendf(&json, "{\n  \"throughput_vs_mtbf\": [\n");
+  for (std::size_t i = 0; i < mtbf_points.size(); ++i) {
+    const MtbfPoint& p = mtbf_points[i];
+    Appendf(&json,
+            "    {\"mtbf_s\": %.6f, \"failures\": %d, \"iterations\": %d, "
+            "\"throughput_samples_per_s\": %.6f, \"lost_work_s\": %.6f, "
+            "\"recovery_latency_s\": %.6f, \"reswap_gb\": %.6f}%s\n",
+            p.mtbf, p.failures, p.completed, p.throughput, p.lost_work, p.recovery_latency,
+            p.reswap_gb, i + 1 < mtbf_points.size() ? "," : "");
   }
-  return 0;
+  Appendf(&json, "  ],\n  \"failstop_recovery\": [\n");
+  for (std::size_t i = 0; i < failstop_points.size(); ++i) {
+    const MtbfPoint& p = failstop_points[i];
+    Appendf(&json,
+            "    {\"fail_stops\": %d, \"iterations\": %d, "
+            "\"throughput_samples_per_s\": %.6f, \"lost_work_s\": %.6f, "
+            "\"recovery_latency_s\": %.6f, \"reswap_gb\": %.6f}%s\n",
+            p.failures, p.completed, p.throughput, p.lost_work, p.recovery_latency,
+            p.reswap_gb, i + 1 < failstop_points.size() ? "," : "");
+  }
+  Appendf(&json, "  ],\n  \"degraded_mode_overhead\": [\n");
+  for (std::size_t i = 0; i < degrade_points.size(); ++i) {
+    const OverheadPoint& p = degrade_points[i];
+    Appendf(&json,
+            "    {\"host_uplink_scale\": %.2f, \"makespan_s\": %.6f, "
+            "\"overhead\": %.6f}%s\n",
+            p.value, p.makespan, p.overhead, i + 1 < degrade_points.size() ? "," : "");
+  }
+  Appendf(&json, "  ],\n  \"checkpoint_overhead\": [\n");
+  for (std::size_t i = 0; i < checkpoint_points.size(); ++i) {
+    const OverheadPoint& p = checkpoint_points[i];
+    Appendf(&json,
+            "    {\"checkpoint_every\": %.0f, \"makespan_s\": %.6f, "
+            "\"overhead\": %.6f}%s\n",
+            p.value, p.makespan, p.overhead, i + 1 < checkpoint_points.size() ? "," : "");
+  }
+  Appendf(&json, "  ]\n}\n");
+  return WriteBenchJson("BENCH_fault_recovery.json", json);
 }

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_json.h"
 #include "src/runtime/cluster_scheduler.h"
 #include "src/util/check.h"
 #include "src/util/table.h"
@@ -134,23 +135,18 @@ int main() {
                "t1 mem=24 GiB) ---\n"
             << table.ToString() << "\n";
 
-  std::FILE* json = std::fopen("BENCH_multitenant.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\n  \"sweep\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const LoadPoint& p = points[i];
-      std::fprintf(json,
-                   "    {\"gpus\": %d, \"nodes\": %d, \"offered_rate_jobs_per_s\": %.3f, "
-                   "\"jobs\": %d, \"completed\": %d, \"preemptions\": %d, "
-                   "\"goodput_samples_per_s\": %.6f, \"p99_queue_delay_s\": %.6f, "
-                   "\"utilization\": %.6f, \"makespan_s\": %.6f}%s\n",
-                   p.gpus, p.nodes, p.rate, p.jobs, p.completed, p.preemptions, p.goodput,
-                   p.q_delay_p99, p.utilization, p.makespan,
-                   i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(json, "  ]\n}\n");
-    std::fclose(json);
-    std::cout << "wrote BENCH_multitenant.json\n";
+  std::string json;
+  Appendf(&json, "{\n  \"sweep\": [\n");
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const LoadPoint& p = points[i];
+    Appendf(&json,
+            "    {\"gpus\": %d, \"nodes\": %d, \"offered_rate_jobs_per_s\": %.3f, "
+            "\"jobs\": %d, \"completed\": %d, \"preemptions\": %d, "
+            "\"goodput_samples_per_s\": %.6f, \"p99_queue_delay_s\": %.6f, "
+            "\"utilization\": %.6f, \"makespan_s\": %.6f}%s\n",
+            p.gpus, p.nodes, p.rate, p.jobs, p.completed, p.preemptions, p.goodput,
+            p.q_delay_p99, p.utilization, p.makespan, i + 1 < points.size() ? "," : "");
   }
-  return 0;
+  Appendf(&json, "  ]\n}\n");
+  return WriteBenchJson("BENCH_multitenant.json", json);
 }

@@ -48,11 +48,9 @@ int main(int argc, char** argv) {
   // thread counts and hosts.
   const TunerCacheStats stats = GetTunerCacheStats();
   std::fprintf(stderr,
-               "[tuner] %zu sweep points on %d threads in %.3fs; cache: %lld/%lld probe "
-               "hits, %lld/%lld profile hits\n",
+               "[tuner] %zu sweep points on %d threads in %.3fs; cache: %lld/%lld profile "
+               "hits\n",
                result.points.size(), ResolveThreadCount(options.num_threads), sweep_seconds,
-               static_cast<long long>(stats.probe_hits),
-               static_cast<long long>(stats.probe_hits + stats.probe_misses),
                static_cast<long long>(stats.profile_hits),
                static_cast<long long>(stats.profile_hits + stats.profile_misses));
   std::cout << RenderTunerTable(result) << "\n";
@@ -92,7 +90,7 @@ int main(int argc, char** argv) {
     config.microbatches = 4;
     config.iterations = 3;
     config.recompute = rc;
-    const auto peaks = CachedProbePeakWorkingSet(bert, config);
+    const auto peaks = ProbePeakWorkingSet(bert, config);
     const Bytes peak = *std::max_element(peaks.begin(), peaks.end());
     if (peak > base.server.gpu.memory_bytes) {
       recompute.Row().Cell(rc ? "recompute" : "stash").Cell(FormatBytes(peak)).Cell("-").Cell(

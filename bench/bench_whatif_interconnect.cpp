@@ -10,36 +10,7 @@
 
 #include "src/core/session.h"
 #include "src/graph/model_zoo.h"
-#include "src/hw/transfer_manager.h"
-#include "src/runtime/collective.h"
-#include "src/runtime/demand.h"
 #include "src/util/table.h"
-
-namespace {
-
-// RunTraining builds a single-server machine internally, so for arbitrary machines we wire
-// the stack manually (this is also a living example of the library's lower-level API).
-harmony::RunReport RunOnMachine(const harmony::Model& model, harmony::Machine machine,
-                                const harmony::SessionConfig& config) {
-  using namespace harmony;
-  Simulator sim;
-  TransferManager transfers(&sim, &machine.topology);
-  TensorRegistry registry;
-  Plan plan = BuildPlanForConfig(model, machine, &registry, config);
-  std::vector<Bytes> capacities;
-  for (const GpuSpec& gpu : machine.gpus) {
-    capacities.push_back(gpu.memory_bytes);
-  }
-  MemorySystem memory(&sim, &transfers, &registry, &machine.topology, capacities,
-                      DefaultPolicyFor(config.scheme, config.p2p));
-  CollectiveEngine collective(&sim, &transfers);
-  EngineOptions engine_options;
-  engine_options.prefetch = config.prefetch;
-  Engine engine(&sim, &machine, &memory, &transfers, &collective, &plan, engine_options);
-  return engine.Run();
-}
-
-}  // namespace
 
 int main() {
   using namespace harmony;
@@ -56,9 +27,11 @@ int main() {
 
   TablePrinter table({"machine", "iter time (s)", "throughput (seqs/s)", "swap (GB/iter)",
                       "p2p (GB/iter)"});
-  auto report = [&](const char* label, Machine machine) {
-    config.server.num_gpus = machine.num_gpus();
-    const RunReport run = RunOnMachine(bert, std::move(machine), config);
+  // `server` is the per-node shape; nodes > 1 puts each behind its own 25 GbE NIC.
+  auto report = [&](const char* label, const ServerConfig& server, int nodes) {
+    config.server = server;
+    config.num_nodes = nodes;
+    const RunReport run = RunTraining(bert, config).report;
     table.Row()
         .Cell(label)
         .Cell(run.steady_iteration_time(), 2)
@@ -71,27 +44,26 @@ int main() {
     ServerConfig server;
     server.num_gpus = 4;
     server.gpus_per_switch = 4;
-    report("1 switch x 4 GPUs (paper testbed)", MakeCommodityServer(server));
+    report("1 switch x 4 GPUs (paper testbed)", server, 1);
   }
   {
     ServerConfig server;
     server.num_gpus = 4;
     server.gpus_per_switch = 2;  // cross-pair p2p crosses the root complex
-    report("2 switches x 2 GPUs", MakeCommodityServer(server));
+    report("2 switches x 2 GPUs", server, 1);
   }
   {
     ServerConfig server;
     server.num_gpus = 4;
     server.gpus_per_switch = 4;
     server.gpu_link = NvLink2();
-    report("NVLink-class p2p tier", MakeCommodityServer(server));
+    report("NVLink-class p2p tier", server, 1);
   }
   {
-    ClusterConfig cluster;
-    cluster.num_servers = 2;
-    cluster.server.num_gpus = 2;
-    cluster.server.gpus_per_switch = 2;
-    report("2 servers x 2 GPUs over 25GbE", MakeCluster(cluster));
+    ServerConfig server;
+    server.num_gpus = 2;
+    server.gpus_per_switch = 2;
+    report("2 servers x 2 GPUs over 25GbE", server, 2);
   }
   table.Print(std::cout);
 
@@ -128,7 +100,7 @@ int main() {
     server.gpus_per_switch = 4;
     server.gpu = TestGpu(4 * kGiB, TFlops(4.0));
     heavy_config.server = server;
-    const RunReport run = RunOnMachine(act_heavy, MakeCommodityServer(server), heavy_config);
+    const RunReport run = RunTraining(act_heavy, heavy_config).report;
     single_time = run.steady_iteration_time();
     heavy.Row()
         .Cell("1 server, PCIe switch")
@@ -137,13 +109,10 @@ int main() {
         .Cell(1.0, 2);
   }
   {
-    ClusterConfig cluster;
-    cluster.num_servers = 2;
-    cluster.server.num_gpus = 2;
-    cluster.server.gpus_per_switch = 2;
-    cluster.server.gpu = TestGpu(4 * kGiB, TFlops(4.0));
-    heavy_config.server = cluster.server;
-    const RunReport run = RunOnMachine(act_heavy, MakeCluster(cluster), heavy_config);
+    heavy_config.server.num_gpus = 2;
+    heavy_config.server.gpus_per_switch = 2;
+    heavy_config.num_nodes = 2;
+    const RunReport run = RunTraining(act_heavy, heavy_config).report;
     heavy.Row()
         .Cell("2 servers over 25GbE")
         .Cell(run.steady_iteration_time(), 2)

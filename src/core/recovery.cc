@@ -151,20 +151,19 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
     }
     segment.config.faults = ShiftFaultPlan(config.faults, offset, dead, alive);
 
-    if (!result.segments.empty()) {
-      // Rebinding onto fewer devices concentrates layers/replicas; re-check feasibility
-      // instead of letting RunTraining die on a working-set HCHECK.
-      const Status feasible = ValidateSessionConfig(model, segment.config);
-      if (!feasible.ok()) {
-        result.status = FailedPreconditionError(
-            "surviving configuration on " + std::to_string(alive.size()) +
-            " GPUs is infeasible: " + feasible.message());
-        finalize();
-        return result;
-      }
+    // Rebinding onto fewer devices concentrates layers/replicas, so every segment is
+    // validated as it is built; the run then executes exactly that plan.
+    StatusOr<PreparedSession> prepared = PrepareSession(model, segment.config);
+    if (!prepared.ok()) {
+      result.status = result.segments.empty()
+                          ? prepared.status()
+                          : FailedPreconditionError(
+                                "surviving configuration on " + std::to_string(alive.size()) +
+                                " GPUs is infeasible: " + prepared.status().message());
+      finalize();
+      return result;
     }
-
-    segment.result = RunTraining(model, segment.config);
+    segment.result = RunTraining(std::move(prepared).value());
     // The store is owned by this coordinator; don't leak a dangling pointer into the
     // replayable per-segment config.
     segment.config.checkpoint_store = nullptr;

@@ -1,6 +1,7 @@
 #include "src/core/session.h"
 
 #include <cmath>
+#include <utility>
 
 #include "src/baseline/baseline_dp.h"
 #include "src/baseline/baseline_pp.h"
@@ -154,14 +155,11 @@ Plan BuildPlanForConfig(const Model& model, const Machine& machine, TensorRegist
   return plan;
 }
 
-std::vector<Bytes> ProbePeakWorkingSet(const Model& model, const SessionConfig& config) {
-  Machine machine = MakeSessionMachine(config);
-  TensorRegistry registry;
-  const Plan plan = BuildPlanForConfig(model, machine, &registry, config);
-  return plan.PeakTaskWorkingSet(registry);
-}
+namespace {
 
-Status ValidateSessionConfig(const Model& model, const SessionConfig& config) {
+// Everything ValidateSessionConfig checks before building a plan: workload shape, scheme
+// constraints, resilience knobs and fault targets. Cheap; builds nothing.
+Status CheckSessionShape(const Model& model, const SessionConfig& config) {
   if (model.num_layers() < 1) {
     return InvalidArgumentError("model has no layers — need at least one");
   }
@@ -194,9 +192,12 @@ Status ValidateSessionConfig(const Model& model, const SessionConfig& config) {
         std::to_string(config.server.num_gpus) + " GPUs = " + std::to_string(machine_gpus) +
         " total GPUs exceeds the supported maximum of " + std::to_string(kMaxClusterGpus));
   }
-  if (config.scheme == Scheme::kServing && model.num_layers() < config.total_gpus()) {
+  // Both schemes place one pipeline stage per GPU, and a stage needs a layer.
+  if ((config.scheme == Scheme::kServing || config.scheme == Scheme::kBaselinePp) &&
+      model.num_layers() < config.total_gpus()) {
     return InvalidArgumentError(
-        "serving needs at least one layer per pipeline stage: model has " +
+        std::string(SchemeName(config.scheme)) +
+        " needs at least one layer per pipeline stage: model has " +
         std::to_string(model.num_layers()) + " layers but the machine has " +
         std::to_string(config.total_gpus()) + " GPUs");
   }
@@ -274,10 +275,12 @@ Status ValidateSessionConfig(const Model& model, const SessionConfig& config) {
                                   std::to_string(num_racks) + " racks");
     }
   }
-  // Shape is sane; now probe the decomposition for per-task memory fit.
-  const std::vector<Bytes> peaks = ProbePeakWorkingSet(model, config);
+  return Status::Ok();
+}
+
+// The feasibility rule: every task's working set fits its device.
+Status CheckWorkingSetFit(const std::vector<Bytes>& peaks, Bytes capacity) {
   for (std::size_t d = 0; d < peaks.size(); ++d) {
-    const Bytes capacity = config.server.gpu.memory_bytes;
     if (peaks[d] > capacity) {
       return InvalidArgumentError(
           "infeasible configuration: a single task's working set (" + FormatBytes(peaks[d]) +
@@ -288,27 +291,50 @@ Status ValidateSessionConfig(const Model& model, const SessionConfig& config) {
   return Status::Ok();
 }
 
+}  // namespace
+
+std::vector<Bytes> ProbePeakWorkingSet(const Model& model, const SessionConfig& config) {
+  SessionConfig probe = config;
+  probe.iterations = 1;
+  const Machine machine = MakeSessionMachine(probe);
+  TensorRegistry registry;
+  return BuildPlanForConfig(model, machine, &registry, probe).PeakTaskWorkingSet(registry);
+}
+
+Status ValidateSessionConfig(const Model& model, const SessionConfig& config) {
+  HARMONY_RETURN_IF_ERROR(CheckSessionShape(model, config));
+  return CheckWorkingSetFit(ProbePeakWorkingSet(model, config),
+                            config.server.gpu.memory_bytes);
+}
+
+StatusOr<PreparedSession> PrepareSession(const Model& model, const SessionConfig& config) {
+  HARMONY_RETURN_IF_ERROR(CheckSessionShape(model, config));
+  PreparedSession session;
+  session.config = config;
+  session.machine = MakeSessionMachine(config);
+  session.plan = BuildPlanForConfig(model, session.machine, &session.registry, config);
+  session.peak_task_working_set = session.plan.PeakTaskWorkingSet(session.registry);
+  HARMONY_RETURN_IF_ERROR(
+      CheckWorkingSetFit(session.peak_task_working_set, config.server.gpu.memory_bytes));
+  return session;
+}
+
 SessionResult RunTraining(const Model& model, const SessionConfig& config) {
-  Machine machine = MakeSessionMachine(config);
+  StatusOr<PreparedSession> prepared = PrepareSession(model, config);
+  HCHECK(prepared.ok()) << prepared.status().ToString();
+  return RunTraining(std::move(prepared).value());
+}
+
+SessionResult RunTraining(PreparedSession session) {
+  const SessionConfig& config = session.config;
+  Machine& machine = session.machine;
+  TensorRegistry& registry = session.registry;
+  Plan& plan = session.plan;
   Simulator sim;
   TransferManager transfers(&sim, &machine.topology);
   // Tenant bandwidth reservation (DESIGN.md §13): applied before any flow exists, so a
   // full share (the default 1.0) keeps the historical event sequence bit-for-bit.
   transfers.ApplyUplinkBandwidthQuota(config.uplink_bw_fraction);
-  TensorRegistry registry;
-  Plan plan = BuildPlanForConfig(model, machine, &registry, config);
-  // Pre-size the event arena from the plan's actual shape: each task contributes a handful
-  // of control events plus one transfer (join + completion wakeup) per working-set entry it
-  // fetches or writes back. This over-counts the *peak outstanding* events — most complete
-  // long before the run ends — so cap the hint; the arena still grows on demand if a
-  // schedule ever exceeds it.
-  std::size_t transfer_entries = 0;
-  for (const Task& task : plan.tasks) {
-    transfer_entries += task.working_set.fetch.size() + task.working_set.accumulate.size() +
-                        task.working_set.allocate.size() + task.free_after.size();
-  }
-  sim.Reserve(std::min<std::size_t>(plan.tasks.size() * 8 + transfer_entries * 2 + 1024,
-                                    std::size_t{1} << 18));
 
   MemoryPolicy policy =
       config.policy.has_value() ? *config.policy : DefaultPolicyFor(config.scheme, config.p2p);
@@ -324,28 +350,19 @@ SessionResult RunTraining(const Model& model, const SessionConfig& config) {
   // Static lint (cheap tier) before anything executes: catches structural corruption,
   // pin-balance leaks, collective rank mismatches, and rendezvous deadlocks that would
   // otherwise surface as hangs or quiescence failures mid-run. Silent when clean.
-  if (config.lint_plan) {
-    LintOptions lint_options;
-    lint_options.deep = false;
-    lint_options.device_capacities = capacities;
-    const LintReport lint = LintPlan(plan, registry, lint_options);
-    HCHECK_EQ(lint.num_errors(), 0) << "plan failed static lint — refusing to run:\n"
-                                    << lint.Render();
-  }
+  LintOptions lint_options;
+  lint_options.deep = false;
+  lint_options.device_capacities = capacities;
+  const LintReport lint = LintPlan(plan, registry, lint_options);
+  HCHECK_EQ(lint.num_errors(), 0) << "plan failed static lint — refusing to run:\n"
+                                  << lint.Render();
 
   MemorySystem memory(&sim, &transfers, &registry, &machine.topology, capacities, policy);
   memory.set_audit_eviction(config.audit_eviction);
   CollectiveEngine collective(&sim, &transfers);
 
-  // Fail fast with a clear message when a single task cannot fit.
   SessionResult result;
-  result.peak_task_working_set = plan.PeakTaskWorkingSet(registry);
-  for (int d = 0; d < plan.num_devices(); ++d) {
-    HCHECK_LE(result.peak_task_working_set[static_cast<std::size_t>(d)],
-              capacities[static_cast<std::size_t>(d)])
-        << "scheme " << plan.scheme << ": a single task's working set exceeds gpu" << d
-        << " memory — shrink microbatch_size or pack_size";
-  }
+  result.peak_task_working_set = std::move(session.peak_task_working_set);
   result.memory_demand_per_device = ComputeMemoryDemand(plan, registry);
 
   EngineOptions engine_options;

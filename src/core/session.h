@@ -81,12 +81,6 @@ struct SessionConfig {
   bool prefetch = true;
   bool record_timeline = false;
 
-  // Run the cheap tier of the static plan linter (runtime/plan_lint.h) on the built plan
-  // before execution; fatal on errors. O(tasks + edges), silent when the plan is clean.
-  // Opt out for plans that are deliberately broken (fault-injection experiments that
-  // truncate schedules, linter self-tests).
-  bool lint_plan = true;
-
   // ---- fault tolerance (defaults keep the failure-free path byte-identical) ----
   FaultPlan faults;               // injected hardware anomalies; empty = none
   int checkpoint_every = 0;       // host-checkpoint weights every k iterations (0 = never)
@@ -130,16 +124,33 @@ struct SessionResult {
                                                // eviction, write-back, and p2p fetch in order
 };
 
+// A validated session, built once. RunTraining consumes it by move, so nothing may keep a
+// pointer into it across that call.
+struct PreparedSession {
+  SessionConfig config;
+  Machine machine;
+  TensorRegistry registry;
+  Plan plan;
+  std::vector<Bytes> peak_task_working_set;  // per device
+};
+
+// ValidateSessionConfig for a session about to run: the same checks and error messages, but
+// the fit check reads the peaks of the one machine and full plan it builds and returns.
+StatusOr<PreparedSession> PrepareSession(const Model& model, const SessionConfig& config);
+
 // Validates user-reachable configuration (everything the harmony_sim flags can set) with
 // actionable messages instead of crashing: positive workload shape, scheme constraints,
-// fault-spec targets within the machine, and single-task working-set fit.
+// fault-spec targets within the machine, and single-task working-set fit. Builds only the
+// one-iteration ProbePeakWorkingSet; the other checks see the real iteration count.
 Status ValidateSessionConfig(const Model& model, const SessionConfig& config);
 
-// Builds and runs one training session. Fatal on infeasible configurations (a single task's
-// working set exceeding device memory) with a diagnostic message — run
-// ValidateSessionConfig first to get a Status instead. With `config.faults` armed the run
-// does not crash on failure: the report comes back with `failed` set (see
+// Runs a prepared session: the cheap static lint, then the engine. With `config.faults`
+// armed the run does not crash on failure: the report comes back with `failed` set (see
 // RunTrainingElastic in core/recovery.h for the resume-on-survivors path).
+SessionResult RunTraining(PreparedSession session);
+
+// PrepareSession + RunTraining. Fatal, with the validation message, on a configuration
+// PrepareSession rejects; call PrepareSession first to get a Status instead.
 SessionResult RunTraining(const Model& model, const SessionConfig& config);
 
 // Convenience: the memory policy a scheme runs under by default.
@@ -151,11 +162,14 @@ MemoryPolicy DefaultPolicyFor(Scheme scheme, bool p2p);
 Machine MakeSessionMachine(const SessionConfig& config);
 
 // Builds just the plan for `config` (no execution) against `registry`; exposed for tests and
-// for the tuner's feasibility probing.
+// tools that inspect a plan without running it.
 Plan BuildPlanForConfig(const Model& model, const Machine& machine, TensorRegistry* registry,
                         const SessionConfig& config);
 
-// Largest single-task working set per device for `config`, without running anything.
+// Largest single-task working set per device for `config`, without running anything. Builds
+// a one-iteration copy of `config`: every iteration repeats the same tasks over tensors of
+// the same sizes, so its peaks equal those of the full plan at any iteration count
+// (session_test checks this over the model zoo and the fuzz grid).
 std::vector<Bytes> ProbePeakWorkingSet(const Model& model, const SessionConfig& config);
 
 }  // namespace harmony

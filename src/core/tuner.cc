@@ -50,7 +50,6 @@ std::string SimulationKey(const Model& model, const SessionConfig& config) {
 
 struct TunerCache {
   std::mutex mu;
-  std::map<std::string, std::vector<Bytes>> probes;
   std::map<std::string, RunReport> profiles;
   TunerCacheStats stats;
 };
@@ -61,30 +60,6 @@ TunerCache& Cache() {
 }
 
 }  // namespace
-
-std::vector<Bytes> CachedProbePeakWorkingSet(const Model& model, const SessionConfig& config,
-                                             bool memoize) {
-  if (!memoize) {
-    return ProbePeakWorkingSet(model, config);
-  }
-  TunerCache& cache = Cache();
-  const std::string key = SimulationKey(model, config);
-  {
-    std::lock_guard<std::mutex> lock(cache.mu);
-    const auto it = cache.probes.find(key);
-    if (it != cache.probes.end()) {
-      ++cache.stats.probe_hits;
-      return it->second;
-    }
-    ++cache.stats.probe_misses;
-  }
-  // Computed outside the lock so concurrent sweep points never serialize on the cache; a
-  // racing duplicate computes the same deterministic value and the insert is idempotent.
-  std::vector<Bytes> peaks = ProbePeakWorkingSet(model, config);
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.probes.emplace(key, peaks);
-  return peaks;
-}
 
 RunReport ProfileTraining(const Model& model, const SessionConfig& config, bool memoize) {
   if (!memoize) {
@@ -116,7 +91,6 @@ TunerCacheStats GetTunerCacheStats() {
 void ClearTunerCache() {
   TunerCache& cache = Cache();
   std::lock_guard<std::mutex> lock(cache.mu);
-  cache.probes.clear();
   cache.profiles.clear();
   cache.stats = TunerCacheStats{};
 }
@@ -161,8 +135,7 @@ TunerResult TunePp(const Model& model, const SessionConfig& base, const TunerOpt
   ParallelFor(pool, candidates.size(), [&](std::size_t i) {
     Candidate& candidate = candidates[i];
     TunerPoint& point = candidate.point;
-    const std::vector<Bytes> peaks =
-        CachedProbePeakWorkingSet(model, candidate.config, options.memoize);
+    const std::vector<Bytes> peaks = ProbePeakWorkingSet(model, candidate.config);
     point.peak_working_set = *std::max_element(peaks.begin(), peaks.end());
     point.feasible = point.peak_working_set <= capacity;
     if (point.feasible) {

@@ -2,8 +2,9 @@
 // knobs of Sec. 4 — pack size and microbatch size under a fixed minibatch sample budget.
 //
 // Each candidate is checked for feasibility (largest single-task working set must fit the
-// device) and then profiled by actually running the simulator; the tuner returns the whole
-// swept frontier so benches can print the trade-off surface, plus the best point.
+// device; ProbePeakWorkingSet builds one iteration of its plan) and then profiled by
+// actually running the simulator; the tuner returns the whole swept frontier so benches can
+// print the trade-off surface, plus the best point.
 //
 // Profiling is the cost center of the whole system (search cost grows multiplicatively with
 // every knob), so the sweep runs on two optimizations:
@@ -11,9 +12,9 @@
 //      independent points profile concurrently on a ThreadPool. Results are assembled by
 //      sweep index, making the TunerResult bit-identical to the serial order for any
 //      `num_threads`.
-//   2. Memoization — probe and profile results are cached process-wide, keyed by every
-//      model/config field that affects the simulation, so the tuner and the experiment
-//      benches never re-simulate a configuration they have already measured.
+//   2. Memoization — profile results are cached process-wide, keyed by every model/config
+//      field that affects the simulation, so the tuner and the experiment benches never
+//      re-simulate a configuration they have already measured.
 #ifndef HARMONY_SRC_CORE_TUNER_H_
 #define HARMONY_SRC_CORE_TUNER_H_
 
@@ -50,8 +51,8 @@ struct TunerOptions {
   // Worker threads profiling sweep points (<= 0 = one per hardware thread). The result is
   // bit-identical across thread counts; see the header comment.
   int num_threads = 0;
-  // Reuse process-wide cached probe/profile results for previously seen configurations.
-  // Tests that measure genuine re-execution turn this off.
+  // Reuse process-wide cached profile results for previously seen configurations. Tests
+  // that measure genuine re-execution turn this off.
   bool memoize = true;
 };
 
@@ -66,19 +67,15 @@ TunerResult TunePp(const Model& model, const SessionConfig& base, const TunerOpt
 
 std::string RenderTunerTable(const TunerResult& result);
 
-// ---- memoized profiling primitives (shared by the tuner and the benches) -----------------
+// ---- memoized profiling (shared by the tuner and the benches) -----------------------------
 
-// ProbePeakWorkingSet / RunTraining with a process-wide cache keyed by the full
-// (model, config) simulation fingerprint. Thread-safe. `memoize = false` bypasses the
-// cache (both lookup and insert).
-std::vector<Bytes> CachedProbePeakWorkingSet(const Model& model, const SessionConfig& config,
-                                             bool memoize = true);
+// RunTraining's report with a process-wide cache keyed by the full (model, config)
+// simulation fingerprint. Thread-safe. `memoize = false` bypasses the cache (both lookup
+// and insert).
 RunReport ProfileTraining(const Model& model, const SessionConfig& config,
                           bool memoize = true);
 
 struct TunerCacheStats {
-  std::int64_t probe_hits = 0;
-  std::int64_t probe_misses = 0;
   std::int64_t profile_hits = 0;
   std::int64_t profile_misses = 0;
 };

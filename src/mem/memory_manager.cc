@@ -1065,27 +1065,6 @@ void MemorySystem::PumpDirty() {
   }
 }
 
-std::vector<std::pair<TensorId, int>> MemorySystem::PinnedTensors() const {
-  std::vector<std::pair<TensorId, int>> pinned;
-  for (TensorId id = 0; id < registry_->size(); ++id) {
-    const int pins = registry_->state(id).pin_count;
-    if (pins != 0) {
-      pinned.emplace_back(id, pins);
-    }
-  }
-  return pinned;
-}
-
-Bytes MemorySystem::PinnedBytes() const {
-  Bytes total = 0;
-  for (TensorId id = 0; id < registry_->size(); ++id) {
-    if (registry_->state(id).pin_count > 0) {
-      total += registry_->meta(id).bytes;
-    }
-  }
-  return total;
-}
-
 Status MemorySystem::CheckQuiescent() const {
   for (const auto& manager : managers_) {
     if (!manager->pending_.empty()) {
@@ -1161,26 +1140,10 @@ Bytes MemorySystem::TotalSwapOut() const {
   return total;
 }
 
-Bytes MemorySystem::TotalSwapOutOf(TensorClass cls) const {
-  Bytes total = 0;
-  for (const auto& m : managers_) {
-    total += m->counters().swap_out_of(cls);
-  }
-  return total;
-}
-
 Bytes MemorySystem::TotalSwapInOf(TensorClass cls) const {
   Bytes total = 0;
   for (const auto& m : managers_) {
     total += m->counters().swap_in_of(cls);
-  }
-  return total;
-}
-
-Bytes MemorySystem::TotalP2pIn() const {
-  Bytes total = 0;
-  for (const auto& m : managers_) {
-    total += m->counters().total_p2p_in();
   }
   return total;
 }

@@ -361,20 +361,10 @@ class MemorySystem {
   // stuck requests are scheduler/engine bugs that would otherwise go unnoticed).
   Status CheckQuiescent() const;
 
-  // ---- pin accounting (the dynamic side of the linter's static pin-balance check) ----
-  // Tensors currently holding pins, with their counts. Empty at quiescence after a clean
-  // run; a working set that pins a tensor twice (see runtime/plan_lint.h, kPinBalance)
-  // shows up here as a residual count after release.
-  std::vector<std::pair<TensorId, int>> PinnedTensors() const;
-  // Unevictable bytes right now: sum of sizes of pinned tensors across all devices.
-  Bytes PinnedBytes() const;
-
   // Sums a counter across devices.
   Bytes TotalSwapIn() const;
   Bytes TotalSwapOut() const;
-  Bytes TotalSwapOutOf(TensorClass cls) const;
   Bytes TotalSwapInOf(TensorClass cls) const;
-  Bytes TotalP2pIn() const;
 
   // ---- observability (DESIGN.md §8) ----
   // Wall time device `device` has had at least one inbound DMA (swap-in / p2p-in) in

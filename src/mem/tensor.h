@@ -77,6 +77,9 @@ class TensorRegistry {
   TensorRegistry() = default;
   TensorRegistry(const TensorRegistry&) = delete;
   TensorRegistry& operator=(const TensorRegistry&) = delete;
+  // Movable, so a prepared session can carry its registry into the run.
+  TensorRegistry(TensorRegistry&&) = default;
+  TensorRegistry& operator=(TensorRegistry&&) = default;
 
   // Creates a tensor; `host_valid` marks pre-existing host state (weights loaded from a
   // checkpoint, input batches staged by the data loader).

@@ -395,7 +395,6 @@ SessionConfig InnerConfig(const JobSpec& job, const ClusterSchedulerConfig& conf
   inner.microbatch_size = job.microbatch_size;
   inner.iterations = iterations;
   inner.pack_size = 1;
-  inner.lint_plan = config.lint_plans;
   inner.uplink_bw_fraction = config.quotas.For(job.tenant).bw_fraction;
   return inner;
 }

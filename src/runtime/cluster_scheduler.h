@@ -116,7 +116,6 @@ struct ClusterSchedulerConfig {
   LinkSpec rack_link = Ethernet100G();
   SchedPolicy policy = SchedPolicy::kFifo;
   QuotaMap quotas;
-  bool lint_plans = true;
 };
 
 // ---- outcomes ----

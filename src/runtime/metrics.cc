@@ -85,19 +85,6 @@ Bytes RunReport::steady_swap_out() const {
       iterations, [](const IterationStats& it) { return static_cast<double>(it.swap_out); }));
 }
 
-Bytes RunReport::steady_weight_swap() const {
-  return static_cast<Bytes>(SteadyAverage(iterations, [](const IterationStats& it) {
-    return static_cast<double>(it.weight_swap_volume());
-  }));
-}
-
-Bytes RunReport::steady_class_swap(TensorClass cls) const {
-  return static_cast<Bytes>(SteadyAverage(iterations, [cls](const IterationStats& it) {
-    return static_cast<double>(it.swap_in_by_class[static_cast<int>(cls)] +
-                               it.swap_out_by_class[static_cast<int>(cls)]);
-  }));
-}
-
 Bytes RunReport::steady_p2p() const {
   return static_cast<Bytes>(SteadyAverage(
       iterations, [](const IterationStats& it) { return static_cast<double>(it.p2p_in); }));

@@ -197,8 +197,6 @@ struct RunReport {
   Bytes steady_swap_in() const;
   Bytes steady_swap_out() const;
   Bytes steady_swap_total() const { return steady_swap_in() + steady_swap_out(); }
-  Bytes steady_weight_swap() const;
-  Bytes steady_class_swap(TensorClass cls) const;  // in + out for one class
   Bytes steady_p2p() const;
 
   std::string Summary() const;

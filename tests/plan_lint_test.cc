@@ -760,21 +760,5 @@ TEST(PlanLintMutation, DetectsDroppedAllReduceParticipants) {
       << "detected " << detected << "/" << applied;
 }
 
-// ---- Session::Run integration -----------------------------------------------------------------
-
-TEST(PlanLintSession, DefaultCheapLintIsSilentOnCleanPlans) {
-  // A clean run with lint_plan on (the default) must behave identically to one with it off
-  // — the cheap tier is a pure gate.
-  const Model model = test_models::FaultModel(4);
-  SessionConfig config = test_models::FaultConfig(2, 2);
-  config.iterations = 2;
-  ASSERT_TRUE(config.lint_plan);
-  const SessionResult with_lint = RunTraining(model, config);
-  config.lint_plan = false;
-  const SessionResult without_lint = RunTraining(model, config);
-  EXPECT_EQ(with_lint.report.makespan, without_lint.report.makespan);
-  EXPECT_EQ(with_lint.report.iterations.size(), without_lint.report.iterations.size());
-}
-
 }  // namespace
 }  // namespace harmony

@@ -1,12 +1,15 @@
-// Tests for the session-level surface and the newer mechanisms: the performance tuner,
-// schedule rendering and trace export, multi-server topologies, partial input-batch
-// grouping, the pack balancers, flag parsing, and defragmentation.
+// Tests for the session-level surface and the newer mechanisms: PrepareSession and the
+// one-iteration fit probe, the performance tuner, schedule rendering and trace export,
+// multi-server topologies, partial input-batch grouping, the pack balancers, flag parsing,
+// and defragmentation.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <utility>
 
 #include "src/core/packer.h"
 #include "src/core/schedule_render.h"
@@ -17,6 +20,8 @@
 #include "src/runtime/report_io.h"
 #include "src/runtime/trace_export.h"
 #include "src/util/flags.h"
+#include "src/util/rng.h"
+#include "tests/test_models.h"
 
 namespace harmony {
 namespace {
@@ -40,6 +45,132 @@ SessionConfig TightConfig(Scheme scheme, int n_gpus, int microbatches) {
   config.iterations = 3;
   config.prefetch = false;
   return config;
+}
+
+// ---- PrepareSession and the one-iteration fit probe ------------------------------------------
+
+// Per-device peak task working set of `config`'s plan built at `iterations` iterations.
+std::vector<Bytes> PlanPeaks(const Model& model, SessionConfig config, int iterations) {
+  config.iterations = iterations;
+  const Machine machine = MakeSessionMachine(config);
+  TensorRegistry registry;
+  return BuildPlanForConfig(model, machine, &registry, config).PeakTaskWorkingSet(registry);
+}
+
+// Validation's fit probe builds one iteration. That is sound only if every iteration's
+// tasks have the same working sets, so the peaks must not move with the iteration count.
+void ExpectPeaksIndependentOfIterations(const Model& model, const SessionConfig& config) {
+  const std::vector<Bytes> one = PlanPeaks(model, config, 1);
+  EXPECT_EQ(ProbePeakWorkingSet(model, config), one);
+  for (int iterations : {2, 3, 5}) {
+    EXPECT_EQ(PlanPeaks(model, config, iterations), one) << "iterations=" << iterations;
+  }
+}
+
+TEST(FitProbeTest, PeaksIgnoreIterationCountOnTheFuzzGrid) {
+  for (int seed = 0; seed < 40; ++seed) {  // fuzz_test's RandomRunTest draws
+    Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 17);
+    const Model model = test_models::RandomUniformModel(rng, test_models::FuzzModelRanges());
+    const SessionConfig config = test_models::RandomFuzzSession(rng, model.num_layers());
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", " + SchemeName(config.scheme));
+    ExpectPeaksIndependentOfIterations(model, config);
+  }
+}
+
+TEST(FitProbeTest, PeaksIgnoreIterationCountOnTheModelZoo) {
+  for (const char* name : {"lenet", "alexnet", "gnmt", "amoebanet", "bert-base", "bert-large",
+                           "gpt2-xl", "toy"}) {
+    const Model model = ModelByName(name).value();
+    for (Scheme scheme : {Scheme::kBaselineDp, Scheme::kBaselinePp, Scheme::kHarmonyDp,
+                          Scheme::kHarmonyPp, Scheme::kHarmonyTp, Scheme::kServing}) {
+      for (int nodes : {1, 2}) {
+        SessionConfig config;
+        config.scheme = scheme;
+        config.num_nodes = nodes;
+        config.microbatches = 2;
+        config.microbatch_size = 2;
+        config.pack_size = 2;
+        if ((scheme == Scheme::kBaselinePp || scheme == Scheme::kServing) &&
+            model.num_layers() < config.total_gpus()) {
+          continue;  // one pipeline stage per GPU needs a layer per GPU
+        }
+        SCOPED_TRACE(std::string(name) + ", " + SchemeName(scheme) + ", " +
+                     std::to_string(nodes) + " node(s)");
+        ExpectPeaksIndependentOfIterations(model, config);
+      }
+    }
+  }
+}
+
+TEST(PrepareSessionTest, RunExecutesThePreparedPlan) {
+  const Model model = TightModel();
+  const SessionConfig config = TightConfig(Scheme::kHarmonyPp, 2, 4);
+  StatusOr<PreparedSession> prepared = PrepareSession(model, config);
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  const Task* tasks = prepared.value().plan.tasks.data();
+  const std::size_t num_tasks = prepared.value().plan.tasks.size();
+  const std::vector<Bytes> peaks = prepared.value().peak_task_working_set;
+  EXPECT_EQ(peaks, ProbePeakWorkingSet(model, config));
+
+  const SessionResult result = RunTraining(std::move(prepared).value());
+  EXPECT_EQ(result.plan.tasks.data(), tasks) << "the run built a plan of its own";
+  EXPECT_EQ(result.plan.tasks.size(), num_tasks);
+  EXPECT_EQ(result.peak_task_working_set, peaks);
+  EXPECT_EQ(ReportToJson(result.report), ReportToJson(RunTraining(model, config).report));
+}
+
+TEST(PrepareSessionTest, RejectsWhatValidationRejectsWithTheSameError) {
+  const Model model = test_models::FaultModel();
+  std::vector<SessionConfig> invalid;
+  const auto add = [&invalid](const std::function<void(SessionConfig*)>& edit) {
+    SessionConfig config = test_models::FaultConfig(2, 4);
+    edit(&config);
+    invalid.push_back(config);
+  };
+  // fault_test: fault targets outside the machine.
+  add([](SessionConfig* c) {
+    c->faults.Add(FaultEvent{1.0, FaultKind::kGpuFailStop, 5, 1.0, 0.0});
+  });
+  add([](SessionConfig* c) { c->faults = ParseFaultSpec("flow_flap@1:nic0").value(); });
+  add([](SessionConfig* c) {
+    c->num_nodes = 2;
+    c->scheme = Scheme::kHarmonyDp;
+    c->microbatches = 2;
+    c->faults = ParseFaultSpec("brownout@1:rack1:0.5:1").value();
+  });
+  // resilience_test: bad resilience knobs.
+  add([](SessionConfig* c) { c->retry_max = -1; });
+  add([](SessionConfig* c) { c->ckpt_keep = 0; });
+  add([](SessionConfig* c) { c->straggler_threshold = 0.5; });
+  add([](SessionConfig* c) { c->faults = ParseFaultSpec("gpu_slow@1:gpu7:0.5:1").value(); });
+  // The shape checks see the real iteration count; the fit check sees the working sets.
+  add([](SessionConfig* c) { c->iterations = 0; });
+  add([](SessionConfig* c) { c->server.gpu = TestGpu(4 * kMiB, TFlops(1.0)); });
+  for (std::size_t i = 0; i < invalid.size(); ++i) {
+    const Status validated = ValidateSessionConfig(model, invalid[i]);
+    const StatusOr<PreparedSession> prepared = PrepareSession(model, invalid[i]);
+    ASSERT_FALSE(validated.ok()) << "case " << i;
+    ASSERT_FALSE(prepared.ok()) << "case " << i;
+    EXPECT_EQ(prepared.status().ToString(), validated.ToString()) << "case " << i;
+  }
+  EXPECT_TRUE(PrepareSession(model, test_models::FaultConfig(2, 4)).ok());
+}
+
+TEST(PrepareSessionTest, BaselinePpNeedsALayerPerStage) {
+  // One 1F1B stage per GPU: 8 GPUs over a 4-layer model would leave stages empty.
+  const Model model = TightModel(4);
+  for (const auto& [gpus, nodes] : {std::pair{8, 1}, std::pair{4, 2}}) {
+    SessionConfig config = TightConfig(Scheme::kBaselinePp, gpus, 8);
+    config.num_nodes = nodes;
+    const Status status = ValidateSessionConfig(model, config);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("baseline-pp needs at least one layer per pipeline "
+                                    "stage: model has 4 layers but the machine has 8 GPUs"),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(PrepareSession(model, config).status().ToString(), status.ToString());
+  }
+  EXPECT_TRUE(ValidateSessionConfig(model, TightConfig(Scheme::kBaselinePp, 4, 8)).ok());
 }
 
 // ---- Partial input-batch grouping ------------------------------------------------------------

@@ -203,11 +203,9 @@ TEST(TunerTest, MemoizedRerunHitsCacheAndMatchesUncached) {
 
   const TunerResult second = TunePp(model, base, SweepOptions(4, /*memoize=*/true));
   const TunerCacheStats after_second = GetTunerCacheStats();
-  // The re-run probes and profiles the identical configurations: all hits, no new misses.
+  // The re-run profiles the identical configurations: all hits, no new misses.
   EXPECT_EQ(after_second.profile_misses, after_first.profile_misses);
-  EXPECT_EQ(after_second.probe_misses, after_first.probe_misses);
   EXPECT_GT(after_second.profile_hits, 0);
-  EXPECT_GT(after_second.probe_hits, 0);
 
   ASSERT_EQ(first.points.size(), uncached.points.size());
   ASSERT_EQ(second.points.size(), uncached.points.size());
@@ -256,8 +254,6 @@ TEST(TunerTest, CachedProfileMatchesDirectRunBitwise) {
 TEST(TunerTest, ClearTunerCacheZeroesStats) {
   ClearTunerCache();
   const TunerCacheStats stats = GetTunerCacheStats();
-  EXPECT_EQ(stats.probe_hits, 0);
-  EXPECT_EQ(stats.probe_misses, 0);
   EXPECT_EQ(stats.profile_hits, 0);
   EXPECT_EQ(stats.profile_misses, 0);
 }

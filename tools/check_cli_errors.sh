@@ -107,16 +107,31 @@ for args in "--jobs=train@0" "--quota=t0:bw=0.5" "--sched=fifo --jobs=train@0 --
   fi
 done
 
-# Network-scoped fault targets are validated against the cluster shape before the run:
-# nic5 on a 2-node fleet is a typed validation error (exit 1, not a crash).
-err=$("$sim" --nodes=2 --scheme=harmony-dp --microbatches=2 --faults='flow_flap@1:nic5' 2>&1 >/dev/null)
-code=$?
-if [[ $code -ne 1 || "$err" != *"targets nic5"* ]]; then
-  echo "FAIL out-of-range nic fault target : exit $code, stderr: $err" >&2
-  failures=$((failures + 1))
-else
-  echo "ok   --nodes=2 --faults=flow_flap@1:nic5 -> exit 1 (validation)"
-fi
+# expect_invalid <expected-substring> <flag...>: well-formed flags whose configuration
+# fails validation must exit 1 with the typed error on stderr, not crash.
+expect_invalid() {
+  local expected=$1
+  shift
+  local err
+  err=$("$sim" "$@" 2>&1 >/dev/null)
+  local code=$?
+  if [[ $code -ne 1 || "$err" != *"INVALID_ARGUMENT"* || "$err" != *"$expected"* ]]; then
+    echo "FAIL $* : exit $code, want 1 with '$expected'; stderr: $err" >&2
+    failures=$((failures + 1))
+  else
+    echo "ok   $* -> exit 1 ($expected)"
+  fi
+}
+
+# Network-scoped fault targets are validated against the cluster shape before the run.
+expect_invalid "targets nic5" --nodes=2 --scheme=harmony-dp --microbatches=2 \
+  --faults='flow_flap@1:nic5'
+# baseline-pp places one 1F1B stage per GPU: more GPUs than layers is a validation error,
+# in a single run and as a scheduled job, not an abort inside the plan builder.
+stages="baseline-pp needs at least one layer per pipeline stage"
+expect_invalid "$stages" --model=lenet --scheme=baseline-pp --gpus=8
+expect_invalid "$stages" --sched=fifo --nodes=2 \
+  --jobs='train@0:model=lenet,scheme=baseline-pp,gpus=8'
 
 # A report that cannot be written is an error (exit 1), never a "wrote ..." success line:
 # /dev/full accepts the open and fails only when the text is flushed.

@@ -8,6 +8,7 @@
 // accounting) and optionally writes a chrome://tracing timeline.
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "src/core/recovery.h"
 #include "src/core/schedule_render.h"
@@ -321,39 +322,15 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  // Surface bad configurations as messages + non-zero exit instead of HCHECK aborts.
-  const Status valid = ValidateSessionConfig(model.value(), config);
-  if (!valid.ok()) {
-    std::cerr << valid.ToString() << "\n";
-    return 1;
-  }
-
-  if (lint) {
-    // Lint mode: build the plan, run the full static analysis (deep checks included), and
-    // report instead of executing. --json switches the output file to the lint report.
-    Machine machine = MakeSessionMachine(config);
-    TensorRegistry registry;
-    const Plan plan = BuildPlanForConfig(model.value(), machine, &registry, config);
-    LintOptions options;
-    options.deep = true;
-    for (const GpuSpec& gpu : machine.gpus) {
-      options.device_capacities.push_back(gpu.memory_bytes);
-    }
-    const LintReport report = LintPlan(plan, registry, options);
-    std::cout << report.Render();
-    if (!flags.Get("json").empty()) {
-      const Status written = WriteTextFile(flags.Get("json"), report.ToJson() + "\n");
-      if (!written.ok()) {
-        std::cerr << written.ToString() << "\n";
-        return 1;
-      }
-      std::cout << "wrote lint report to " << flags.Get("json") << "\n";
-    }
-    return report.num_errors() > 0 ? 1 : 0;
-  }
-
-  if (!config.faults.empty()) {
+  if (!config.faults.empty() && !lint) {
     // Elastic mode: run with fault injection and recover onto survivors after fail-stops.
+    // Each segment builds its own session, so only the cheap probe validates up front;
+    // bad configurations are messages + a non-zero exit, not HCHECK aborts.
+    const Status valid = ValidateSessionConfig(model.value(), config);
+    if (!valid.ok()) {
+      std::cerr << valid.ToString() << "\n";
+      return 1;
+    }
     std::cout << model.value().Summary() << "\n";
     std::cout << "fault plan: " << config.faults.ToString() << "\n\n";
     const ElasticResult elastic = RunTrainingElastic(model.value(), config);
@@ -405,8 +382,38 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
+  // Every other mode builds the session once and lints or runs exactly that plan. Bad
+  // configurations are messages + a non-zero exit instead of HCHECK aborts.
+  StatusOr<PreparedSession> prepared = PrepareSession(model.value(), config);
+  if (!prepared.ok()) {
+    std::cerr << prepared.status().ToString() << "\n";
+    return 1;
+  }
+
+  if (lint) {
+    // Lint mode: run the full static analysis (deep checks included) on the prepared plan
+    // and report instead of executing. --json switches the output file to the lint report.
+    const PreparedSession& session = prepared.value();
+    LintOptions options;
+    options.deep = true;
+    for (const GpuSpec& gpu : session.machine.gpus) {
+      options.device_capacities.push_back(gpu.memory_bytes);
+    }
+    const LintReport report = LintPlan(session.plan, session.registry, options);
+    std::cout << report.Render();
+    if (!flags.Get("json").empty()) {
+      const Status written = WriteTextFile(flags.Get("json"), report.ToJson() + "\n");
+      if (!written.ok()) {
+        std::cerr << written.ToString() << "\n";
+        return 1;
+      }
+      std::cout << "wrote lint report to " << flags.Get("json") << "\n";
+    }
+    return report.num_errors() > 0 ? 1 : 0;
+  }
+
   std::cout << model.value().Summary() << "\n";
-  const SessionResult result = RunTraining(model.value(), config);
+  const SessionResult result = RunTraining(std::move(prepared).value());
   std::cout << result.plan.Stats() << "\n\n";
   std::cout << result.report.Summary() << "\n\n";
 

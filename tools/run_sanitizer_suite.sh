@@ -35,7 +35,8 @@
 #   - `ctest -R fault`  : fault injection and elastic recovery, whose bookkeeping is
 #                         indexed by fleet-wide GPU ids.
 # ASan also runs the whole of mem_test and mem_churn_test: an acquisition's `ready` event
-# dies at its Release, so a late read of it is a use-after-free.
+# dies at its Release, so a late read of it is a use-after-free. So does a pointer into a
+# PreparedSession kept across the move into RunTraining, which session_test exercises.
 # Pass --full to run the entire ctest suite under each sanitizer instead (slower).
 #
 # Usage: tools/run_sanitizer_suite.sh [--full]
@@ -72,6 +73,7 @@ flow_and_fault() {
 memory_suites() {
   "$repo/$1/tests/mem_test"
   "$repo/$1/tests/mem_churn_test"
+  "$repo/$1/tests/session_test"
 }
 
 # run_one SANITIZER BUILD_DIR SELECTION...: builds the tree under SANITIZER and runs each
