@@ -41,9 +41,14 @@ int main(int argc, char** argv) {
   options.minibatch_samples = 32;
   options.num_threads = threads.value();
   const auto sweep_start = std::chrono::steady_clock::now();
-  const TunerResult result = TunePp(bert, base, options);
+  const StatusOr<TunerResult> swept = TunePp(bert, base, options);
   const double sweep_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start).count();
+  if (!swept.ok()) {
+    std::cerr << swept.status().ToString() << "\n";
+    return 1;
+  }
+  const TunerResult& result = swept.value();
   // Diagnostics go to stderr so the experiment tables on stdout stay byte-stable across
   // thread counts and hosts.
   const TunerCacheStats stats = GetTunerCacheStats();

@@ -13,7 +13,6 @@
 #include "src/hw/transfer_manager.h"
 #include "src/runtime/collective.h"
 #include "src/runtime/demand.h"
-#include "src/runtime/plan_lint.h"
 #include "src/sim/simulator.h"
 #include "src/util/check.h"
 #include "src/util/units.h"
@@ -155,10 +154,6 @@ Plan BuildPlanForConfig(const Model& model, const Machine& machine, TensorRegist
   return plan;
 }
 
-namespace {
-
-// Everything ValidateSessionConfig checks before building a plan: workload shape, scheme
-// constraints, resilience knobs and fault targets. Cheap; builds nothing.
 Status CheckSessionShape(const Model& model, const SessionConfig& config) {
   if (model.num_layers() < 1) {
     return InvalidArgumentError("model has no layers — need at least one");
@@ -278,6 +273,8 @@ Status CheckSessionShape(const Model& model, const SessionConfig& config) {
   return Status::Ok();
 }
 
+namespace {
+
 // The feasibility rule: every task's working set fits its device.
 Status CheckWorkingSetFit(const std::vector<Bytes>& peaks, Bytes capacity) {
   for (std::size_t d = 0; d < peaks.size(); ++d) {
@@ -347,23 +344,9 @@ SessionResult RunTraining(PreparedSession session) {
   for (const GpuSpec& gpu : machine.gpus) {
     capacities.push_back(gpu.memory_bytes);
   }
-  // Static lint (cheap tier) before anything executes: catches structural corruption,
-  // pin-balance leaks, collective rank mismatches, and rendezvous deadlocks that would
-  // otherwise surface as hangs or quiescence failures mid-run. Silent when clean.
-  LintOptions lint_options;
-  lint_options.deep = false;
-  lint_options.device_capacities = capacities;
-  const LintReport lint = LintPlan(plan, registry, lint_options);
-  HCHECK_EQ(lint.num_errors(), 0) << "plan failed static lint — refusing to run:\n"
-                                  << lint.Render();
-
   MemorySystem memory(&sim, &transfers, &registry, &machine.topology, capacities, policy);
   memory.set_audit_eviction(config.audit_eviction);
   CollectiveEngine collective(&sim, &transfers);
-
-  SessionResult result;
-  result.peak_task_working_set = std::move(session.peak_task_working_set);
-  result.memory_demand_per_device = ComputeMemoryDemand(plan, registry);
 
   EngineOptions engine_options;
   engine_options.prefetch = config.prefetch;
@@ -374,7 +357,12 @@ SessionResult RunTraining(PreparedSession session) {
   engine_options.fault_mode = !config.faults.empty();
   engine_options.straggler_threshold = config.straggler_threshold;
   engine_options.checkpoint_store = config.checkpoint_store;
+  // The engine lints the plan first, so a malformed plan stops there, before any analysis.
   Engine engine(&sim, &machine, &memory, &transfers, &collective, &plan, engine_options);
+
+  SessionResult result;
+  result.peak_task_working_set = std::move(session.peak_task_working_set);
+  result.memory_demand_per_device = ComputeMemoryDemand(plan, registry);
 
   // Retry tier: the policy is constructed only when a budget is set, so default runs keep
   // the exact pre-retry abort semantics (and event sequence). The exhaustion handler is

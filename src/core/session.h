@@ -138,15 +138,19 @@ struct PreparedSession {
 // the fit check reads the peaks of the one machine and full plan it builds and returns.
 StatusOr<PreparedSession> PrepareSession(const Model& model, const SessionConfig& config);
 
+// Everything PrepareSession and ValidateSessionConfig check before they build: workload
+// shape, scheme constraints, resilience knobs and fault targets. Cheap; builds nothing.
+Status CheckSessionShape(const Model& model, const SessionConfig& config);
+
 // Validates user-reachable configuration (everything the harmony_sim flags can set) with
 // actionable messages instead of crashing: positive workload shape, scheme constraints,
 // fault-spec targets within the machine, and single-task working-set fit. Builds only the
 // one-iteration ProbePeakWorkingSet; the other checks see the real iteration count.
 Status ValidateSessionConfig(const Model& model, const SessionConfig& config);
 
-// Runs a prepared session: the cheap static lint, then the engine. With `config.faults`
-// armed the run does not crash on failure: the report comes back with `failed` set (see
-// RunTrainingElastic in core/recovery.h for the resume-on-survivors path).
+// Runs a prepared session on the engine, which first runs the cheap static lint. With
+// `config.faults` armed the run does not crash on failure: the report comes back with
+// `failed` set (see RunTrainingElastic in core/recovery.h for the resume-on-survivors path).
 SessionResult RunTraining(PreparedSession session);
 
 // PrepareSession + RunTraining. Fatal, with the validation message, on a configuration

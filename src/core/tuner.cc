@@ -5,7 +5,6 @@
 #include <mutex>
 #include <sstream>
 
-#include "src/util/check.h"
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
 
@@ -95,7 +94,8 @@ void ClearTunerCache() {
   cache.stats = TunerCacheStats{};
 }
 
-TunerResult TunePp(const Model& model, const SessionConfig& base, const TunerOptions& options) {
+StatusOr<TunerResult> TunePp(const Model& model, const SessionConfig& base,
+                             const TunerOptions& options) {
   const Bytes capacity = base.server.gpu.memory_bytes;
 
   // Phase 1: enumerate the whole candidate frontier up front (cheap), so profiling becomes
@@ -124,6 +124,7 @@ TunerResult TunePp(const Model& model, const SessionConfig& base, const TunerOpt
         candidate.config.microbatch_size = mbs;
         candidate.config.microbatches = candidate.point.microbatches;
         candidate.config.iterations = options.iterations;
+        HARMONY_RETURN_IF_ERROR(CheckSessionShape(model, candidate.config));
         candidates.push_back(std::move(candidate));
       }
     }
@@ -154,12 +155,27 @@ TunerResult TunePp(const Model& model, const SessionConfig& base, const TunerOpt
   }
 
   const TunerPoint* best = nullptr;
+  const TunerPoint* smallest = nullptr;
   for (const TunerPoint& point : result.points) {
     if (point.feasible && (best == nullptr || point.throughput > best->throughput)) {
       best = &point;
     }
+    if (smallest == nullptr || point.peak_working_set < smallest->peak_working_set) {
+      smallest = &point;
+    }
   }
-  HCHECK(best != nullptr) << "tuner found no feasible (pack, microbatch) configuration";
+  if (smallest == nullptr) {
+    return InvalidArgumentError("tuner sweep is empty: no microbatch size divides the " +
+                                std::to_string(options.minibatch_samples) +
+                                "-sample minibatch");
+  }
+  if (best == nullptr) {
+    return InvalidArgumentError(
+        "tuner found no feasible (pack, microbatch) configuration: the smallest single-task "
+        "working set in the sweep (" +
+        FormatBytes(smallest->peak_working_set) + ") exceeds gpu memory (" +
+        FormatBytes(capacity) + ")");
+  }
   result.best = *best;
   return result;
 }

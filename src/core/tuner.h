@@ -58,12 +58,15 @@ struct TunerOptions {
 
 struct TunerResult {
   std::vector<TunerPoint> points;
-  TunerPoint best;  // feasible point with max throughput (fatal if none feasible)
+  TunerPoint best;  // feasible point with max throughput
 };
 
 // Sweeps Harmony-PP configurations derived from `base` (scheme/pack/microbatch fields are
-// overwritten per point).
-TunerResult TunePp(const Model& model, const SessionConfig& base, const TunerOptions& options);
+// overwritten per point). Every point must pass CheckSessionShape before anything is built
+// (else that error comes back); a sweep with no feasible point is INVALID_ARGUMENT naming
+// its smallest peak working set and the device capacity.
+StatusOr<TunerResult> TunePp(const Model& model, const SessionConfig& base,
+                             const TunerOptions& options);
 
 std::string RenderTunerTable(const TunerResult& result);
 

@@ -1,6 +1,8 @@
 #include "src/graph/plan_builder.h"
 
 #include <algorithm>
+#include <limits>
+#include <tuple>
 
 #include "src/graph/partition.h"
 #include "src/util/check.h"
@@ -45,6 +47,39 @@ PlanBuilder::PlanBuilder(const Model* model, TensorRegistry* registry, int num_d
   plan_.microbatch_size = options.microbatch_size;
   plan_.samples_per_iteration =
       options.num_replicas * options.microbatches * options.microbatch_size;
+
+  const int R = model_->num_layers();
+  weights_.Resize(1, R, 1, options.num_replicas);
+  opt_states_.Resize(1, R, 1, options.num_replicas);
+  grads_.Resize(options.iterations, R, 1, options.num_replicas);
+  acts_.Resize(options.iterations, R + 1, options.microbatches, options.num_replicas);
+  act_grads_.Resize(options.iterations, R + 1, options.microbatches, options.num_replicas);
+  stashes_.Resize(options.iterations, R, options.microbatches, options.num_replicas);
+}
+
+void PlanBuilder::TensorTable::Resize(int iterations, int layers, int microbatches,
+                                      int replicas) {
+  extent = {iterations, layers, microbatches, replicas};
+  std::size_t size = 1;
+  for (const int n : extent) {
+    HCHECK_GT(n, 0);
+    HCHECK_LE(size, std::numeric_limits<std::size_t>::max() / static_cast<std::size_t>(n))
+        << "tensor table size overflows";
+    size *= static_cast<std::size_t>(n);
+  }
+  ids.assign(size, kInvalidTensor);
+}
+
+TensorId& PlanBuilder::TensorTable::at(int iteration, int layer, int microbatch,
+                                       int replica) {
+  const std::array<int, 4> index = {iteration, layer, microbatch, replica};
+  std::size_t slot = 0;
+  for (std::size_t k = 0; k < index.size(); ++k) {
+    HCHECK(index[k] >= 0 && index[k] < extent[k])
+        << "tensor table index " << index[k] << " outside [0, " << extent[k] << ")";
+    slot = slot * static_cast<std::size_t>(extent[k]) + static_cast<std::size_t>(index[k]);
+  }
+  return ids[slot];
 }
 
 Bytes PlanBuilder::ActBytes(int layer) const {
@@ -63,16 +98,14 @@ double PlanBuilder::ShardFlops(double flops) const {
 }
 
 TensorId PlanBuilder::Weight(int layer, int replica) {
-  const auto key = std::make_pair(layer, replica);
-  auto it = weights_.find(key);
-  if (it != weights_.end()) {
-    return it->second;
+  TensorId& id = weights_.at(0, layer, 0, replica);
+  if (id != kInvalidTensor) {
+    return id;
   }
   const Layer& l = model_->layer(layer);
-  const TensorId id = registry_->Create(
+  id = registry_->Create(
       "W[" + l.name + "]r" + std::to_string(replica), ShardBytes(l.cost.param_bytes),
       TensorClass::kWeight, /*host_valid=*/true, layer, -1, replica);
-  weights_.emplace(key, id);
   return id;
 }
 
@@ -81,62 +114,54 @@ TensorId PlanBuilder::OptState(int layer, int replica) {
   if (l.cost.opt_state_bytes == 0) {
     return kInvalidTensor;
   }
-  const auto key = std::make_pair(layer, replica);
-  auto it = opt_states_.find(key);
-  if (it != opt_states_.end()) {
-    return it->second;
+  TensorId& id = opt_states_.at(0, layer, 0, replica);
+  if (id != kInvalidTensor) {
+    return id;
   }
-  const TensorId id = registry_->Create(
+  id = registry_->Create(
       "K[" + l.name + "]r" + std::to_string(replica), ShardBytes(l.cost.opt_state_bytes),
       TensorClass::kOptimizerState, /*host_valid=*/true, layer, -1, replica);
-  opt_states_.emplace(key, id);
   return id;
 }
 
 TensorId PlanBuilder::WeightGrad(int layer, int replica) {
-  const auto key = std::make_tuple(iteration_, layer, replica);
-  auto it = grads_.find(key);
-  if (it != grads_.end()) {
-    return it->second;
+  TensorId& id = grads_.at(iteration_, layer, 0, replica);
+  if (id != kInvalidTensor) {
+    return id;
   }
   const Layer& l = model_->layer(layer);
-  const TensorId id = registry_->Create(
+  id = registry_->Create(
       "dW[" + l.name + "]r" + std::to_string(replica) + "i" + std::to_string(iteration_),
       ShardBytes(l.cost.grad_bytes), TensorClass::kWeightGrad, /*host_valid=*/false, layer, -1,
       replica);
-  grads_.emplace(key, id);
   return id;
 }
 
 TensorId PlanBuilder::Activation(int layer, int microbatch, int replica) {
-  const auto key = std::make_tuple(iteration_, layer, microbatch, replica);
-  auto it = acts_.find(key);
-  if (it != acts_.end()) {
-    return it->second;
+  TensorId& id = acts_.at(iteration_, layer, microbatch, replica);
+  if (id != kInvalidTensor) {
+    return id;
   }
   const bool is_input = layer == 0;
-  const TensorId id = registry_->Create(
+  id = registry_->Create(
       "X" + std::to_string(layer) + "mb" + std::to_string(microbatch) + "r" +
           std::to_string(replica) + "i" + std::to_string(iteration_),
       ActBytes(layer), is_input ? TensorClass::kInput : TensorClass::kActivation,
       /*host_valid=*/is_input, layer - 1, microbatch, replica);
-  acts_.emplace(key, id);
   return id;
 }
 
 TensorId PlanBuilder::ActGrad(int layer, int microbatch, int replica) {
   HCHECK_GT(layer, 0) << "input gradients are never materialized";
-  const auto key = std::make_tuple(iteration_, layer, microbatch, replica);
-  auto it = act_grads_.find(key);
-  if (it != act_grads_.end()) {
-    return it->second;
+  TensorId& id = act_grads_.at(iteration_, layer, microbatch, replica);
+  if (id != kInvalidTensor) {
+    return id;
   }
-  const TensorId id = registry_->Create(
+  id = registry_->Create(
       "dX" + std::to_string(layer) + "mb" + std::to_string(microbatch) + "r" +
           std::to_string(replica) + "i" + std::to_string(iteration_),
       ActBytes(layer), TensorClass::kActivationGrad, /*host_valid=*/false, layer - 1,
       microbatch, replica);
-  act_grads_.emplace(key, id);
   return id;
 }
 
@@ -145,26 +170,23 @@ TensorId PlanBuilder::Stash(int layer, int microbatch, int replica) {
   if (options_.recompute || l.cost.stash_bytes_per_sample == 0) {
     return kInvalidTensor;
   }
-  const auto key = std::make_tuple(iteration_, layer, microbatch, replica);
-  auto it = stashes_.find(key);
-  if (it != stashes_.end()) {
-    return it->second;
+  TensorId& id = stashes_.at(iteration_, layer, microbatch, replica);
+  if (id != kInvalidTensor) {
+    return id;
   }
-  const TensorId id = registry_->Create(
+  id = registry_->Create(
       "S" + std::to_string(layer) + "mb" + std::to_string(microbatch) + "r" +
           std::to_string(replica) + "i" + std::to_string(iteration_),
       l.cost.stash_bytes_per_sample * options_.microbatch_size, TensorClass::kActivation,
       /*host_valid=*/false, layer, microbatch, replica);
-  stashes_.emplace(key, id);
   return id;
 }
 
 Task& PlanBuilder::NewTask(TaskKind kind, int device, int layer_begin, int layer_end,
-                           int microbatch, int replica) {
+                           int microbatch, int replica, const std::vector<TaskId>& deps) {
   HCHECK_GE(device, 0);
   HCHECK_LT(device, plan_.num_devices());
   Task task;
-  task.id = static_cast<TaskId>(plan_.tasks.size());
   task.kind = kind;
   task.device = device;
   task.iteration = iteration_;
@@ -172,8 +194,11 @@ Task& PlanBuilder::NewTask(TaskKind kind, int device, int layer_begin, int layer
   task.layer_end = layer_end;
   task.microbatch = microbatch;
   task.replica = replica;
-  plan_.tasks.push_back(std::move(task));
-  plan_.per_device_order[static_cast<std::size_t>(device)].push_back(plan_.tasks.back().id);
+  const TaskId id = plan_.AddTask(task);
+  plan_.per_device_order[static_cast<std::size_t>(device)].push_back(id);
+  for (TaskId dep : deps) {
+    plan_.Append(TaskList::kDeps, dep);
+  }
   return plan_.tasks.back();
 }
 
@@ -181,14 +206,13 @@ TaskId PlanBuilder::AddForward(int device, int layer_begin, int layer_end, int m
                                int replica, std::vector<TaskId> deps) {
   HCHECK_LT(layer_begin, layer_end);
   HCHECK_LE(layer_end, num_layers());
-  Task& task = NewTask(TaskKind::kForward, device, layer_begin, layer_end, microbatch, replica);
-  task.deps = std::move(deps);
-
-  task.working_set.fetch.push_back(Activation(layer_begin, microbatch, replica));
+  Task& task =
+      NewTask(TaskKind::kForward, device, layer_begin, layer_end, microbatch, replica, deps);
+  plan_.Append(TaskList::kFetch, Activation(layer_begin, microbatch, replica));
   Bytes transient = 0;
   for (int l = layer_begin; l < layer_end; ++l) {
     const Layer& layer = model_->layer(l);
-    task.working_set.fetch.push_back(Weight(l, replica));
+    plan_.Append(TaskList::kFetch, Weight(l, replica));
     task.flops += ShardFlops(layer.cost.fwd_flops_per_sample) *
                   static_cast<double>(options_.microbatch_size);
     transient = std::max(transient, layer.cost.workspace_bytes_per_sample *
@@ -202,34 +226,33 @@ TaskId PlanBuilder::AddForward(int device, int layer_begin, int layer_end, int m
       transient += layer.cost.stash_bytes_per_sample * options_.microbatch_size;
     } else {
       const TensorId out = Activation(l + 1, microbatch, replica);
-      task.working_set.allocate.push_back(out);
-      task.dirty_outputs.push_back(out);
+      plan_.Append(TaskList::kAllocate, out);
+      plan_.Append(TaskList::kDirty, out);
       const TensorId stash = Stash(l, microbatch, replica);
       if (stash != kInvalidTensor) {
-        task.working_set.allocate.push_back(stash);
-        task.dirty_outputs.push_back(stash);
+        plan_.Append(TaskList::kAllocate, stash);
+        plan_.Append(TaskList::kDirty, stash);
       }
     }
   }
   if (options_.recompute) {
     const TensorId out = Activation(layer_end, microbatch, replica);
-    task.working_set.allocate.push_back(out);
-    task.dirty_outputs.push_back(out);
+    plan_.Append(TaskList::kAllocate, out);
+    plan_.Append(TaskList::kDirty, out);
   }
-  task.working_set.scratch_bytes = transient;
+  task.scratch_bytes = transient;
   return task.id;
 }
 
 TaskId PlanBuilder::AddLoss(int device, int microbatch, int replica, std::vector<TaskId> deps) {
   const int R = num_layers();
-  Task& task = NewTask(TaskKind::kLoss, device, R, R, microbatch, replica);
-  task.deps = std::move(deps);
+  Task& task = NewTask(TaskKind::kLoss, device, R, R, microbatch, replica, deps);
   const TensorId logits = Activation(R, microbatch, replica);
   const TensorId grad = ActGrad(R, microbatch, replica);
-  task.working_set.fetch.push_back(logits);
-  task.working_set.allocate.push_back(grad);
-  task.dirty_outputs.push_back(grad);
-  task.free_after.push_back(logits);
+  plan_.Append(TaskList::kFetch, logits);
+  plan_.Append(TaskList::kAllocate, grad);
+  plan_.Append(TaskList::kDirty, grad);
+  plan_.Append(TaskList::kFreeAfter, logits);
   task.flops = static_cast<double>(ActBytes(R)) / 2.0;  // elementwise over the logits
   return task.id;
 }
@@ -239,20 +262,19 @@ TaskId PlanBuilder::AddBackward(int device, int layer_begin, int layer_end, int 
   HCHECK_LT(layer_begin, layer_end);
   HCHECK_LE(layer_end, num_layers());
   Task& task =
-      NewTask(TaskKind::kBackward, device, layer_begin, layer_end, microbatch, replica);
-  task.deps = std::move(deps);
+      NewTask(TaskKind::kBackward, device, layer_begin, layer_end, microbatch, replica, deps);
 
   const TensorId out_grad = ActGrad(layer_end, microbatch, replica);
-  task.working_set.fetch.push_back(out_grad);
-  task.free_after.push_back(out_grad);
+  plan_.Append(TaskList::kFetch, out_grad);
+  plan_.Append(TaskList::kFreeAfter, out_grad);
 
   Bytes transient = 0;
   for (int l = layer_begin; l < layer_end; ++l) {
     const Layer& layer = model_->layer(l);
-    task.working_set.fetch.push_back(Weight(l, replica));
+    plan_.Append(TaskList::kFetch, Weight(l, replica));
     const TensorId grad = WeightGrad(l, replica);
-    task.working_set.accumulate.push_back(grad);
-    task.dirty_outputs.push_back(grad);
+    plan_.Append(TaskList::kAccumulate, grad);
+    plan_.Append(TaskList::kDirty, grad);
     task.flops += ShardFlops(layer.cost.bwd_flops_per_sample) *
                   static_cast<double>(options_.microbatch_size);
     transient = std::max(transient, 2 * layer.cost.workspace_bytes_per_sample *
@@ -268,26 +290,26 @@ TaskId PlanBuilder::AddBackward(int device, int layer_begin, int layer_end, int 
       transient += layer.cost.stash_bytes_per_sample * options_.microbatch_size;
     } else {
       const TensorId act = Activation(l, microbatch, replica);
-      task.working_set.fetch.push_back(act);
-      task.free_after.push_back(act);
+      plan_.Append(TaskList::kFetch, act);
+      plan_.Append(TaskList::kFreeAfter, act);
       const TensorId stash = Stash(l, microbatch, replica);
       if (stash != kInvalidTensor) {
-        task.working_set.fetch.push_back(stash);
-        task.free_after.push_back(stash);
+        plan_.Append(TaskList::kFetch, stash);
+        plan_.Append(TaskList::kFreeAfter, stash);
       }
     }
   }
   if (options_.recompute) {
     const TensorId act = Activation(layer_begin, microbatch, replica);
-    task.working_set.fetch.push_back(act);
-    task.free_after.push_back(act);
+    plan_.Append(TaskList::kFetch, act);
+    plan_.Append(TaskList::kFreeAfter, act);
   }
   if (layer_begin > 0) {
     const TensorId in_grad = ActGrad(layer_begin, microbatch, replica);
-    task.working_set.allocate.push_back(in_grad);
-    task.dirty_outputs.push_back(in_grad);
+    plan_.Append(TaskList::kAllocate, in_grad);
+    plan_.Append(TaskList::kDirty, in_grad);
   }
-  task.working_set.scratch_bytes = transient;
+  task.scratch_bytes = transient;
   return task.id;
 }
 
@@ -295,19 +317,18 @@ TaskId PlanBuilder::AddUpdate(int device, int layer_begin, int layer_end, int re
                               std::vector<TaskId> deps) {
   HCHECK_LT(layer_begin, layer_end);
   HCHECK_LE(layer_end, num_layers());
-  Task& task = NewTask(TaskKind::kUpdate, device, layer_begin, layer_end, -1, replica);
-  task.deps = std::move(deps);
+  Task& task = NewTask(TaskKind::kUpdate, device, layer_begin, layer_end, -1, replica, deps);
   for (int l = layer_begin; l < layer_end; ++l) {
     const TensorId w = Weight(l, replica);
     const TensorId grad = WeightGrad(l, replica);
-    task.working_set.fetch.push_back(w);
-    task.working_set.fetch.push_back(grad);
-    task.dirty_outputs.push_back(w);
-    task.free_after.push_back(grad);  // "reset dW'" in Fig. 5(a)
+    plan_.Append(TaskList::kFetch, w);
+    plan_.Append(TaskList::kFetch, grad);
+    plan_.Append(TaskList::kDirty, w);
+    plan_.Append(TaskList::kFreeAfter, grad);  // "reset dW'" in Fig. 5(a)
     const TensorId opt = OptState(l, replica);
     if (opt != kInvalidTensor) {
-      task.working_set.fetch.push_back(opt);
-      task.dirty_outputs.push_back(opt);
+      plan_.Append(TaskList::kFetch, opt);
+      plan_.Append(TaskList::kDirty, opt);
     }
     task.flops += ShardFlops(model_->layer(l).cost.upd_flops);
   }
@@ -318,13 +339,13 @@ TaskId PlanBuilder::AddAllReduce(int device, int layer_begin, int layer_end, int
                                  int group, std::vector<TaskId> deps) {
   HCHECK_LT(layer_begin, layer_end);
   HCHECK_LE(layer_end, num_layers());
-  Task& task = NewTask(TaskKind::kAllReduce, device, layer_begin, layer_end, -1, replica);
-  task.deps = std::move(deps);
+  Task& task =
+      NewTask(TaskKind::kAllReduce, device, layer_begin, layer_end, -1, replica, deps);
   task.collective_group = group;
   for (int l = layer_begin; l < layer_end; ++l) {
     const TensorId grad = WeightGrad(l, replica);
-    task.working_set.fetch.push_back(grad);
-    task.dirty_outputs.push_back(grad);
+    plan_.Append(TaskList::kFetch, grad);
+    plan_.Append(TaskList::kDirty, grad);
     task.collective_bytes += ShardBytes(model_->layer(l).cost.grad_bytes);
   }
   return task.id;
@@ -333,36 +354,62 @@ TaskId PlanBuilder::AddAllReduce(int device, int layer_begin, int layer_end, int
 TaskId PlanBuilder::AddActivationAllReduce(int device, int layer, int microbatch,
                                            int replica, bool grad, int group,
                                            std::vector<TaskId> deps) {
-  Task& task = NewTask(TaskKind::kAllReduce, device, layer, layer, microbatch, replica);
-  task.deps = std::move(deps);
+  Task& task = NewTask(TaskKind::kAllReduce, device, layer, layer, microbatch, replica, deps);
   task.collective_group = group;
   task.collective_data =
       grad ? Task::CollectiveData::kActivationGrad : Task::CollectiveData::kActivation;
   const TensorId tensor =
       grad ? ActGrad(layer, microbatch, replica) : Activation(layer, microbatch, replica);
-  task.working_set.fetch.push_back(tensor);
-  task.dirty_outputs.push_back(tensor);
+  plan_.Append(TaskList::kFetch, tensor);
+  plan_.Append(TaskList::kDirty, tensor);
   task.collective_bytes = registry_->meta(tensor).bytes;
   return task.id;
 }
 
 void PlanBuilder::AddDep(TaskId task, TaskId dep) {
-  HCHECK_GE(task, 0);
   HCHECK_GE(dep, 0);
-  HCHECK_LT(task, static_cast<TaskId>(plan_.tasks.size()));
   HCHECK_LT(dep, static_cast<TaskId>(plan_.tasks.size()));
-  plan_.tasks[static_cast<std::size_t>(task)].deps.push_back(dep);
+  AppendTo(task, TaskList::kDeps, dep);
 }
 
 void PlanBuilder::FreeAfter(TaskId task, TensorId tensor) {
+  HCHECK(tensor != kInvalidTensor);
+  AppendTo(task, TaskList::kFreeAfter, tensor);
+}
+
+void PlanBuilder::AppendTo(TaskId task, TaskList list, int id) {
   HCHECK_GE(task, 0);
   HCHECK_LT(task, static_cast<TaskId>(plan_.tasks.size()));
-  HCHECK(tensor != kInvalidTensor);
-  plan_.tasks[static_cast<std::size_t>(task)].free_after.push_back(tensor);
+  late_.push_back(LateEntry{list, task, id});
 }
 
 Plan PlanBuilder::Finish(std::string scheme) {
   plan_.scheme = std::move(scheme);
+  // Fold the late entries in, one pass per list that has any: each task keeps its own
+  // entries first, then its late ones in call order.
+  std::stable_sort(late_.begin(), late_.end(), [](const LateEntry& a, const LateEntry& b) {
+    return std::tie(a.list, a.task) < std::tie(b.list, b.task);
+  });
+  auto next = late_.begin();
+  while (next != late_.end()) {
+    const TaskList list = next->list;
+    IdColumn& column = plan_.lists[static_cast<std::size_t>(list)];
+    IdColumn merged;
+    merged.offsets.reserve(column.offsets.size());
+    merged.ids.reserve(column.ids.size() + late_.size());
+    for (std::size_t t = 0; t < plan_.tasks.size(); ++t) {
+      merged.ids.insert(merged.ids.end(), column.ids.begin() + column.offsets[t],
+                        column.ids.begin() + column.offsets[t + 1]);
+      for (; next != late_.end() && next->list == list &&
+             next->task == static_cast<TaskId>(t);
+           ++next) {
+        merged.ids.push_back(next->id);
+      }
+      merged.offsets.push_back(static_cast<std::uint32_t>(merged.ids.size()));
+    }
+    column = std::move(merged);
+  }
+  late_.clear();
   return std::move(plan_);
 }
 

@@ -19,9 +19,8 @@
 #ifndef HARMONY_SRC_GRAPH_PLAN_BUILDER_H_
 #define HARMONY_SRC_GRAPH_PLAN_BUILDER_H_
 
-#include <map>
+#include <array>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "src/graph/model.h"
@@ -99,12 +98,13 @@ class PlanBuilder {
 
   // Wires an extra dependency after both tasks exist (needed when queue emission order
   // differs from dependency order, e.g. 1F1B backward edges pointing at later stages).
+  // Lands after the task's own deps, in call order, when Finish folds it in.
   void AddDep(TaskId task, TaskId dep);
 
   // Appends `tensor` to `task`'s free list: its lifetime ends when the task completes.
   // Lets plan shapes whose consumers differ from the builder's built-in lifetime rules
   // (e.g. forward-only serving pipelines, where the consumer stage owns its input
-  // activation) encode explicit frees without a backward pass.
+  // activation) encode explicit frees without a backward pass. Ordered like AddDep.
   void FreeAfter(TaskId task, TensorId tensor);
 
   const Model& model() const { return *model_; }
@@ -114,8 +114,28 @@ class PlanBuilder {
   Plan Finish(std::string scheme);
 
  private:
+  // Dense TensorId table over (iteration, layer, microbatch, replica); kInvalidTensor until
+  // the tensor's first use. Tables that do not vary along an axis give it extent 1.
+  struct TensorTable {
+    void Resize(int iterations, int layers, int microbatches, int replicas);
+    TensorId& at(int iteration, int layer, int microbatch, int replica);
+
+    std::array<int, 4> extent = {};
+    std::vector<TensorId> ids;
+  };
+
+  // A list entry for a task older than the newest, folded in by Finish.
+  struct LateEntry {
+    TaskList list;
+    TaskId task;
+    int id;
+  };
+
+  // Appends the task (with `deps`) and returns it; list entries then go to it via
+  // plan_.Append until the next NewTask.
   Task& NewTask(TaskKind kind, int device, int layer_begin, int layer_end, int microbatch,
-                int replica);
+                int replica, const std::vector<TaskId>& deps);
+  void AppendTo(TaskId task, TaskList list, int id);
   Bytes ActBytes(int layer) const;
   Bytes ShardBytes(Bytes bytes) const;
   double ShardFlops(double flops) const;
@@ -125,13 +145,14 @@ class PlanBuilder {
   DecomposerOptions options_;
   int iteration_ = 0;
   Plan plan_;
+  std::vector<LateEntry> late_;
 
-  std::map<std::pair<int, int>, TensorId> weights_;      // (layer, replica)
-  std::map<std::pair<int, int>, TensorId> opt_states_;   // (layer, replica)
-  std::map<std::tuple<int, int, int>, TensorId> grads_;  // (iter, layer, replica)
-  std::map<std::tuple<int, int, int, int>, TensorId> acts_;       // (iter, layer, mb, replica)
-  std::map<std::tuple<int, int, int, int>, TensorId> act_grads_;  // (iter, layer, mb, replica)
-  std::map<std::tuple<int, int, int, int>, TensorId> stashes_;    // (iter, layer, mb, replica)
+  TensorTable weights_;     // (layer, replica)
+  TensorTable opt_states_;  // (layer, replica)
+  TensorTable grads_;       // (iteration, layer, replica)
+  TensorTable acts_;        // (iteration, layer 0..R, microbatch, replica)
+  TensorTable act_grads_;   // (iteration, layer 1..R, microbatch, replica)
+  TensorTable stashes_;     // (iteration, layer, microbatch, replica)
 };
 
 // ---- inference serving (Computron-style model-parallel swapping; DESIGN.md §13) ----

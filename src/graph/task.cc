@@ -1,9 +1,12 @@
 #include "src/graph/task.h"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <queue>
 #include <sstream>
+
+#include "src/util/check.h"
 
 namespace harmony {
 
@@ -37,7 +40,62 @@ std::string Task::DebugName() const {
   return os.str();
 }
 
+const char* TaskListName(TaskList list) {
+  static constexpr std::array<const char*, kNumTaskLists> kNames = {
+      "dep list",      "fetch list",        "accumulate list",
+      "allocate list", "dirty-output list", "free-after list"};
+  return kNames[static_cast<std::size_t>(list)];
+}
+
+WorkingSet Plan::working_set(TaskId t) const {
+  WorkingSet set;
+  const auto copy = [&](TaskList which, std::vector<TensorId>* out) {
+    const std::span<const int> ids = list(which, t);
+    out->assign(ids.begin(), ids.end());
+  };
+  copy(TaskList::kFetch, &set.fetch);
+  copy(TaskList::kAccumulate, &set.accumulate);
+  copy(TaskList::kAllocate, &set.allocate);
+  set.scratch_bytes = tasks[static_cast<std::size_t>(t)].scratch_bytes;
+  return set;
+}
+
+TaskId Plan::AddTask(Task task) {
+  task.id = static_cast<TaskId>(tasks.size());
+  tasks.push_back(task);
+  for (IdColumn& column : lists) {
+    column.offsets.push_back(column.offsets.back());
+  }
+  return task.id;
+}
+
+void Plan::Append(TaskList which, int id) {
+  IdColumn& column = lists[static_cast<std::size_t>(which)];
+  HCHECK_LT(column.ids.size(), std::size_t{std::numeric_limits<std::uint32_t>::max()})
+      << TaskListName(which) << " outgrew its 32-bit offsets";
+  column.ids.push_back(id);
+  column.offsets.back() = static_cast<std::uint32_t>(column.ids.size());
+}
+
+Status Plan::CheckListShape() const {
+  for (int l = 0; l < kNumTaskLists; ++l) {
+    const IdColumn& column = lists[static_cast<std::size_t>(l)];
+    const std::vector<std::uint32_t>& offsets = column.offsets;
+    if (offsets.size() != tasks.size() + 1 || offsets.front() != 0 ||
+        offsets.back() != column.ids.size() ||
+        !std::is_sorted(offsets.begin(), offsets.end())) {
+      return InternalError(std::string(TaskListName(static_cast<TaskList>(l))) +
+                           " is not one run per task: its " + std::to_string(offsets.size()) +
+                           " offsets for " + std::to_string(tasks.size()) + " tasks and " +
+                           std::to_string(column.ids.size()) +
+                           " ids must start at 0, never decrease and end at the id count");
+    }
+  }
+  return Status::Ok();
+}
+
 Status Plan::Validate() const {
+  HARMONY_RETURN_IF_ERROR(CheckListShape());
   const int n = static_cast<int>(tasks.size());
   for (int i = 0; i < n; ++i) {
     if (tasks[static_cast<std::size_t>(i)].id != i) {
@@ -76,7 +134,7 @@ Status Plan::Validate() const {
     ++indegree[static_cast<std::size_t>(to)];
   };
   for (const Task& task : tasks) {
-    for (TaskId dep : task.deps) {
+    for (TaskId dep : deps(task.id)) {
       if (dep < 0 || dep >= n) {
         return InternalError("task " + task.DebugName() + " has unknown dep " +
                              std::to_string(dep));
@@ -142,15 +200,12 @@ Status Plan::Validate() const {
 std::vector<Bytes> Plan::PeakTaskWorkingSet(const TensorRegistry& registry) const {
   std::vector<Bytes> peak(static_cast<std::size_t>(num_devices()), 0);
   for (const Task& task : tasks) {
-    Bytes total = task.working_set.scratch_bytes;
-    auto add = [&](const std::vector<TensorId>& ids) {
-      for (TensorId id : ids) {
+    Bytes total = task.scratch_bytes;
+    for (TaskList which : kWorkingSetLists) {
+      for (TensorId id : list(which, task.id)) {
         total += registry.meta(id).bytes;
       }
-    };
-    add(task.working_set.fetch);
-    add(task.working_set.accumulate);
-    add(task.working_set.allocate);
+    }
     auto& slot = peak[static_cast<std::size_t>(task.device)];
     slot = std::max(slot, total);
   }

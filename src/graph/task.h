@@ -8,7 +8,11 @@
 #ifndef HARMONY_SRC_GRAPH_TASK_H_
 #define HARMONY_SRC_GRAPH_TASK_H_
 
+#include <array>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/mem/memory_manager.h"
@@ -31,6 +35,8 @@ enum class TaskKind {
 
 const char* TaskKindName(TaskKind kind);
 
+// A task's scalars. Its id lists (deps and the working set) live in its Plan's flat
+// storage, so a Task owns no heap memory.
 struct Task {
   TaskId id = kInvalidTask;
   TaskKind kind = TaskKind::kForward;
@@ -45,13 +51,8 @@ struct Task {
   // Data-parallel replica index; 0 when weights are not replicated.
   int replica = 0;
 
-  std::vector<TaskId> deps;
-
-  WorkingSet working_set;
-  std::vector<TensorId> dirty_outputs;  // marked dirty on completion
-  std::vector<TensorId> free_after;     // freed on completion (end of lifetime)
-
-  double flops = 0.0;  // compute cost; duration = flops / device effective FLOP/s
+  double flops = 0.0;      // compute cost; duration = flops / device effective FLOP/s
+  Bytes scratch_bytes = 0;  // transient workspace, part of the working set
 
   // kAllReduce: tasks sharing a group rendezvous and move `collective_bytes` per device
   // around the ring. `collective_data` records what is being reduced so semantic replay
@@ -68,9 +69,37 @@ struct Task {
   std::string DebugName() const;
 };
 
+static_assert(std::is_trivially_copyable_v<Task>, "a plan's tasks hold no heap memory");
+
+// The six per-task id lists.
+enum class TaskList {
+  kDeps,        // tasks that must complete first (TaskIds; the rest hold TensorIds)
+  kFetch,       // working set: must arrive with valid contents
+  kAccumulate,  // working set: fetch if a copy exists anywhere, else zero-init here
+  kAllocate,    // working set: outputs, fresh device allocation
+  kDirty,       // marked dirty on completion
+  kFreeAfter,   // freed on completion (end of lifetime)
+};
+inline constexpr int kNumTaskLists = 6;
+// The lists a task's working set is made of (what it pins while it runs).
+inline constexpr std::array<TaskList, 3> kWorkingSetLists = {
+    TaskList::kFetch, TaskList::kAccumulate, TaskList::kAllocate};
+
+// "dep list", "fetch list", ... (lint and validation messages).
+const char* TaskListName(TaskList list);
+
+// One list for every task of a plan, stored flat (CSR): task t's entries are
+// ids[offsets[t], offsets[t + 1]). Well formed, it has one offset more than the plan has
+// tasks, starts at 0, never decreases and ends at ids.size() (Plan::CheckListShape).
+struct IdColumn {
+  std::vector<std::uint32_t> offsets = {0};
+  std::vector<int> ids;
+};
+
 struct Plan {
   std::string scheme;  // e.g. "baseline-dp", "harmony-pp"
   std::vector<Task> tasks;
+  std::array<IdColumn, kNumTaskLists> lists;  // indexed by TaskList
   std::vector<std::vector<TaskId>> per_device_order;
   int num_iterations = 1;
   int microbatch_size = 1;
@@ -83,9 +112,38 @@ struct Plan {
 
   int num_devices() const { return static_cast<int>(per_device_order.size()); }
 
-  // Structural validation: ids consistent, every task appears exactly once in exactly one
-  // device order, deps reference earlier-created tasks, the dependency graph plus per-device
-  // order is acyclic, and every collective group has one task per participating device.
+  // Task t's entries in one list. The span points into `lists`: it is valid until the
+  // next change to them, and only on a plan whose list shape is sound.
+  std::span<const int> list(TaskList which, TaskId t) const {
+    const IdColumn& column = lists[static_cast<std::size_t>(which)];
+    const std::size_t begin = column.offsets[static_cast<std::size_t>(t)];
+    const std::size_t end = column.offsets[static_cast<std::size_t>(t) + 1];
+    return {column.ids.data() + begin, end - begin};
+  }
+  std::span<const TaskId> deps(TaskId t) const { return list(TaskList::kDeps, t); }
+  std::span<const TensorId> fetch(TaskId t) const { return list(TaskList::kFetch, t); }
+  std::span<const TensorId> accumulate(TaskId t) const {
+    return list(TaskList::kAccumulate, t);
+  }
+  std::span<const TensorId> allocate(TaskId t) const { return list(TaskList::kAllocate, t); }
+  std::span<const TensorId> dirty_outputs(TaskId t) const { return list(TaskList::kDirty, t); }
+  std::span<const TensorId> free_after(TaskId t) const { return list(TaskList::kFreeAfter, t); }
+
+  // An owning copy of task t's working set, for MemoryManager::Acquire.
+  WorkingSet working_set(TaskId t) const;
+
+  // Appends `task` with empty lists, renumbered to the next id, and returns that id.
+  TaskId AddTask(Task task);
+  // Appends `id` to the newest task's `which` list.
+  void Append(TaskList which, int id);
+
+  // The flat lists' shape (see IdColumn); every reader of a list relies on it.
+  Status CheckListShape() const;
+
+  // Structural validation: list shape sound, ids consistent, every task appears exactly
+  // once in exactly one device order, deps reference existing tasks, the dependency graph
+  // plus per-device order is acyclic, and every collective group has one task per
+  // participating device.
   Status Validate() const;
 
   // Largest single-task working set per device; must fit in device memory for the plan to

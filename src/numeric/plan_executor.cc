@@ -65,7 +65,7 @@ void PlanExecutor::Run() {
   std::map<int, std::vector<const Task*>> arrived;
 
   auto deps_met = [&](const Task& task) {
-    for (TaskId dep : task.deps) {
+    for (TaskId dep : plan_->deps(task.id)) {
       if (!executed[static_cast<std::size_t>(dep)]) {
         return false;
       }

@@ -13,12 +13,13 @@ std::vector<Bytes> ComputeMemoryDemand(const Plan& plan, const TensorRegistry& r
   std::vector<bool> executed(static_cast<std::size_t>(n), false);
   std::vector<std::size_t> head(static_cast<std::size_t>(D), 0);
 
-  std::map<TensorId, int> home;  // live tensor -> device
+  // Device each live tensor sits on, -1 while not live.
+  std::vector<int> home(static_cast<std::size_t>(registry.size()), -1);
   std::vector<Bytes> live(static_cast<std::size_t>(D), 0);
   std::vector<Bytes> peak(static_cast<std::size_t>(D), 0);
 
   auto deps_met = [&](const Task& task) {
-    for (TaskId dep : task.deps) {
+    for (TaskId dep : plan.deps(task.id)) {
       if (!executed[static_cast<std::size_t>(dep)]) {
         return false;
       }
@@ -28,15 +29,14 @@ std::vector<Bytes> ComputeMemoryDemand(const Plan& plan, const TensorRegistry& r
 
   auto touch = [&](TensorId id, int device) {
     const Bytes bytes = registry.meta(id).bytes;
-    auto it = home.find(id);
-    if (it == home.end()) {
-      home.emplace(id, device);
+    int& where = home[static_cast<std::size_t>(id)];
+    if (where < 0) {
       live[static_cast<std::size_t>(device)] += bytes;
-    } else if (it->second != device) {
-      live[static_cast<std::size_t>(it->second)] -= bytes;
+    } else if (where != device) {
+      live[static_cast<std::size_t>(where)] -= bytes;
       live[static_cast<std::size_t>(device)] += bytes;
-      it->second = device;
     }
+    where = device;
   };
 
   // All-reduce rendezvous bookkeeping mirrors the numeric executor.
@@ -50,23 +50,19 @@ std::vector<Bytes> ComputeMemoryDemand(const Plan& plan, const TensorRegistry& r
 
   auto run_task = [&](const Task& task) {
     const int d = task.device;
-    for (TensorId id : task.working_set.fetch) {
-      touch(id, d);
-    }
-    for (TensorId id : task.working_set.accumulate) {
-      touch(id, d);
-    }
-    for (TensorId id : task.working_set.allocate) {
-      touch(id, d);
+    for (TaskList which : kWorkingSetLists) {
+      for (TensorId id : plan.list(which, task.id)) {
+        touch(id, d);
+      }
     }
     peak[static_cast<std::size_t>(d)] =
         std::max(peak[static_cast<std::size_t>(d)],
-                 live[static_cast<std::size_t>(d)] + task.working_set.scratch_bytes);
-    for (TensorId id : task.free_after) {
-      auto it = home.find(id);
-      HCHECK(it != home.end());
-      live[static_cast<std::size_t>(it->second)] -= registry.meta(id).bytes;
-      home.erase(it);
+                 live[static_cast<std::size_t>(d)] + task.scratch_bytes);
+    for (TensorId id : plan.free_after(task.id)) {
+      int& where = home[static_cast<std::size_t>(id)];
+      HCHECK_GE(where, 0);
+      live[static_cast<std::size_t>(where)] -= registry.meta(id).bytes;
+      where = -1;
     }
     executed[static_cast<std::size_t>(task.id)] = true;
   };

@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "src/runtime/plan_lint.h"
 #include "src/util/logging.h"
 
 namespace harmony {
@@ -19,8 +20,17 @@ Engine::Engine(Simulator* sim, const Machine* machine, MemorySystem* memory,
       plan_(plan),
       options_(options) {
   HCHECK_EQ(plan->num_devices(), machine->num_gpus());
-  const Status valid = plan->Validate();
-  HCHECK(valid.ok()) << valid.ToString();
+  // Static lint (cheap tier) before anything executes: catches structural corruption,
+  // pin-balance leaks, collective rank mismatches, and rendezvous deadlocks that would
+  // otherwise surface as hangs or quiescence failures mid-run. Silent when clean.
+  LintOptions lint_options;
+  lint_options.deep = false;
+  for (int d = 0; d < plan->num_devices(); ++d) {
+    lint_options.device_capacities.push_back(memory->manager(d).capacity());
+  }
+  const LintReport lint = LintPlan(*plan, memory->registry(), lint_options);
+  HCHECK_EQ(lint.num_errors(), 0) << "plan failed static lint — refusing to run:\n"
+                                  << lint.Render();
 
   completion_.reserve(plan->tasks.size());
   for (std::size_t i = 0; i < plan->tasks.size(); ++i) {
@@ -61,15 +71,11 @@ Engine::Engine(Simulator* sim, const Machine* machine, MemorySystem* memory,
     for (int d = 0; d < plan->num_devices(); ++d) {
       const auto& order = plan->per_device_order[static_cast<std::size_t>(d)];
       for (std::size_t pos = 0; pos < order.size(); ++pos) {
-        const Task& task = plan->tasks[static_cast<std::size_t>(order[pos])];
-        auto note = [&](const std::vector<TensorId>& ids) {
-          for (TensorId id : ids) {
+        for (TaskList which : kWorkingSetLists) {
+          for (TensorId id : plan->list(which, order[pos])) {
             next_use_index_->AddUse(id, d, pos);
           }
-        };
-        note(task.working_set.fetch);
-        note(task.working_set.accumulate);
-        note(task.working_set.allocate);
+        }
       }
     }
     memory->SetNextUseOracle([this](TensorId tensor, int device) -> std::uint64_t {
@@ -273,11 +279,11 @@ void Engine::StartNextTask(int device) {
     return;  // device drained
   }
   const TaskId task_id = order[state.next_index];
-  const Task& task = plan_->tasks[static_cast<std::size_t>(task_id)];
+  const std::span<const TaskId> deps = plan_->deps(task_id);
   dep_wait_start_[static_cast<std::size_t>(device)] = sim_->now();
 
-  auto deps_done = std::make_shared<CountdownEvent>(sim_, static_cast<int>(task.deps.size()));
-  for (TaskId dep : task.deps) {
+  auto deps_done = std::make_shared<CountdownEvent>(sim_, static_cast<int>(deps.size()));
+  for (TaskId dep : deps) {
     completion_[static_cast<std::size_t>(dep)]->OnFired([deps_done] { deps_done->Arrive(); });
   }
   deps_done->OnFired([this, device, task_id] { AcquireAndRun(device, task_id); });
@@ -287,7 +293,6 @@ void Engine::AcquireAndRun(int device, TaskId task_id) {
   if (aborting_) {
     return;  // deps fired during the abort drain; don't pin new working sets
   }
-  const Task& task = plan_->tasks[static_cast<std::size_t>(task_id)];
   MemoryManager& manager = memory_->manager(device);
 
   // Dependency wait ends, acquire wait begins. The inbound-busy sample taken here is
@@ -306,8 +311,7 @@ void Engine::AcquireAndRun(int device, TaskId task_id) {
       MemoryManager& mgr = memory_->manager(device);
       if (mgr.WasCancelled(acq.handle)) {
         mgr.Release(acq.handle);  // clears the cancellation record
-        const MemoryManager::Acquisition fresh =
-            mgr.Acquire(plan_->tasks[static_cast<std::size_t>(task_id)].working_set);
+        const MemoryManager::Acquisition fresh = mgr.Acquire(plan_->working_set(task_id));
         fresh.ready->OnFired(
             [this, device, task_id, fresh] { RunWithHandle(device, task_id, fresh.handle); });
       } else {
@@ -317,7 +321,7 @@ void Engine::AcquireAndRun(int device, TaskId task_id) {
     return;
   }
 
-  const MemoryManager::Acquisition acq = manager.Acquire(task.working_set);
+  const MemoryManager::Acquisition acq = manager.Acquire(plan_->working_set(task_id));
   acq.ready->OnFired(
       [this, device, task_id, acq] { RunWithHandle(device, task_id, acq.handle); });
 }
@@ -387,12 +391,12 @@ void Engine::RunWithHandle(int device, TaskId task_id,
 void Engine::FinishTask(int device, TaskId task_id, MemoryManager::AcquireHandle handle) {
   const Task& task = plan_->tasks[static_cast<std::size_t>(task_id)];
   MemoryManager& manager = memory_->manager(device);
-  for (TensorId id : task.dirty_outputs) {
+  for (TensorId id : plan_->dirty_outputs(task_id)) {
     manager.MarkDirty(id);
   }
   manager.Release(handle);
   // Free end-of-life tensors synchronously, before any pump can start evicting them.
-  for (TensorId id : task.free_after) {
+  for (TensorId id : plan_->free_after(task_id)) {
     manager.FreeTensor(id);
   }
   ++completed_tasks_;
@@ -421,8 +425,7 @@ void Engine::MaybePrefetch(int device) {
   if (prefetched_.count(next_id) > 0) {
     return;
   }
-  const Task& next = plan_->tasks[static_cast<std::size_t>(next_id)];
-  for (TaskId dep : next.deps) {
+  for (TaskId dep : plan_->deps(next_id)) {
     if (!completion_[static_cast<std::size_t>(dep)]->fired()) {
       return;  // inputs not produced yet; prefetching would fetch stale/absent data
     }
@@ -431,21 +434,19 @@ void Engine::MaybePrefetch(int device) {
   // memory. The acquisition is best-effort anyway, so this is purely to avoid useless churn.
   MemoryManager& manager = memory_->manager(device);
   const TensorRegistry& registry = memory_->registry();
-  Bytes needed = next.working_set.scratch_bytes;
-  auto add_missing = [&](const std::vector<TensorId>& ids) {
-    for (TensorId id : ids) {
+  Bytes needed = plan_->tasks[static_cast<std::size_t>(next_id)].scratch_bytes;
+  for (TaskList which : kWorkingSetLists) {
+    for (TensorId id : plan_->list(which, next_id)) {
       if (!manager.IsResidentHere(id)) {
         needed += registry.meta(id).bytes;
       }
     }
-  };
-  add_missing(next.working_set.fetch);
-  add_missing(next.working_set.accumulate);
-  add_missing(next.working_set.allocate);
+  }
   if (needed > manager.capacity() - manager.used_bytes()) {
     return;
   }
-  prefetched_.emplace(next_id, manager.Acquire(next.working_set, /*best_effort=*/true));
+  prefetched_.emplace(next_id,
+                      manager.Acquire(plan_->working_set(next_id), /*best_effort=*/true));
 }
 
 void Engine::OnIterationComplete(int iteration) {

@@ -71,6 +71,8 @@ struct TaskTrace {
 
 class Engine {
  public:
+  // Runs the cheap-tier LintPlan over `plan` against `memory`'s registry and device
+  // capacities, and refuses (fatal, with the rendered report) a plan with any error.
   Engine(Simulator* sim, const Machine* machine, MemorySystem* memory,
          TransferManager* transfers, CollectiveEngine* collective, const Plan* plan,
          EngineOptions options = {});

@@ -140,6 +140,12 @@ class Linter {
   }
 
   LintReport Run() {
+    // Every check below reads the flat lists, so their shape comes first.
+    const Status shape = plan_.CheckListShape();
+    if (!shape.ok()) {
+      Error(LintCheck::kStructure, shape.message());
+      return std::move(report_);
+    }
     CheckStructure();
     CheckTensorReferences();
     if (!structure_ok_) {
@@ -266,7 +272,7 @@ class Linter {
               TaskName(t.id) + " bound to nonexistent device " + std::to_string(t.device),
               {t.id}, kInvalidTensor, t.device);
       }
-      for (TaskId dep : t.deps) {
+      for (TaskId dep : plan_.deps(t.id)) {
         if (dep < 0 || dep >= n()) {
           structure_ok_ = false;
           Error(LintCheck::kStructure,
@@ -287,7 +293,7 @@ class Linter {
       ++indegree[st(to)];
     };
     for (const Task& t : plan_.tasks) {
-      for (TaskId dep : t.deps) {
+      for (TaskId dep : plan_.deps(t.id)) {
         add_edge(dep, t.id);
       }
     }
@@ -332,29 +338,27 @@ class Linter {
     successors_ = std::move(out);
   }
 
-  // Every tensor id a task mentions must exist. Walks all five id lists per task.
+  // Every tensor id a task mentions must exist. Walks all five tensor lists per task, by
+  // position: this also runs when the ids themselves are inconsistent.
   void CheckTensorReferences() {
     tensor_refs_broken_ = false;
-    auto check_list = [&](const Task& t, const std::vector<TensorId>& ids, const char* what) {
-      for (TensorId id : ids) {
-        if (id < 0 || id >= registry_.size()) {
+    for (TaskId i = 0; i < n(); ++i) {
+      for (TaskList which : {TaskList::kFetch, TaskList::kAccumulate, TaskList::kAllocate,
+                             TaskList::kDirty, TaskList::kFreeAfter}) {
+        for (TensorId id : plan_.list(which, i)) {
+          if (id >= 0 && id < registry_.size()) {
+            continue;
+          }
           tensor_refs_broken_ = true;
           if (!Error(LintCheck::kDanglingReference,
-                     TaskName(t.id) + " " + what + " references tensor " +
+                     TaskName(i) + " " + TaskListName(which) + " references tensor " +
                          std::to_string(id) + " outside the registry (size " +
                          std::to_string(registry_.size()) + ")",
-                     {t.id}, id, t.device)) {
-            return;
+                     {i}, id, task(i).device)) {
+            break;
           }
         }
       }
-    };
-    for (const Task& t : plan_.tasks) {
-      check_list(t, t.working_set.fetch, "fetch list");
-      check_list(t, t.working_set.accumulate, "accumulate list");
-      check_list(t, t.working_set.allocate, "allocate list");
-      check_list(t, t.dirty_outputs, "dirty-output list");
-      check_list(t, t.free_after, "free-after list");
     }
   }
 
@@ -366,9 +370,10 @@ class Linter {
     std::vector<TensorId> ws;
     for (const Task& t : plan_.tasks) {
       ws.clear();
-      ws.insert(ws.end(), t.working_set.fetch.begin(), t.working_set.fetch.end());
-      ws.insert(ws.end(), t.working_set.accumulate.begin(), t.working_set.accumulate.end());
-      ws.insert(ws.end(), t.working_set.allocate.begin(), t.working_set.allocate.end());
+      for (TaskList which : kWorkingSetLists) {
+        const std::span<const TensorId> ids = plan_.list(which, t.id);
+        ws.insert(ws.end(), ids.begin(), ids.end());
+      }
       std::vector<TensorId> sorted = ws;
       std::sort(sorted.begin(), sorted.end());
       const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
@@ -378,7 +383,8 @@ class Linter {
                   " more than once in one working set — acquire/release pairing leaks a pin",
               {t.id}, *dup, t.device);
       }
-      std::vector<TensorId> frees = t.free_after;
+      const std::span<const TensorId> free_after = plan_.free_after(t.id);
+      std::vector<TensorId> frees(free_after.begin(), free_after.end());
       std::sort(frees.begin(), frees.end());
       const auto dup_free = std::adjacent_find(frees.begin(), frees.end());
       if (dup_free != frees.end()) {
@@ -386,7 +392,7 @@ class Linter {
               TaskName(t.id) + " frees " + TensorName(*dup_free) + " twice in free_after",
               {t.id}, *dup_free, t.device);
       }
-      for (TensorId id : t.free_after) {
+      for (TensorId id : free_after) {
         if (std::find(ws.begin(), ws.end(), id) == ws.end()) {
           Error(LintCheck::kPinBalance,
                 TaskName(t.id) + " frees " + TensorName(id) +
@@ -662,7 +668,7 @@ class Linter {
       }
     };
     for (const Task& t : plan_.tasks) {
-      for (TaskId dep : t.deps) {
+      for (TaskId dep : plan_.deps(t.id)) {
         add_edge(dep, t.id);
       }
     }
@@ -715,15 +721,12 @@ class Linter {
       if (t.device < 0 || st(t.device) >= options_.device_capacities.size()) {
         continue;  // structure checks already flagged out-of-range devices
       }
-      Bytes total = t.working_set.scratch_bytes;
-      auto add = [&](const std::vector<TensorId>& ids) {
-        for (TensorId id : ids) {
+      Bytes total = t.scratch_bytes;
+      for (TaskList which : kWorkingSetLists) {
+        for (TensorId id : plan_.list(which, t.id)) {
           total += registry_.meta(id).bytes;
         }
-      };
-      add(t.working_set.fetch);
-      add(t.working_set.accumulate);
-      add(t.working_set.allocate);
+      }
       const Bytes capacity = options_.device_capacities[st(t.device)];
       if (total > capacity) {
         Error(LintCheck::kFeasibility,
@@ -774,21 +777,21 @@ class Linter {
       list.push_back(Access{t, read, write, free});
     };
     for (const Task& t : plan_.tasks) {
-      for (TensorId id : t.working_set.fetch) {
+      for (TensorId id : plan_.fetch(t.id)) {
         note(id, t.id, /*read=*/true, /*write=*/false, /*free=*/false);
       }
       // Accumulate entries are read-modify-write and double as definitions (zero-init when
       // no copy exists); allocate entries are definitions of fresh contents.
-      for (TensorId id : t.working_set.accumulate) {
+      for (TensorId id : plan_.accumulate(t.id)) {
         note(id, t.id, /*read=*/true, /*write=*/true, /*free=*/false);
       }
-      for (TensorId id : t.working_set.allocate) {
+      for (TensorId id : plan_.allocate(t.id)) {
         note(id, t.id, /*read=*/false, /*write=*/true, /*free=*/false);
       }
-      for (TensorId id : t.dirty_outputs) {
+      for (TensorId id : plan_.dirty_outputs(t.id)) {
         note(id, t.id, /*read=*/false, /*write=*/true, /*free=*/false);
       }
-      for (TensorId id : t.free_after) {
+      for (TensorId id : plan_.free_after(t.id)) {
         note(id, t.id, /*read=*/false, /*write=*/false, /*free=*/true);
       }
     }

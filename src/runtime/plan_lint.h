@@ -7,9 +7,10 @@
 // closes that gap with a whole-plan static analysis that returns typed findings with task
 // and tensor provenance, split into two tiers:
 //
-// Cheap (O(tasks + edges), run by Session::Run on every plan unless opted out):
-//   - structure: ids consistent, every task queued exactly once on its own device, dep
-//     references in range, dependency graph + per-device order acyclic;
+// Cheap (O(tasks + edges), run by the Engine constructor on every plan it is given):
+//   - structure: the flat per-task lists well formed (checked before any list is read),
+//     ids consistent, every task queued exactly once on its own device, dep references
+//     in range, dependency graph + per-device order acyclic;
 //   - dangling references: every TensorId a task touches exists in the registry;
 //   - pin balance: no tensor appears twice in one task's working set (the engine pins per
 //     list entry and releases per list entry, so a duplicate double-pins and the release
@@ -56,7 +57,7 @@ namespace harmony {
 enum class LintSeverity { kError, kWarning };
 
 enum class LintCheck {
-  kStructure,          // ids, queue membership, dep ranges, acyclicity
+  kStructure,          // list shape, ids, queue membership, dep ranges, acyclicity
   kDanglingReference,  // tensor ids outside the registry
   kPinBalance,         // duplicate pins in a working set / free-pairing violations
   kCollective,         // rank matching, group consistency, rendezvous deadlock

@@ -29,6 +29,7 @@
 #include "src/runtime/report_io.h"
 #include "src/util/rng.h"
 #include "tests/cluster_invariants.h"
+#include "tests/plan_edit.h"
 #include "tests/test_models.h"
 
 namespace harmony {
@@ -153,41 +154,6 @@ std::map<int, std::vector<TaskId>> MultiNodeGroups(const Plan& plan) {
     }
   }
   return spanning;
-}
-
-// Splices one task out of the plan (dependents inherit its dependencies, ids renumber) —
-// the same structure-preserving removal plan_lint_test's MutateDropParticipant uses.
-void DropTask(Plan* plan, TaskId victim) {
-  const std::vector<TaskId> victim_deps = plan->tasks[static_cast<std::size_t>(victim)].deps;
-  for (Task& t : plan->tasks) {
-    const auto it = std::find(t.deps.begin(), t.deps.end(), victim);
-    if (it == t.deps.end()) {
-      continue;
-    }
-    t.deps.erase(it);
-    for (TaskId inherited : victim_deps) {
-      if (inherited != t.id &&
-          std::find(t.deps.begin(), t.deps.end(), inherited) == t.deps.end()) {
-        t.deps.push_back(inherited);
-      }
-    }
-  }
-  const int victim_device = plan->tasks[static_cast<std::size_t>(victim)].device;
-  auto& queue = plan->per_device_order[static_cast<std::size_t>(victim_device)];
-  queue.erase(std::find(queue.begin(), queue.end(), victim));
-  plan->tasks.erase(plan->tasks.begin() + static_cast<std::ptrdiff_t>(victim));
-  auto renumber = [victim](TaskId id) { return id > victim ? id - 1 : id; };
-  for (Task& t : plan->tasks) {
-    t.id = renumber(t.id);
-    for (TaskId& dep : t.deps) {
-      dep = renumber(dep);
-    }
-  }
-  for (auto& order : plan->per_device_order) {
-    for (TaskId& id : order) {
-      id = renumber(id);
-    }
-  }
 }
 
 // Mutation (a): drop one node's members from one spanning group, then renumber the

@@ -22,6 +22,7 @@
 #include "src/runtime/plan_lint.h"
 #include "src/util/json.h"
 #include "src/util/rng.h"
+#include "tests/plan_edit.h"
 #include "tests/test_models.h"
 
 namespace harmony {
@@ -76,21 +77,18 @@ struct TinyPlan {
     plan.num_iterations = 1;
     plan.per_device_order.resize(2);
     Task producer;
-    producer.id = 0;
     producer.kind = TaskKind::kForward;
     producer.device = 0;
-    producer.working_set.fetch = {weight};
-    producer.working_set.allocate = {act};
-    producer.dirty_outputs = {act};
+    plan.per_device_order[0] = {plan.AddTask(producer)};
+    plan.Append(TaskList::kFetch, weight);
+    plan.Append(TaskList::kAllocate, act);
+    plan.Append(TaskList::kDirty, act);
     Task consumer;
-    consumer.id = 1;
     consumer.kind = TaskKind::kForward;
     consumer.device = 1;
-    consumer.deps = {0};
-    consumer.working_set.fetch = {act};
-    plan.tasks = {producer, consumer};
-    plan.per_device_order[0] = {0};
-    plan.per_device_order[1] = {1};
+    plan.per_device_order[1] = {plan.AddTask(consumer)};
+    plan.Append(TaskList::kDeps, 0);
+    plan.Append(TaskList::kFetch, act);
   }
 
   LintReport Lint(std::vector<Bytes> capacities = {}) {
@@ -110,7 +108,7 @@ TEST(PlanLintUnit, ValidTinyPlanIsClean) {
 
 TEST(PlanLintUnit, DetectsDependencyCycle) {
   TinyPlan tiny;
-  tiny.plan.tasks[0].deps = {1};  // 0 -> 1 (dep) and 1 -> 0 (dep): cycle
+  SetList(&tiny.plan, TaskList::kDeps, 0, {1});  // 0 -> 1 (dep) and 1 -> 0 (dep): cycle
   const LintReport report = tiny.Lint();
   EXPECT_GT(report.num_errors(), 0);
   EXPECT_TRUE(HasCheck(report, LintCheck::kStructure)) << report.Render();
@@ -130,32 +128,57 @@ TEST(PlanLintUnit, DetectsQueueCycleAgainstDeps) {
 
 TEST(PlanLintUnit, DetectsDanglingTaskAndTensorIds) {
   TinyPlan tiny;
-  tiny.plan.tasks[1].deps = {7};  // no task 7
+  SetList(&tiny.plan, TaskList::kDeps, 1, {7});  // no task 7
   const LintReport bad_task = tiny.Lint();
   EXPECT_TRUE(HasCheck(bad_task, LintCheck::kStructure)) << bad_task.Render();
 
   TinyPlan tiny2;
-  tiny2.plan.tasks[1].working_set.fetch.push_back(99);  // no tensor 99
+  SetList(&tiny2.plan, TaskList::kFetch, 1, {tiny2.act, 99});  // no tensor 99
   const LintReport bad_tensor = tiny2.Lint();
   EXPECT_TRUE(HasCheck(bad_tensor, LintCheck::kDanglingReference)) << bad_tensor.Render();
 }
 
+// Every check reads the lists through their flat offsets, so the lint checks the offsets'
+// shape first: a truncated, overrunning or decreasing offset run is a structure error, not
+// an out-of-bounds read (the ASan pass runs this suite).
+TEST(PlanLintUnit, MisshapenListOffsetsAreAStructureError) {
+  auto expect_structure_error = [](TinyPlan& tiny, const std::string& what) {
+    const LintReport report = tiny.Lint();
+    ASSERT_EQ(report.num_errors(), 1) << report.Render();
+    EXPECT_EQ(report.findings[0].check, LintCheck::kStructure) << report.Render();
+    EXPECT_NE(report.findings[0].message.find(what), std::string::npos) << report.Render();
+    EXPECT_FALSE(report.deep_ran);
+  };
+  TinyPlan truncated;
+  truncated.plan.lists[static_cast<std::size_t>(TaskList::kFetch)].offsets.pop_back();
+  expect_structure_error(truncated, "fetch list is not one run per task: its 2 offsets");
+
+  TinyPlan overrun;
+  overrun.plan.lists[static_cast<std::size_t>(TaskList::kDeps)].offsets.back() = 5;
+  expect_structure_error(overrun, "dep list is not one run per task");
+
+  TinyPlan decreasing;
+  IdColumn& allocate = decreasing.plan.lists[static_cast<std::size_t>(TaskList::kAllocate)];
+  allocate.offsets = {0, 2, 1};  // ends at the id count, but task 0's run overruns it
+  expect_structure_error(decreasing, "allocate list is not one run per task");
+}
+
 TEST(PlanLintUnit, DetectsDoublePinInOneWorkingSet) {
   TinyPlan tiny;
-  tiny.plan.tasks[1].working_set.fetch.push_back(tiny.act);  // act now fetched twice
+  SetList(&tiny.plan, TaskList::kFetch, 1, {tiny.act, tiny.act});  // act fetched twice
   const LintReport report = tiny.Lint();
   EXPECT_TRUE(HasCheck(report, LintCheck::kPinBalance)) << report.Render();
 }
 
 TEST(PlanLintUnit, DetectsFreeOutsideWorkingSetAndDoubleFree) {
   TinyPlan tiny;
-  tiny.plan.tasks[0].free_after = {tiny.act, tiny.act};  // duplicate free entries
+  SetList(&tiny.plan, TaskList::kFreeAfter, 0, {tiny.act, tiny.act});  // duplicate frees
   const LintReport dup = tiny.Lint();
   EXPECT_TRUE(HasCheck(dup, LintCheck::kPinBalance)) << dup.Render();
 
   TinyPlan tiny2;
-  tiny2.plan.tasks[0].free_after = {tiny2.act};  // in producer's WS: fine
-  tiny2.plan.tasks[1].free_after = {tiny2.act};  // second freeing task: double free
+  SetList(&tiny2.plan, TaskList::kFreeAfter, 0, {tiny2.act});  // in producer's WS: fine
+  SetList(&tiny2.plan, TaskList::kFreeAfter, 1, {tiny2.act});  // second freeing task
   const LintReport twice = tiny2.Lint();
   EXPECT_TRUE(HasCheck(twice, LintCheck::kLifetime)) << twice.Render();
 }
@@ -163,14 +186,14 @@ TEST(PlanLintUnit, DetectsFreeOutsideWorkingSetAndDoubleFree) {
 TEST(PlanLintUnit, DetectsUseAfterFree) {
   TinyPlan tiny;
   // The producer frees its own output; the downstream consumer then fetches a dead tensor.
-  tiny.plan.tasks[0].free_after = {tiny.act};
+  SetList(&tiny.plan, TaskList::kFreeAfter, 0, {tiny.act});
   const LintReport report = tiny.Lint();
   EXPECT_TRUE(HasCheck(report, LintCheck::kLifetime)) << report.Render();
 }
 
 TEST(PlanLintUnit, DetectsUninitializedReadWhenProducerEdgeMissing) {
   TinyPlan tiny;
-  tiny.plan.tasks[1].deps.clear();  // consumer now unordered with the producer
+  SetList(&tiny.plan, TaskList::kDeps, 1, {});  // consumer now unordered with the producer
   const LintReport report = tiny.Lint();
   EXPECT_GT(report.num_errors(), 0) << report.Render();
   EXPECT_TRUE(HasCheck(report, LintCheck::kCrossDeviceHazard)) << report.Render();
@@ -186,14 +209,12 @@ TEST(PlanLintUnit, DetectsCollectiveReplicaHoleAndByteMismatch) {
   TinyPlan tiny;
   for (int i = 0; i < 2; ++i) {
     Task ar;
-    ar.id = 2 + i;
     ar.kind = TaskKind::kAllReduce;
     ar.device = i;
     ar.replica = i == 0 ? 0 : 2;  // replica 1 missing: hole in {0..k-1}
     ar.collective_group = 0;
     ar.collective_bytes = kMiB;
-    tiny.plan.tasks.push_back(ar);
-    tiny.plan.per_device_order[static_cast<std::size_t>(i)].push_back(ar.id);
+    tiny.plan.per_device_order[static_cast<std::size_t>(i)].push_back(tiny.plan.AddTask(ar));
   }
   const LintReport report = tiny.Lint();
   EXPECT_TRUE(HasCheck(report, LintCheck::kCollective)) << report.Render();
@@ -207,13 +228,12 @@ TEST(PlanLintUnit, DetectsCrossedCollectiveRendezvousDeadlock) {
   for (int g = 0; g < 2; ++g) {
     for (int d = 0; d < 2; ++d) {
       Task ar;
-      ar.id = static_cast<TaskId>(tiny.plan.tasks.size());
       ar.kind = TaskKind::kAllReduce;
       ar.device = d;
       ar.replica = d;
       ar.collective_group = g;
       ar.collective_bytes = kMiB;
-      tiny.plan.tasks.push_back(ar);
+      tiny.plan.AddTask(ar);
     }
   }
   // device 0 runs group 0 then group 1; device 1 runs group 1 then group 0.
@@ -229,7 +249,7 @@ TEST(PlanLintUnit, DetectsCrossedCollectiveRendezvousDeadlock) {
 
 TEST(PlanLintUnit, JsonReportRoundTripsThroughParser) {
   TinyPlan tiny;
-  tiny.plan.tasks[1].deps.clear();  // produce at least one finding
+  SetList(&tiny.plan, TaskList::kDeps, 1, {});  // produce at least one finding
   const LintReport report = tiny.Lint();
   ASSERT_GT(report.num_errors(), 0);
   const StatusOr<JsonValue> parsed = ParseJson(report.ToJson());
@@ -450,7 +470,7 @@ bool ReachesWithoutEdge(const Plan& plan, TaskId from, TaskId to) {
   const std::size_t n = plan.tasks.size();
   std::vector<std::vector<TaskId>> out(n);
   for (const Task& t : plan.tasks) {
-    for (TaskId dep : t.deps) {
+    for (TaskId dep : plan.deps(t.id)) {
       if (dep == from && t.id == to) {
         continue;  // the candidate edge itself
       }
@@ -487,8 +507,9 @@ bool ReachesWithoutEdge(const Plan& plan, TaskId from, TaskId to) {
 bool MutateDeleteEdge(Plan* plan, Rng& rng) {
   std::vector<std::pair<TaskId, std::size_t>> candidates;  // (task, dep index)
   for (const Task& t : plan->tasks) {
-    for (std::size_t i = 0; i < t.deps.size(); ++i) {
-      const Task& dep = plan->tasks[static_cast<std::size_t>(t.deps[i])];
+    const std::span<const TaskId> deps = plan->deps(t.id);
+    for (std::size_t i = 0; i < deps.size(); ++i) {
+      const Task& dep = plan->tasks[static_cast<std::size_t>(deps[i])];
       if (dep.device != t.device) {
         candidates.emplace_back(t.id, i);
       }
@@ -499,12 +520,13 @@ bool MutateDeleteEdge(Plan* plan, Rng& rng) {
     std::swap(candidates[i - 1], candidates[rng.NextBounded(i)]);
   }
   for (const auto& [task_id, dep_index] : candidates) {
-    Task& t = plan->tasks[static_cast<std::size_t>(task_id)];
-    const TaskId from = t.deps[dep_index];
-    if (ReachesWithoutEdge(*plan, from, task_id)) {
+    const std::span<const TaskId> deps = plan->deps(task_id);
+    if (ReachesWithoutEdge(*plan, deps[dep_index], task_id)) {
       continue;
     }
-    t.deps.erase(t.deps.begin() + static_cast<std::ptrdiff_t>(dep_index));
+    std::vector<TaskId> kept(deps.begin(), deps.end());
+    kept.erase(kept.begin() + static_cast<std::ptrdiff_t>(dep_index));
+    SetList(plan, TaskList::kDeps, task_id, std::move(kept));
     return true;
   }
   return false;
@@ -519,7 +541,7 @@ bool SwapBreaksPlan(const Plan& plan, const TensorRegistry& registry, TaskId vic
   std::vector<std::vector<TaskId>> out(n);
   std::vector<int> indegree(n, 0);
   for (const Task& t : plan.tasks) {
-    for (TaskId dep : t.deps) {
+    for (TaskId dep : plan.deps(t.id)) {
       out[static_cast<std::size_t>(dep)].push_back(t.id);
       ++indegree[static_cast<std::size_t>(t.id)];
     }
@@ -554,7 +576,7 @@ bool SwapBreaksPlan(const Plan& plan, const TensorRegistry& registry, TaskId vic
   // Version check: for each weight the victim fetches, BFS from the latest
   // earlier-iteration update; the victim must be reachable.
   const Task& reader = plan.tasks[static_cast<std::size_t>(victim)];
-  for (TensorId w : reader.working_set.fetch) {
+  for (TensorId w : plan.fetch(victim)) {
     if (registry.meta(w).cls != TensorClass::kWeight) {
       continue;
     }
@@ -563,8 +585,8 @@ bool SwapBreaksPlan(const Plan& plan, const TensorRegistry& registry, TaskId vic
       if (t.kind != TaskKind::kUpdate || t.iteration >= reader.iteration) {
         continue;
       }
-      if (std::find(t.dirty_outputs.begin(), t.dirty_outputs.end(), w) ==
-          t.dirty_outputs.end()) {
+      const std::span<const TensorId> dirty = plan.dirty_outputs(t.id);
+      if (std::find(dirty.begin(), dirty.end(), w) == dirty.end()) {
         continue;
       }
       if (latest == kInvalidTask ||
@@ -617,8 +639,9 @@ bool MutateSwapDevice(Plan* plan, const TensorRegistry& registry, Rng& rng) {
     if (t.iteration < 1) {
       continue;
     }
+    const std::span<const TensorId> fetch = plan->fetch(t.id);
     const bool reads_weight =
-        std::any_of(t.working_set.fetch.begin(), t.working_set.fetch.end(),
+        std::any_of(fetch.begin(), fetch.end(),
                     [&](TensorId id) { return registry.meta(id).cls == TensorClass::kWeight; });
     if (reads_weight) {
       candidates.push_back(t.id);
@@ -651,9 +674,9 @@ bool MutateSwapDevice(Plan* plan, const TensorRegistry& registry, Rng& rng) {
   return false;
 }
 
-// Mutation (c): drop one all-reduce participant from the plan entirely, splicing its
-// dependents onto its dependencies and renumbering ids (the result is structurally valid;
-// only the collective view is broken).
+// Mutation (c): drop one all-reduce participant from the plan entirely (DropTask splices
+// its dependents onto its dependencies and renumbers ids, so the result is structurally
+// valid; only the collective view is broken).
 bool MutateDropParticipant(Plan* plan, Rng& rng) {
   std::vector<TaskId> members;
   for (const Task& t : plan->tasks) {
@@ -664,37 +687,7 @@ bool MutateDropParticipant(Plan* plan, Rng& rng) {
   if (members.empty()) {
     return false;
   }
-  const TaskId victim = members[rng.NextBounded(members.size())];
-  const std::vector<TaskId> victim_deps = plan->tasks[static_cast<std::size_t>(victim)].deps;
-  for (Task& t : plan->tasks) {
-    const auto it = std::find(t.deps.begin(), t.deps.end(), victim);
-    if (it == t.deps.end()) {
-      continue;
-    }
-    t.deps.erase(it);
-    for (TaskId inherited : victim_deps) {
-      if (inherited != t.id &&
-          std::find(t.deps.begin(), t.deps.end(), inherited) == t.deps.end()) {
-        t.deps.push_back(inherited);
-      }
-    }
-  }
-  const int victim_device = plan->tasks[static_cast<std::size_t>(victim)].device;
-  auto& queue = plan->per_device_order[static_cast<std::size_t>(victim_device)];
-  queue.erase(std::find(queue.begin(), queue.end(), victim));
-  plan->tasks.erase(plan->tasks.begin() + static_cast<std::ptrdiff_t>(victim));
-  auto renumber = [victim](TaskId id) { return id > victim ? id - 1 : id; };
-  for (Task& t : plan->tasks) {
-    t.id = renumber(t.id);
-    for (TaskId& dep : t.deps) {
-      dep = renumber(dep);
-    }
-  }
-  for (auto& order : plan->per_device_order) {
-    for (TaskId& id : order) {
-      id = renumber(id);
-    }
-  }
+  DropTask(plan, members[rng.NextBounded(members.size())]);
   return true;
 }
 

@@ -2,10 +2,12 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/graph/model_zoo.h"
 #include "src/graph/plan_builder.h"
 #include "src/graph/task.h"
+#include "tests/plan_edit.h"
 
 namespace harmony {
 namespace {
@@ -58,11 +60,11 @@ TEST(PlanBuilderTest, ForwardWorkingSetShape) {
   const Task& fwd0 = plan.tasks[0];
   EXPECT_EQ(fwd0.kind, TaskKind::kForward);
   // fetch: X[0] + W[0]; allocate: X[1].
-  EXPECT_EQ(fwd0.working_set.fetch.size(), 2u);
-  EXPECT_EQ(fwd0.working_set.allocate.size(), 1u);
-  EXPECT_EQ(registry.meta(fwd0.working_set.fetch[0]).cls, TensorClass::kInput);
-  EXPECT_EQ(registry.meta(fwd0.working_set.fetch[1]).cls, TensorClass::kWeight);
-  EXPECT_EQ(fwd0.working_set.scratch_bytes, 16);
+  ASSERT_EQ(plan.fetch(0).size(), 2u);
+  EXPECT_EQ(plan.allocate(0).size(), 1u);
+  EXPECT_EQ(registry.meta(plan.fetch(0)[0]).cls, TensorClass::kInput);
+  EXPECT_EQ(registry.meta(plan.fetch(0)[1]).cls, TensorClass::kWeight);
+  EXPECT_EQ(fwd0.scratch_bytes, 16);
   EXPECT_DOUBLE_EQ(fwd0.flops, 1e6);
 }
 
@@ -80,10 +82,10 @@ TEST(PlanBuilderTest, BackwardAccumulatesGradsAndFreesStash) {
   }
   ASSERT_NE(bwd, nullptr);
   EXPECT_EQ(bwd->layer_begin, 2);
-  EXPECT_EQ(bwd->working_set.accumulate.size(), 1u);
-  EXPECT_EQ(registry.meta(bwd->working_set.accumulate[0]).cls, TensorClass::kWeightGrad);
+  ASSERT_EQ(plan.accumulate(bwd->id).size(), 1u);
+  EXPECT_EQ(registry.meta(plan.accumulate(bwd->id)[0]).cls, TensorClass::kWeightGrad);
   // frees dX[3] (the loss grad) and X[2] (its input activation).
-  EXPECT_EQ(bwd->free_after.size(), 2u);
+  EXPECT_EQ(plan.free_after(bwd->id).size(), 2u);
   EXPECT_DOUBLE_EQ(bwd->flops, 2e6);
 }
 
@@ -99,11 +101,11 @@ TEST(PlanBuilderTest, UpdateTouchesOptimizerStateAndFreesGrad) {
   }
   ASSERT_NE(upd, nullptr);
   // fetch: W, dW, K.
-  EXPECT_EQ(upd->working_set.fetch.size(), 3u);
-  EXPECT_EQ(upd->free_after.size(), 1u);
-  EXPECT_EQ(registry.meta(upd->free_after[0]).cls, TensorClass::kWeightGrad);
+  EXPECT_EQ(plan.fetch(upd->id).size(), 3u);
+  ASSERT_EQ(plan.free_after(upd->id).size(), 1u);
+  EXPECT_EQ(registry.meta(plan.free_after(upd->id)[0]).cls, TensorClass::kWeightGrad);
   // W and K marked dirty (mutated in place).
-  EXPECT_EQ(upd->dirty_outputs.size(), 2u);
+  EXPECT_EQ(plan.dirty_outputs(upd->id).size(), 2u);
 }
 
 TEST(PlanBuilderTest, EveryEphemeralTensorFreedExactlyOnce) {
@@ -113,7 +115,7 @@ TEST(PlanBuilderTest, EveryEphemeralTensorFreedExactlyOnce) {
                                    /*iterations=*/2);
   std::map<TensorId, int> freed;
   for (const Task& task : plan.tasks) {
-    for (TensorId id : task.free_after) {
+    for (TensorId id : plan.free_after(task.id)) {
       ++freed[id];
     }
   }
@@ -165,8 +167,8 @@ TEST(PlanBuilderTest, PackedForwardCoversLayerRange) {
   Plan plan = builder.Finish("packed");
   const Task& task = plan.tasks[static_cast<std::size_t>(id)];
   // fetch: X[0] + 4 weights; allocate: X[1..4].
-  EXPECT_EQ(task.working_set.fetch.size(), 5u);
-  EXPECT_EQ(task.working_set.allocate.size(), 4u);
+  EXPECT_EQ(plan.fetch(task.id).size(), 5u);
+  EXPECT_EQ(plan.allocate(task.id).size(), 4u);
   EXPECT_DOUBLE_EQ(task.flops, 4e6);
 }
 
@@ -181,7 +183,7 @@ TEST(PlanBuilderTest, MicrobatchSizeScalesTensorsAndFlops) {
   Plan plan = builder.Finish("scaled");
   const Task& task = plan.tasks[static_cast<std::size_t>(id)];
   EXPECT_DOUBLE_EQ(task.flops, 8e6);
-  EXPECT_EQ(registry.meta(task.working_set.allocate[0]).bytes, 800);
+  EXPECT_EQ(registry.meta(plan.allocate(task.id)[0]).bytes, 800);
   EXPECT_EQ(plan.samples_per_iteration, 8);
 }
 
@@ -227,8 +229,19 @@ TEST(PlanValidateTest, RejectsDependencyCycle) {
   TensorRegistry registry;
   Plan plan = SequentialPlan(model, &registry);
   // Task 0 depends on the last task: cycle through the queue edges.
-  plan.tasks[0].deps.push_back(plan.tasks.back().id);
+  ASSERT_TRUE(plan.deps(0).empty());
+  SetList(&plan, TaskList::kDeps, 0, {plan.tasks.back().id});
   EXPECT_FALSE(plan.Validate().ok());
+}
+
+TEST(PlanValidateTest, RejectsMisshapenListStorage) {
+  const Model model = SmallModel();
+  TensorRegistry registry;
+  Plan plan = SequentialPlan(model, &registry);
+  plan.lists[static_cast<std::size_t>(TaskList::kFetch)].offsets.pop_back();
+  const Status status = plan.Validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("fetch list"), std::string::npos) << status.ToString();
 }
 
 TEST(PlanValidateTest, RejectsWrongDeviceInQueue) {
@@ -239,6 +252,98 @@ TEST(PlanValidateTest, RejectsWrongDeviceInQueue) {
   plan.per_device_order[1].push_back(plan.per_device_order[0].back());
   plan.per_device_order[0].pop_back();
   EXPECT_FALSE(plan.Validate().ok());
+}
+
+// A plan's lists are flat arrays, so a finished plan holds no per-task heap blocks: every
+// list of every task lives in one of six columns, one run per task in task order.
+TEST(PlanTest, ListsAreOneRunPerTaskInTaskOrder) {
+  const Model model = SmallModel(3, /*stash=*/50);
+  TensorRegistry registry;
+  const Plan plan = SequentialPlan(model, &registry, /*microbatches=*/2, false,
+                                   /*iterations=*/2);
+  ASSERT_TRUE(plan.CheckListShape().ok());
+  for (const IdColumn& column : plan.lists) {
+    ASSERT_EQ(column.offsets.size(), plan.tasks.size() + 1);
+    EXPECT_EQ(column.offsets.back(), column.ids.size());
+  }
+  std::size_t entries = 0;
+  for (const Task& task : plan.tasks) {
+    for (int l = 0; l < kNumTaskLists; ++l) {
+      entries += plan.list(static_cast<TaskList>(l), task.id).size();
+    }
+  }
+  std::size_t stored = 0;
+  for (const IdColumn& column : plan.lists) {
+    stored += column.ids.size();
+  }
+  EXPECT_EQ(entries, stored);
+}
+
+// AddDep and FreeAfter may name any earlier task; Finish folds those late entries in after
+// the task's own entries, in call order, and leaves every other task's list untouched.
+TEST(PlanTest, LateAppendsLandAfterTheTasksOwnEntriesInCallOrder) {
+  const Model model = SmallModel();
+  TensorRegistry registry;
+  DecomposerOptions options;
+  options.microbatches = 2;
+  PlanBuilder builder(&model, &registry, 2, options);
+  builder.BeginIteration(0);
+  const TaskId a = builder.AddForward(0, 0, 1, 0, 0, {});
+  const TaskId b = builder.AddForward(1, 0, 1, 1, 0, {});
+  const TaskId c = builder.AddForward(0, 1, 2, 0, 0, {a});
+  const TaskId d = builder.AddForward(1, 1, 2, 1, 0, {b});
+  // Baseline-pp style: an edge to an earlier task, added once later tasks exist.
+  builder.AddDep(c, d);
+  builder.AddDep(a, b);
+  builder.AddDep(c, b);
+  // Serving style: frees appended to tasks that are no longer the newest.
+  const TensorId x1 = builder.Activation(1, 0, 0);
+  const TensorId x0 = builder.Activation(0, 0, 0);
+  builder.FreeAfter(c, x1);
+  builder.FreeAfter(a, x0);
+  const Plan plan = builder.Finish("late");
+
+  ASSERT_TRUE(plan.CheckListShape().ok());
+  EXPECT_EQ(std::vector<TaskId>(plan.deps(a).begin(), plan.deps(a).end()),
+            std::vector<TaskId>({b}));
+  EXPECT_TRUE(plan.deps(b).empty());
+  EXPECT_EQ(std::vector<TaskId>(plan.deps(c).begin(), plan.deps(c).end()),
+            std::vector<TaskId>({a, d, b}));
+  EXPECT_EQ(std::vector<TaskId>(plan.deps(d).begin(), plan.deps(d).end()),
+            std::vector<TaskId>({b}));
+  EXPECT_EQ(std::vector<TensorId>(plan.free_after(a).begin(), plan.free_after(a).end()),
+            std::vector<TensorId>({x0}));
+  EXPECT_EQ(std::vector<TensorId>(plan.free_after(c).begin(), plan.free_after(c).end()),
+            std::vector<TensorId>({x1}));
+  EXPECT_TRUE(plan.free_after(b).empty());
+  EXPECT_TRUE(plan.free_after(d).empty());
+  // The other lists are untouched by the fold.
+  EXPECT_EQ(plan.fetch(c).size(), 2u);
+  EXPECT_EQ(plan.fetch(c)[0], x1);
+}
+
+// Serving frees each stage's input after the stage reads it, and the last stage also frees
+// the logits it produced: both frees arrive through FreeAfter, in that order.
+TEST(PlanTest, ServingFreesLandInCallOrder) {
+  const Model model = SmallModel(4);
+  ServerConfig server;
+  server.num_gpus = 2;
+  const Machine machine = MakeCommodityServer(server);
+  TensorRegistry registry;
+  ServingPlanOptions options;
+  options.requests = 2;
+  options.batches = 2;
+  const Plan plan = BuildServingPlan(model, machine, &registry, options);
+  ASSERT_TRUE(plan.Validate().ok());
+  for (const Task& task : plan.tasks) {
+    const std::span<const TensorId> frees = plan.free_after(task.id);
+    const bool last_stage = task.layer_end == model.num_layers();
+    ASSERT_EQ(frees.size(), last_stage ? 2u : 1u) << task.DebugName();
+    EXPECT_EQ(frees[0], plan.fetch(task.id)[0]) << task.DebugName();
+    if (last_stage) {
+      EXPECT_EQ(frees[1], plan.allocate(task.id).back()) << task.DebugName();
+    }
+  }
 }
 
 TEST(PlanTest, PeakTaskWorkingSet) {

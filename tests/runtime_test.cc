@@ -177,7 +177,7 @@ TEST(EngineTest, TimelineRespectsDependencies) {
     end[trace.task] = trace.end;
   }
   for (const Task& task : plan.tasks) {
-    for (TaskId dep : task.deps) {
+    for (TaskId dep : plan.deps(task.id)) {
       EXPECT_GE(start[task.id], end[dep]) << task.DebugName();
     }
   }

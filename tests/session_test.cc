@@ -21,6 +21,7 @@
 #include "src/runtime/trace_export.h"
 #include "src/util/flags.h"
 #include "src/util/rng.h"
+#include "tests/plan_edit.h"
 #include "tests/test_models.h"
 
 namespace harmony {
@@ -252,7 +253,7 @@ TEST(TunerTest, FindsFeasibleBestAndFlagsInfeasible) {
   options.microbatch_sizes = {1, 2};
   options.minibatch_samples = 4;
   options.iterations = 2;
-  const TunerResult result = TunePp(model, base, options);
+  const TunerResult result = TunePp(model, base, options).value();
   EXPECT_FALSE(result.points.empty());
   bool saw_infeasible = false;
   for (const TunerPoint& point : result.points) {
@@ -279,7 +280,7 @@ TEST(TunerTest, TableRendersBestMarkerAndInfeasibleRows) {
   options.microbatch_sizes = {1};
   options.minibatch_samples = 4;
   options.iterations = 2;
-  const std::string table = RenderTunerTable(TunePp(model, base, options));
+  const std::string table = RenderTunerTable(TunePp(model, base, options).value());
   EXPECT_NE(table.find("<< best"), std::string::npos);
   EXPECT_NE(table.find("infeasible"), std::string::npos);
 }
@@ -398,38 +399,60 @@ TEST(ClusterTest, CrossServerRouteTraversesBothHostsAndFabric) {
   EXPECT_TRUE(topo.RouteAvoidsHost(topo.gpu_node(0), topo.gpu_node(1)));
 }
 
+// A Harmony-PP plan for a 2-server cluster, with the low-level stack that runs it built by
+// hand instead of through RunTraining.
+struct HandBuiltCluster {
+  HandBuiltCluster() {
+    ClusterConfig cluster;
+    cluster.num_servers = 2;
+    cluster.server.num_gpus = 2;
+    cluster.server.gpu = TestGpu(512 * kMiB, TFlops(1.0));
+    machine = MakeCluster(cluster);
+
+    UniformModelConfig mc;
+    mc.num_layers = 4;
+    mc.param_bytes = 32 * kMiB;
+    mc.act_bytes_per_sample = 8 * kMiB;
+    mc.fwd_flops_per_sample = 1e10;
+    const Model model = MakeUniformModel(mc);
+    SessionConfig config;
+    config.scheme = Scheme::kHarmonyPp;
+    config.microbatches = 4;
+    config.iterations = 2;
+    plan = BuildPlanForConfig(model, machine, &registry, config);
+  }
+
+  // Builds the stack and the engine, which lints the plan, and runs it.
+  RunReport Run() {
+    Simulator sim;
+    TransferManager transfers(&sim, &machine.topology);
+    MemorySystem memory(&sim, &transfers, &registry, &machine.topology,
+                        std::vector<Bytes>(4, 512 * kMiB), HarmonyPolicy());
+    CollectiveEngine collective(&sim, &transfers);
+    Engine engine(&sim, &machine, &memory, &transfers, &collective, &plan, EngineOptions{});
+    return engine.Run();
+  }
+
+  Machine machine;
+  TensorRegistry registry;
+  Plan plan;
+};
+
 TEST(ClusterTest, ClusterTrainingRunsEndToEnd) {
   // Drive a full Harmony-PP run on a cluster machine through the low-level stack.
-  ClusterConfig cluster;
-  cluster.num_servers = 2;
-  cluster.server.num_gpus = 2;
-  cluster.server.gpu = TestGpu(512 * kMiB, TFlops(1.0));
-  Machine machine = MakeCluster(cluster);
-  ASSERT_EQ(machine.num_gpus(), 4);
-
-  UniformModelConfig mc;
-  mc.num_layers = 4;
-  mc.param_bytes = 32 * kMiB;
-  mc.act_bytes_per_sample = 8 * kMiB;
-  mc.fwd_flops_per_sample = 1e10;
-  const Model model = MakeUniformModel(mc);
-
-  Simulator sim;
-  TransferManager transfers(&sim, &machine.topology);
-  TensorRegistry registry;
-  SessionConfig config;
-  config.scheme = Scheme::kHarmonyPp;
-  config.microbatches = 4;
-  config.iterations = 2;
-  Plan plan = BuildPlanForConfig(model, machine, &registry, config);
-  std::vector<Bytes> capacities(4, 512 * kMiB);
-  MemorySystem memory(&sim, &transfers, &registry, &machine.topology, capacities,
-                      HarmonyPolicy());
-  CollectiveEngine collective(&sim, &transfers);
-  Engine engine(&sim, &machine, &memory, &transfers, &collective, &plan, EngineOptions{});
-  const RunReport report = engine.Run();
+  HandBuiltCluster cluster;
+  ASSERT_EQ(cluster.machine.num_gpus(), 4);
+  const RunReport report = cluster.Run();
   EXPECT_GT(report.makespan, 0.0);
   EXPECT_EQ(report.iterations.size(), 2u);
+}
+
+// The engine lints every plan it is handed, so a hand-built stack gets the same gate as
+// RunTraining: a dep on a task that does not exist stops at the constructor.
+TEST(ClusterDeathTest, HandBuiltEngineRefusesAPlanThatFailsLint) {
+  HandBuiltCluster cluster;
+  SetList(&cluster.plan, TaskList::kDeps, 0, {static_cast<TaskId>(cluster.plan.tasks.size())});
+  EXPECT_DEATH(cluster.Run(), "refusing to run");
 }
 
 // ---- Lookahead (Belady) eviction -----------------------------------------------------------------

@@ -160,8 +160,8 @@ TEST(TunerTest, ParallelSweepBitIdenticalToSerial) {
   const Model model = TinyUniformModel();
   const SessionConfig base = TinyBase();
   // memoize=false so both runs genuinely re-simulate: this tests the pool, not the cache.
-  const TunerResult serial = TunePp(model, base, SweepOptions(/*num_threads=*/1, false));
-  const TunerResult parallel = TunePp(model, base, SweepOptions(/*num_threads=*/4, false));
+  const TunerResult serial = TunePp(model, base, SweepOptions(/*num_threads=*/1, false)).value();
+  const TunerResult parallel = TunePp(model, base, SweepOptions(/*num_threads=*/4, false)).value();
 
   ASSERT_EQ(serial.points.size(), parallel.points.size());
   for (std::size_t i = 0; i < serial.points.size(); ++i) {
@@ -174,7 +174,7 @@ TEST(TunerTest, ParallelSweepBitIdenticalToSerial) {
 
 TEST(TunerTest, SweepEnumeratesFullCrossProductInKnobOrder) {
   const TunerResult result =
-      TunePp(TinyUniformModel(), TinyBase(), SweepOptions(/*num_threads=*/2, false));
+      TunePp(TinyUniformModel(), TinyBase(), SweepOptions(/*num_threads=*/2, false)).value();
   ASSERT_EQ(result.points.size(), 9u);  // 3 pack sizes x 1 group x 3 microbatch sizes
   // Candidate enumeration happens up front in deterministic knob order; profiling threads
   // must not reorder the assembled result.
@@ -188,20 +188,41 @@ TEST(TunerTest, SweepEnumeratesFullCrossProductInKnobOrder) {
   }
 }
 
+// A bad sweep is a typed error before anything is built: each point's shape is checked up
+// front, and a sweep without a feasible point names its smallest peak and the capacity.
+TEST(TunerTest, BadSweepsAreTypedErrors) {
+  const Model model = TinyUniformModel();
+  SessionConfig no_gpus = TinyBase();
+  no_gpus.server.num_gpus = 0;
+  const StatusOr<TunerResult> shape = TunePp(model, no_gpus, SweepOptions(1, false));
+  ASSERT_FALSE(shape.ok());
+  EXPECT_EQ(shape.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(shape.status().message().find("num_gpus must be >= 1"), std::string::npos);
+
+  SessionConfig tiny_gpu = TinyBase();
+  tiny_gpu.server.gpu.memory_bytes = 1;
+  const StatusOr<TunerResult> infeasible = TunePp(model, tiny_gpu, SweepOptions(1, false));
+  ASSERT_FALSE(infeasible.ok());
+  EXPECT_EQ(infeasible.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(infeasible.status().message().find("no feasible"), std::string::npos);
+  EXPECT_NE(infeasible.status().message().find("exceeds gpu memory (1 B)"), std::string::npos)
+      << infeasible.status().ToString();
+}
+
 // ---- memoization --------------------------------------------------------------------------
 
 TEST(TunerTest, MemoizedRerunHitsCacheAndMatchesUncached) {
   const Model model = TinyUniformModel();
   const SessionConfig base = TinyBase();
-  const TunerResult uncached = TunePp(model, base, SweepOptions(1, /*memoize=*/false));
+  const TunerResult uncached = TunePp(model, base, SweepOptions(1, /*memoize=*/false)).value();
 
   ClearTunerCache();
-  const TunerResult first = TunePp(model, base, SweepOptions(1, /*memoize=*/true));
+  const TunerResult first = TunePp(model, base, SweepOptions(1, /*memoize=*/true)).value();
   const TunerCacheStats after_first = GetTunerCacheStats();
   EXPECT_EQ(after_first.profile_hits, 0);
   EXPECT_GT(after_first.profile_misses, 0);
 
-  const TunerResult second = TunePp(model, base, SweepOptions(4, /*memoize=*/true));
+  const TunerResult second = TunePp(model, base, SweepOptions(4, /*memoize=*/true)).value();
   const TunerCacheStats after_second = GetTunerCacheStats();
   // The re-run profiles the identical configurations: all hits, no new misses.
   EXPECT_EQ(after_second.profile_misses, after_first.profile_misses);

@@ -132,6 +132,13 @@ stages="baseline-pp needs at least one layer per pipeline stage"
 expect_invalid "$stages" --model=lenet --scheme=baseline-pp --gpus=8
 expect_invalid "$stages" --sched=fifo --nodes=2 \
   --jobs='train@0:model=lenet,scheme=baseline-pp,gpus=8'
+# The tuner checks every sweep point's shape before it builds anything, and a sweep with
+# no feasible point names its smallest working set instead of aborting.
+expect_invalid "iterations must be >= 1" --tune --iterations=0
+expect_invalid "microbatches must be >= 1" --tune --microbatches=0
+expect_invalid "num_gpus must be >= 1" --tune --gpus=0
+expect_invalid "smallest single-task working set in the sweep" --model=bert-large --tune \
+  --gpu_memory_gib=0.01
 
 # A report that cannot be written is an error (exit 1), never a "wrote ..." success line:
 # /dev/full accepts the open and fails only when the text is flushed.

@@ -309,8 +309,13 @@ int Run(int argc, char** argv) {
     if (!AssignFlag(flags.GetCheckedInt("tuner_threads"), &options.num_threads)) {
       return 2;
     }
+    const StatusOr<TunerResult> swept = TunePp(model.value(), config, options);
+    if (!swept.ok()) {
+      std::cerr << swept.status().ToString() << "\n";
+      return 1;
+    }
+    const TunerResult& tuned = swept.value();
     std::cout << model.value().Summary() << "\n";
-    const TunerResult tuned = TunePp(model.value(), config, options);
     std::cout << RenderTunerTable(tuned) << "\n";
     std::printf("tuner pick: pack=%d, group=%d, microbatch=%d (%d microbatches) -> %.2f "
                 "samples/s\n",

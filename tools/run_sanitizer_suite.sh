@@ -36,7 +36,10 @@
 #                         indexed by fleet-wide GPU ids.
 # ASan also runs the whole of mem_test and mem_churn_test: an acquisition's `ready` event
 # dies at its Release, so a late read of it is a use-after-free. So does a pointer into a
-# PreparedSession kept across the move into RunTraining, which session_test exercises.
+# PreparedSession kept across the move into RunTraining, which session_test exercises, and
+# a span into a plan's flat task lists kept across a reallocation of that storage, which
+# plan_test, plan_lint_test and runtime_test exercise (the linter's misshapen-offset cases
+# would be out-of-bounds reads if the shape check missed them).
 # Pass --full to run the entire ctest suite under each sanitizer instead (slower).
 #
 # Usage: tools/run_sanitizer_suite.sh [--full]
@@ -74,6 +77,9 @@ memory_suites() {
   "$repo/$1/tests/mem_test"
   "$repo/$1/tests/mem_churn_test"
   "$repo/$1/tests/session_test"
+  "$repo/$1/tests/plan_test"
+  "$repo/$1/tests/plan_lint_test"
+  "$repo/$1/tests/runtime_test"
 }
 
 # run_one SANITIZER BUILD_DIR SELECTION...: builds the tree under SANITIZER and runs each
