@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <compare>
 #include <cstdint>
 #include <cstdio>
+#include <set>
 #include <sstream>
 
 #include "src/graph/model_zoo.h"
@@ -371,31 +373,55 @@ Bytes JobHostFootprint(const Model& model, const JobSpec& job) {
   return per_replica * (data_parallel ? job.gpus : 1);
 }
 
-// The inner-session configuration for one granted segment of `job`. Sub-node gangs run on
-// a truncated single server; whole-node gangs replicate the full per-node shape behind
-// the NIC / rack fabric, mirroring where the gang would physically land.
-SessionConfig InnerConfig(const JobSpec& job, const ClusterSchedulerConfig& config,
-                          int iterations) {
+// Everything that varies between the inner sessions of one stream; the stream config is
+// the rest, and it is constant for one scheduler. InnerConfig reads nothing else, so two
+// segments of equal shape are byte-identical sessions (DESIGN.md §10).
+struct SegmentShape {
+  std::string model;
+  Scheme scheme = Scheme::kHarmonyPp;
+  int gpus = 1;
+  int microbatches = 1;
+  int microbatch_size = 1;
+  double bw_fraction = 1.0;  // the tenant's uplink share
+  int iterations = 0;
+  bool drain_checkpoint = false;  // a preemption drain that commits its last iteration
+
+  auto operator<=>(const SegmentShape&) const = default;
+};
+
+SegmentShape ShapeOf(const JobSpec& job, const QuotaMap& quotas, int iterations) {
+  return {job.model, job.scheme, job.gpus, job.microbatches, job.microbatch_size,
+          quotas.For(job.tenant).bw_fraction, iterations, /*drain_checkpoint=*/false};
+}
+
+// The inner-session configuration for one segment. Sub-node gangs run on a truncated
+// single server; whole-node gangs replicate the full per-node shape behind the NIC / rack
+// fabric, mirroring where the gang would physically land.
+SessionConfig InnerConfig(const SegmentShape& shape, const ClusterSchedulerConfig& config) {
   SessionConfig inner;
   inner.server = config.server;
   const int node_gpus = config.server.num_gpus;
-  if (job.gpus <= node_gpus) {
-    inner.server.num_gpus = job.gpus;
+  if (shape.gpus <= node_gpus) {
+    inner.server.num_gpus = shape.gpus;
     inner.num_nodes = 1;
   } else {
-    inner.num_nodes = job.gpus / node_gpus;
+    inner.num_nodes = shape.gpus / node_gpus;
     inner.nodes_per_rack = config.nodes_per_rack == 0
                                ? 0
                                : std::min(config.nodes_per_rack, inner.num_nodes);
     inner.nic_link = config.nic_link;
     inner.rack_link = config.rack_link;
   }
-  inner.scheme = job.scheme;
-  inner.microbatches = job.microbatches;
-  inner.microbatch_size = job.microbatch_size;
-  inner.iterations = iterations;
+  inner.scheme = shape.scheme;
+  inner.microbatches = shape.microbatches;
+  inner.microbatch_size = shape.microbatch_size;
+  inner.iterations = shape.iterations;
   inner.pack_size = 1;
-  inner.uplink_bw_fraction = config.quotas.For(job.tenant).bw_fraction;
+  inner.uplink_bw_fraction = shape.bw_fraction;
+  if (shape.drain_checkpoint) {
+    inner.checkpoint_every = shape.iterations;  // commit a checkpoint at the cut...
+    inner.checkpoint_final = true;  // ...even though the cut is the drain's last iteration
+  }
   return inner;
 }
 
@@ -451,7 +477,7 @@ struct JobState {
   int gpus_per_held_node = 0;
   double seg_start = 0.0;
   int seg_planned = 0;
-  InnerRun seg_run;
+  const InnerRun* seg_run = nullptr;  // the open segment's session, owned by the memo
   SegmentOutcome pending;  // open segment, finalized at completion or release
   JobOutcome out;
 };
@@ -498,10 +524,22 @@ class ClusterScheduler {
           (report.makespan * static_cast<double>(report.total_gpus));
     }
     RollupTenants(&report);
+    report.sessions_simulated = static_cast<int>(runs_.size());
     return report;
   }
 
  private:
+  // The session of one segment shape, simulated on first use. An inner session is a pure
+  // function of its shape and config_, so a repeat reads the first run. std::map nodes
+  // never move, so the reference stays valid for the scheduler's life.
+  const InnerRun& Simulate(const Model& model, const SegmentShape& shape) {
+    const auto [it, inserted] = runs_.try_emplace(shape);
+    if (inserted) {
+      it->second = RunInner(model, InnerConfig(shape, config_));
+    }
+    return it->second;
+  }
+
   void OnArrival(int id) {
     JobState& job = jobs_[static_cast<std::size_t>(id)];
     job.phase = Phase::kQueued;
@@ -521,7 +559,7 @@ class ClusterScheduler {
       // drop or priority preemption stays gated off for the rest of the stream.
       --draining_;
     }
-    FinalizeSegment(&job, /*duration=*/job.seg_run.makespan, /*iterations=*/job.seg_planned,
+    FinalizeSegment(&job, /*duration=*/job.seg_run->makespan, /*iterations=*/job.seg_planned,
                     /*preempted=*/false);
     job.out.completed = true;
     job.out.finish = sim_.now();
@@ -690,10 +728,10 @@ class ClusterScheduler {
   // release time and loses zero iterations.
   void Preempt(JobState* job) {
     const double now = sim_.now();
+    const std::vector<double>& iter_ends = job->seg_run->iter_ends;
     int completed = 0;
-    while (completed < static_cast<int>(job->seg_run.iter_ends.size()) &&
-           job->seg_start + job->seg_run.iter_ends[static_cast<std::size_t>(completed)] <=
-               now) {
+    while (completed < static_cast<int>(iter_ends.size()) &&
+           job->seg_start + iter_ends[static_cast<std::size_t>(completed)] <= now) {
       ++completed;
     }
     const int cut = std::min(job->seg_planned, completed + 1);
@@ -706,16 +744,13 @@ class ClusterScheduler {
       return;
     }
     ++job->epoch;  // cancels the scheduled completion
-    SessionConfig drain = InnerConfig(job->spec, config_, cut);
-    if (job->spec.kind == JobKind::kTraining) {
-      drain.checkpoint_every = cut;   // commit a checkpoint at the cut boundary...
-      drain.checkpoint_final = true;  // ...even though the cut is the drain's last iteration
-    }
-    const InnerRun rerun = RunInner(job->model, drain);
+    SegmentShape drain = ShapeOf(job->spec, config_.quotas, cut);
+    // Training drains commit a checkpoint at the cut; serving state is immutable.
+    drain.drain_checkpoint = job->spec.kind == JobKind::kTraining;
+    job->seg_run = &Simulate(job->model, drain);
     // The drain replays the identical event sequence up to the cut, then commits the
     // checkpoint; the gang is held to the later of that commit and the decision point.
-    const double release = std::max(now, job->seg_start + rerun.makespan);
-    job->seg_run = rerun;
+    const double release = std::max(now, job->seg_start + job->seg_run->makespan);
     FinalizeSegment(job, /*duration=*/release - job->seg_start, /*iterations=*/cut,
                     /*preempted=*/true);
     ++job->out.preemptions;
@@ -730,7 +765,7 @@ class ClusterScheduler {
     const double now = sim_.now();
     const int remaining = job->spec.iterations - job->iterations_done;
     HCHECK_GT(remaining, 0);
-    job->seg_run = RunInner(job->model, InnerConfig(job->spec, config_, remaining));
+    job->seg_run = &Simulate(job->model, ShapeOf(job->spec, config_.quotas, remaining));
     job->seg_start = now;
     job->seg_planned = remaining;
     job->out.queue_wait += now - job->enqueue_time;
@@ -743,7 +778,7 @@ class ClusterScheduler {
     // Re-admission restores from host state: the first iteration's weight/optimizer
     // staging IS the restore traffic (the same accounting RecoveryStats::reswap_bytes
     // uses for fail-stop recovery).
-    job->pending.restore = job->iterations_done > 0 ? job->seg_run.iter0_state_swap_in : 0;
+    job->pending.restore = job->iterations_done > 0 ? job->seg_run->iter0_state_swap_in : 0;
     job->nodes = nodes;
     job->gpus_per_held_node = std::min(job->spec.gpus, config_.server.num_gpus);
     for (int n : nodes) {
@@ -755,25 +790,25 @@ class ClusterScheduler {
     job->phase = Phase::kRunning;
     const int epoch = job->epoch;
     const int id = job->spec.id;
-    sim_.ScheduleAt(now + job->seg_run.makespan, [this, id, epoch] { OnComplete(id, epoch); });
+    sim_.ScheduleAt(now + job->seg_run->makespan, [this, id, epoch] { OnComplete(id, epoch); });
   }
 
   void FinalizeSegment(JobState* job, double duration, int iterations, bool preempted) {
     job->pending.duration = duration;
     job->pending.iterations = iterations;
     job->pending.preempted = preempted;
-    job->pending.swap_in = job->seg_run.swap_in;
-    job->pending.swap_out = job->seg_run.swap_out;
-    job->pending.collective = job->seg_run.collective;
-    job->pending.checkpoint = job->seg_run.checkpoint;
+    job->pending.swap_in = job->seg_run->swap_in;
+    job->pending.swap_out = job->seg_run->swap_out;
+    job->pending.collective = job->seg_run->collective;
+    job->pending.checkpoint = job->seg_run->checkpoint;
     job->out.segments.push_back(job->pending);
     job->out.service += duration;
     job->iterations_done += iterations;
     job->out.iterations_done = job->iterations_done;
-    job->out.samples_done += iterations * job->seg_run.samples_per_iteration;
+    job->out.samples_done += iterations * job->seg_run->samples_per_iteration;
     double prev = 0.0;
     for (int i = 0; i < iterations; ++i) {
-      const double end = job->seg_run.iter_ends[static_cast<std::size_t>(i)];
+      const double end = job->seg_run->iter_ends[static_cast<std::size_t>(i)];
       job->out.iteration_sec.push_back(end - prev);
       prev = end;
     }
@@ -847,6 +882,7 @@ class ClusterScheduler {
   std::vector<JobState> jobs_;
   std::vector<int> queue_;  // job ids currently queued (unsorted; QueueOrder sorts)
   int draining_ = 0;
+  std::map<SegmentShape, InnerRun> runs_;  // one simulated session per segment shape
 };
 
 }  // namespace
@@ -868,6 +904,9 @@ Status ValidateJobs(const std::vector<JobSpec>& jobs,
         " total GPUs");
   }
   const int node_gpus = config.server.num_gpus;
+  // Iteration-free shapes already fit-probed. Validation returns at the first failing
+  // job, so every shape in here passed.
+  std::set<SegmentShape> fits;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const JobSpec& job = jobs[i];
     const std::string label = "job " + std::to_string(i) + " (" + job.ToString() + "): ";
@@ -905,8 +944,17 @@ Status ValidateJobs(const std::vector<JobSpec>& jobs,
     if (!model.ok()) {
       return InvalidArgumentError(label + model.status().message());
     }
-    const SessionConfig inner = InnerConfig(job, config, job.iterations);
-    const Status valid = ValidateSessionConfig(model.value(), inner);
+    SegmentShape shape = ShapeOf(job, config.quotas, job.iterations);
+    const SessionConfig inner = InnerConfig(shape, config);
+    // Every job's shape check sees its real iteration count (and vets the key: a NaN
+    // share would break the set's ordering). The fit probe builds one iteration
+    // (ProbePeakWorkingSet), so its verdict holds at every iteration count and runs once
+    // per iteration-free shape.
+    Status valid = CheckSessionShape(model.value(), inner);
+    shape.iterations = 0;
+    if (valid.ok() && fits.insert(shape).second) {
+      valid = ValidateSessionConfig(model.value(), inner);
+    }
     if (!valid.ok()) {
       return InvalidArgumentError(label + valid.message());
     }

@@ -10,8 +10,9 @@
 // exactly the per-segment structure RunTrainingElastic uses for fail-stop recovery. The
 // outer simulator carries only the stream events (arrivals, completions, preemption
 // releases), so the stream layer is a pure function of the inner sessions' deterministic
-// results (DESIGN.md §10). Co-located tenants are isolated by *reservation*, not
-// modeled contention: a tenant's bandwidth quota is applied inside its own sessions
+// results (DESIGN.md §10), and each distinct segment shape is simulated once per stream.
+// Co-located tenants are isolated by *reservation*, not modeled contention: a tenant's
+// bandwidth quota is applied inside its own sessions
 // (TransferManager::ApplyUplinkBandwidthQuota) and admission keeps the sum of reserved
 // shares per node <= 1; tenants without a reservation are best-effort and their mutual
 // interference is deliberately unmodeled (the idealization that keeps per-tenant runs
@@ -179,6 +180,9 @@ struct ClusterReport {
   double utilization = 0.0;  // gpu_seconds_busy / (total_gpus * makespan)
   std::vector<JobOutcome> jobs;     // indexed by job id
   std::vector<TenantSlo> tenants;   // sorted by tenant name
+  // Inner sessions actually simulated: one per distinct segment shape of this stream
+  // (repeats read the first run). Host-side bookkeeping, so no rendering includes it.
+  int sessions_simulated = 0;
 
   // One-line rollup, the per-tenant SLO table (the --explain view), and the full
   // deterministic rendering (rollup + table + per-job lines) whose bytes the determinism
@@ -198,7 +202,8 @@ Status WriteClusterReportJson(const ClusterReport& report, const std::string& pa
 
 // Validates a job list against the cluster shape and quota map with typed messages
 // (model resolves, gang size placeable, the per-job session config valid). Run before
-// RunJobStream to surface bad specs as a Status instead of a crash.
+// RunJobStream to surface bad specs as a Status instead of a crash. Every job gets its
+// own checks; the working-set fit probe runs once per iteration-free job shape.
 Status ValidateJobs(const std::vector<JobSpec>& jobs, const ClusterSchedulerConfig& config);
 
 // Runs the job stream to completion and returns the per-tenant / per-job report.

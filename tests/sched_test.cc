@@ -1,6 +1,6 @@
 // Multi-tenant scheduler tier (ctest label `sched`, DESIGN.md §13).
 //
-// Five layers of evidence that the job-stream layer is trustworthy:
+// Six layers of evidence that the job-stream layer is trustworthy:
 //   1. Grammar — --jobs / --trace / --quota specs round-trip (ToString re-parses to
 //      itself) and malformed specs return typed errors carrying the byte offset.
 //   2. Serving plans — forward-only task shape, and weights never write back (evictions
@@ -12,6 +12,9 @@
 //      sum to the cluster's busy total.
 //   5. Preemption — the checkpoint → release → re-admit → restore cycle commits real
 //      checkpoint traffic, pays a real restore, and still completes every iteration.
+//   6. Session memo — one simulation per distinct segment shape: the shape holds every
+//      input of an inner session (bandwidth share and drain checkpoint included) and
+//      nothing else (priority, tenant name), and the memo lives for one stream.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -267,6 +270,31 @@ TEST(ValidateJobsTest, RejectsBadGangsModelsAndHopelessQuotas) {
   }
 }
 
+TEST(ValidateJobsTest, AProbedShapeStillChecksEachJobsIterationCount) {
+  // The fit probe runs once per iteration-free shape, but the shape check sees every
+  // job's own iteration count. Built as JobSpecs: the --jobs parser rejects iters=0 first.
+  const std::vector<JobSpec> jobs = {TrainJob(0, "a", 2, /*iters=*/2),
+                                     TrainJob(1, "a", 2, /*iters=*/0)};
+  const Status bad = ValidateJobs(jobs, SmallCluster());
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.message(),
+            "job 1 (" + jobs[1].ToString() + "): iterations must be >= 1, got 0");
+}
+
+TEST(ValidateJobsTest, ANewShapeAfterProbedShapesIsFitChecked) {
+  std::vector<JobSpec> jobs = {TrainJob(0, "a", 2, 2), TrainJob(1, "a", 4, 3),
+                               TrainJob(2, "a", 2, 2)};
+  ASSERT_TRUE(ValidateJobs(jobs, SmallCluster()).ok());
+  jobs[2].microbatch_size = 4096;  // one task's working set is far past the 11 GiB GPU
+  const Status bad = ValidateJobs(jobs, SmallCluster());
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(bad.message().starts_with("job 2 (" + jobs[2].ToString() +
+                                        "): infeasible configuration"))
+      << bad.message();
+}
+
 // ---- 2. serving plans -------------------------------------------------------------------
 
 TEST(ServingTest, PlansAreForwardOnly) {
@@ -373,6 +401,11 @@ TEST(SchedDeterminismTest, TracePolicyGridIsByteIdenticalAcrossTwoRuns) {
       ASSERT_TRUE(again.ok()) << trace << ": " << again.status().ToString();
       EXPECT_EQ(again.value().Render(), report.value().Render())
           << trace << " policy=" << SchedPolicyName(policy) << ": the second run diverged";
+      // The session memo lives for one stream: the second run simulates as much as the
+      // first instead of reading the first run's sessions.
+      EXPECT_GT(report.value().sessions_simulated, 0);
+      EXPECT_EQ(again.value().sessions_simulated, report.value().sessions_simulated)
+          << trace << " policy=" << SchedPolicyName(policy);
     }
   }
 }
@@ -539,6 +572,89 @@ TEST(QuotaTest, BandwidthQuotaSlowsASessionDown) {
   ASSERT_TRUE(fast.ok());
   ASSERT_TRUE(slow.ok());
   EXPECT_GT(slow.value().jobs[0].service, fast.value().jobs[0].service);
+}
+
+// ---- 6. session memo --------------------------------------------------------------------
+
+// `n` one-GPU copies of one job, a tenth of a second apart.
+std::vector<JobSpec> Copies(int n, const std::string& tenant) {
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < n; ++i) {
+    jobs.push_back(TrainJob(0.1 * i, tenant, /*gpus=*/1, /*iters=*/2));
+  }
+  return jobs;
+}
+
+void ExpectNoneWaits(const ClusterReport& report) {
+  for (const JobOutcome& job : report.jobs) {
+    EXPECT_EQ(job.queue_wait, 0.0) << "job " << job.spec.id;
+    EXPECT_EQ(job.segments.size(), 1u) << "job " << job.spec.id;
+  }
+}
+
+TEST(SessionMemoTest, IdenticalJobsSimulateOnce) {
+  const StatusOr<ClusterReport> report = RunJobStream(Copies(4, "a"), SmallCluster());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  CheckConservation(report.value());
+  ExpectNoneWaits(report.value());
+  EXPECT_EQ(report.value().sessions_simulated, 1);
+}
+
+TEST(SessionMemoTest, BandwidthQuotasSplitTheShape) {
+  // A tenant's bandwidth share is an input of its sessions. Two nodes, so the four
+  // reservations (0.25 + 0.25 + 0.5 + 0.5) never make a job wait.
+  ClusterSchedulerConfig config = SmallCluster(/*nodes=*/2, /*gpus_per_node=*/4);
+  config.quotas.tenants["a"].bw_fraction = 0.25;
+  config.quotas.tenants["b"].bw_fraction = 0.5;
+  std::vector<JobSpec> jobs = Copies(4, "a");
+  jobs[2].tenant = "b";
+  jobs[3].tenant = "b";
+  const StatusOr<ClusterReport> report = RunJobStream(jobs, config);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  CheckConservation(report.value());
+  ExpectNoneWaits(report.value());
+  EXPECT_EQ(report.value().sessions_simulated, 2);
+}
+
+TEST(SessionMemoTest, PriorityAndUnquotedTenantsShareAShape) {
+  // Neither a job's priority nor the name of a tenant without quotas reaches its
+  // session; a quota on some other tenant changes nothing for them.
+  ClusterSchedulerConfig config = SmallCluster();
+  config.quotas.tenants["q"].bw_fraction = 0.5;
+  std::vector<JobSpec> jobs = Copies(4, "x");
+  jobs[1].priority = 2;
+  jobs[2].tenant = "y";
+  jobs[3].tenant = "y";
+  jobs[3].priority = 1;
+  const StatusOr<ClusterReport> report = RunJobStream(jobs, config);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  CheckConservation(report.value());
+  ExpectNoneWaits(report.value());
+  EXPECT_EQ(report.value().sessions_simulated, 1);
+}
+
+TEST(SessionMemoTest, APreemptionDrainIsItsOwnShape) {
+  // The drain cuts `low` after one iteration and ends with a checkpoint; `hi` runs one
+  // plain iteration of the same shape. The two must stay two sessions.
+  ClusterSchedulerConfig config = SmallCluster(/*nodes=*/1, /*gpus_per_node=*/4);
+  config.policy = SchedPolicy::kPriority;
+  const std::vector<JobSpec> jobs = {
+      TrainJob(0.0, "low", /*gpus=*/4, /*iters=*/4, /*priority=*/0),
+      TrainJob(1.0, "hi", /*gpus=*/4, /*iters=*/1, /*priority=*/5),
+  };
+  const StatusOr<ClusterReport> report = RunJobStream(jobs, config);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  CheckConservation(report.value());
+  const JobOutcome& low = report.value().jobs[0];
+  const JobOutcome& hi = report.value().jobs[1];
+  ASSERT_EQ(low.segments.size(), 2u);
+  ASSERT_TRUE(low.segments[0].preempted);
+  ASSERT_EQ(low.segments[0].iterations, 1);
+  EXPECT_GT(low.segments[0].checkpoint, 0);
+  ASSERT_EQ(hi.segments.size(), 1u);
+  EXPECT_EQ(hi.segments[0].checkpoint, 0);
+  // low's grant (4 iterations), its drain (1 + checkpoint), hi (1), low's resume (3).
+  EXPECT_EQ(report.value().sessions_simulated, 4);
 }
 
 }  // namespace

@@ -39,7 +39,9 @@
 # PreparedSession kept across the move into RunTraining, which session_test exercises, and
 # a span into a plan's flat task lists kept across a reallocation of that storage, which
 # plan_test, plan_lint_test and runtime_test exercise (the linter's misshapen-offset cases
-# would be out-of-bounds reads if the shape check missed them).
+# would be out-of-bounds reads if the shape check missed them). ASan runs sched_test too:
+# each running job points into the scheduler's per-stream session memo, so a reference
+# kept across an insert would dangle if the memo's container ever moved its entries.
 # Pass --full to run the entire ctest suite under each sanitizer instead (slower).
 #
 # Usage: tools/run_sanitizer_suite.sh [--full]
@@ -80,6 +82,7 @@ memory_suites() {
   "$repo/$1/tests/plan_test"
   "$repo/$1/tests/plan_lint_test"
   "$repo/$1/tests/runtime_test"
+  "$repo/$1/tests/sched_test"
 }
 
 # run_one SANITIZER BUILD_DIR SELECTION...: builds the tree under SANITIZER and runs each
