@@ -1,7 +1,6 @@
 #include "src/hw/topology.h"
 
 #include <algorithm>
-#include <deque>
 #include <sstream>
 
 #include "src/util/check.h"
@@ -71,78 +70,73 @@ void Topology::Finalize() {
         << ") must have non-negative latency";
   }
   const int n = num_nodes();
-  routes_.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), {});
+  HCHECK_EQ(num_links(), 2 * (n - 1))
+      << "topology must be a tree: " << n << " nodes need " << 2 * (n - 1)
+      << " directed links (one duplex link per non-root node), have " << num_links();
 
-  // BFS from each source. out_links_ entries are visited in insertion order, which makes the
-  // tie-break deterministic.
-  for (NodeId src = 0; src < n; ++src) {
-    std::vector<LinkId> in_link(static_cast<std::size_t>(n), -1);
-    std::vector<bool> visited(static_cast<std::size_t>(n), false);
-    std::deque<NodeId> frontier;
-    visited[static_cast<std::size_t>(src)] = true;
-    frontier.push_back(src);
-    while (!frontier.empty()) {
-      const NodeId at = frontier.front();
-      frontier.pop_front();
-      for (LinkId lid : out_links_[static_cast<std::size_t>(at)]) {
-        const NodeId next = links_[static_cast<std::size_t>(lid)].dst;
-        if (!visited[static_cast<std::size_t>(next)]) {
-          visited[static_cast<std::size_t>(next)] = true;
-          in_link[static_cast<std::size_t>(next)] = lid;
-          frontier.push_back(next);
-        }
+  // One BFS from the first host roots the tree. With n - 1 duplex links, reaching every
+  // node proves there is no cycle, so each route is the unique path between its ends.
+  tree_.assign(static_cast<std::size_t>(n), TreePosition{});
+  std::vector<bool> visited(static_cast<std::size_t>(n), false);
+  visited[static_cast<std::size_t>(host_node_)] = true;
+  std::vector<NodeId> order{host_node_};  // BFS order; doubles as the queue
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const NodeId at = order[i];
+    for (LinkId down : out_links_[static_cast<std::size_t>(at)]) {
+      const NodeId next = links_[static_cast<std::size_t>(down)].dst;
+      if (!visited[static_cast<std::size_t>(next)]) {
+        visited[static_cast<std::size_t>(next)] = true;
+        // AddDuplexLink gives a link's two directions an even id and the odd id after it.
+        tree_[static_cast<std::size_t>(next)] =
+            TreePosition{tree_[static_cast<std::size_t>(at)].depth + 1, down ^ 1, down};
+        order.push_back(next);
       }
-    }
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (dst == src) {
-        continue;
-      }
-      HCHECK(visited[static_cast<std::size_t>(dst)])
-          << "topology is disconnected: no path " << src << " -> " << dst;
-      std::vector<LinkId> path;
-      for (NodeId at = dst; at != src;) {
-        const LinkId lid = in_link[static_cast<std::size_t>(at)];
-        path.push_back(lid);
-        at = links_[static_cast<std::size_t>(lid)].src;
-      }
-      std::reverse(path.begin(), path.end());
-      routes_[static_cast<std::size_t>(src) * static_cast<std::size_t>(n) +
-              static_cast<std::size_t>(dst)] = std::move(path);
     }
   }
+  HCHECK_EQ(static_cast<int>(order.size()), n)
+      << "topology is disconnected: " << order.size() << " of " << n << " nodes reach "
+      << node(host_node_).name;
   finalized_ = true;
 
-  // Each GPU swaps to its nearest host (fewest hops; ties to the lowest host id). The dense
-  // index of that host within host_nodes_ is the GPU's server — the node grouping the
-  // hierarchical collective and the plan's two-level group structure use.
+  // Each GPU swaps to the first host above it. The dense index of that host within
+  // host_nodes_ (ascending, like every node list) is the GPU's server — the node grouping
+  // the hierarchical collective and the plan's two-level group structure use.
   gpu_swap_host_.clear();
   gpu_server_.clear();
-  for (NodeId gpu : gpu_nodes_) {
-    NodeId best = host_nodes_.front();
-    int best_server = 0;
-    std::size_t best_hops = Route(gpu, best).size();
-    for (int h = 0; h < static_cast<int>(host_nodes_.size()); ++h) {
-      const NodeId host = host_nodes_[static_cast<std::size_t>(h)];
-      const std::size_t hops = Route(gpu, host).size();
-      if (hops < best_hops) {
-        best = host;
-        best_server = h;
-        best_hops = hops;
-      }
+  for (NodeId at : gpu_nodes_) {
+    while (node(at).kind != NodeKind::kHost) {
+      at = link(tree_[static_cast<std::size_t>(at)].up).dst;
     }
-    gpu_swap_host_.push_back(best);
-    gpu_server_.push_back(best_server);
+    gpu_swap_host_.push_back(at);
+    gpu_server_.push_back(static_cast<int>(
+        std::lower_bound(host_nodes_.begin(), host_nodes_.end(), at) - host_nodes_.begin()));
   }
 }
 
-const std::vector<LinkId>& Topology::Route(NodeId src, NodeId dst) const {
+std::vector<LinkId> Topology::Route(NodeId src, NodeId dst) const {
   HCHECK(finalized_);
   HCHECK_GE(src, 0);
   HCHECK_GE(dst, 0);
   HCHECK_LT(src, num_nodes());
   HCHECK_LT(dst, num_nodes());
-  return routes_[static_cast<std::size_t>(src) * static_cast<std::size_t>(num_nodes()) +
-                 static_cast<std::size_t>(dst)];
+  // Climb from the deeper end (both ends once level) until they meet: src's climb gives
+  // the route's first half in order, dst's gives its second half backwards.
+  std::vector<LinkId> route;
+  std::vector<LinkId> down;
+  while (src != dst) {
+    const TreePosition& s = tree_[static_cast<std::size_t>(src)];
+    const TreePosition& d = tree_[static_cast<std::size_t>(dst)];
+    if (s.depth >= d.depth) {
+      route.push_back(s.up);
+      src = link(s.up).dst;
+    }
+    if (d.depth >= s.depth) {
+      down.push_back(d.down);
+      dst = link(d.down).src;
+    }
+  }
+  route.insert(route.end(), down.rbegin(), down.rend());
+  return route;
 }
 
 bool Topology::RouteAvoidsHost(NodeId src, NodeId dst) const {

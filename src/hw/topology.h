@@ -1,5 +1,5 @@
-// Intra-server interconnect topology: nodes (host, PCIe switches, GPUs) and full-duplex
-// links between them, with shortest-path routing.
+// Interconnect topology: a tree of nodes (hosts, PCIe switches, GPUs, NICs, rack switches)
+// and the full-duplex links between them, so each route is the unique path between its ends.
 //
 // The canonical instance is MakeCommodityServer(): N GPUs behind PCIe switches whose single
 // x16 uplink to the host root complex is shared — the 4:1/8:1 oversubscription the paper
@@ -65,8 +65,8 @@ class Topology {
   void AddDuplexLink(NodeId a, NodeId b, const LinkSpec& spec,
                      LinkTier tier = LinkTier::kPcie);
 
-  // Must be called once all nodes/links are added; computes BFS routes between every node
-  // pair (fewest hops; ties broken by smaller next-hop link id, deterministically).
+  // Must be called once all nodes/links are added. Checks that the links form a tree and
+  // records each node's depth and links to and from its parent, rooted at the first host.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -83,8 +83,8 @@ class Topology {
   NodeId gpu_node(int gpu_index) const {
     return gpu_nodes_.at(static_cast<std::size_t>(gpu_index));
   }
-  // The nearest host to a GPU — its swap target. In a multi-server cluster each GPU swaps
-  // to its own server's DRAM, never across the network.
+  // The first host above a GPU in the tree — its swap target. In a multi-server cluster
+  // each GPU swaps to its own server's DRAM, never across the network.
   NodeId HostNodeForGpu(int gpu_index) const {
     return gpu_swap_host_.at(static_cast<std::size_t>(gpu_index));
   }
@@ -110,8 +110,8 @@ class Topology {
     return tor_nodes_.at(static_cast<std::size_t>(rack_index));
   }
 
-  // Ordered link ids along the route src -> dst. Empty when src == dst. Fatal if unreachable.
-  const std::vector<LinkId>& Route(NodeId src, NodeId dst) const;
+  // Ordered link ids along the tree path src -> dst. Empty when src == dst.
+  std::vector<LinkId> Route(NodeId src, NodeId dst) const;
 
   // True when src and dst are GPUs whose route avoids every host node — i.e. a p2p transfer
   // that does not consume host-uplink bandwidth beyond the switch tier.
@@ -131,9 +131,13 @@ class Topology {
   std::vector<NodeId> tor_nodes_;
   std::vector<NodeId> gpu_swap_host_;  // per GPU, filled by Finalize
   std::vector<int> gpu_server_;        // per GPU: index of its swap host in host_nodes_
+  struct TreePosition {  // a node's place in the tree rooted at host_node_
+    int depth = 0;
+    LinkId up = -1;    // node -> parent; -1 at the root
+    LinkId down = -1;  // parent -> node
+  };
+  std::vector<TreePosition> tree_;  // per node, filled by Finalize
   bool finalized_ = false;
-  // routes_[src * num_nodes + dst]
-  std::vector<std::vector<LinkId>> routes_;
 };
 
 struct ServerConfig {

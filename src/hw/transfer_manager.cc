@@ -14,6 +14,20 @@ namespace {
 // floating-point residue keeping a flow alive forever.
 constexpr double kByteEpsilon = 1e-3;
 
+// groups_'s key for the pair src -> dst.
+std::uint64_t RouteKey(NodeId src, NodeId dst) {
+  return static_cast<std::uint64_t>(src) << 32 | static_cast<std::uint32_t>(dst);
+}
+
+// Sum of the route's link latencies, in route order.
+double RouteLatency(const Topology& topology, const std::vector<LinkId>& route) {
+  double latency = 0.0;
+  for (LinkId lid : route) {
+    latency += topology.link(lid).spec.latency_sec;
+  }
+  return latency;
+}
+
 }  // namespace
 
 const char* TransferKindName(TransferKind kind) {
@@ -65,21 +79,15 @@ void TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes, Transfe
   }
 
   if (src == dst || bytes == 0) {
-    double latency = 0.0;
-    if (src != dst) {
-      for (LinkId lid : topology_->Route(src, dst)) {
-        latency += topology_->link(lid).spec.latency_sec;
-      }
-    }
-    sim_->ScheduleAfter(latency, [this, slot] { Finish(slot, TransferOutcome::kCompleted); });
+    sim_->ScheduleAfter(RouteLatency(*topology_, topology_->Route(src, dst)),
+                        [this, slot] { Finish(slot, TransferOutcome::kCompleted); });
     return;
   }
 
-  const std::vector<LinkId>& route = topology_->Route(src, dst);
-  HCHECK(!route.empty());
-  double latency = 0.0;
-  for (LinkId lid : route) {
-    latency += topology_->link(lid).spec.latency_sec;
+  const auto [group_it, new_pair] = groups_.try_emplace(RouteKey(src, dst));
+  RouteGroup& group = group_it->second;
+  if (new_pair) {
+    group.route = topology_->Route(src, dst);
   }
 
   const std::int64_t id = next_flow_id_++;
@@ -89,7 +97,8 @@ void TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes, Transfe
 
   Flow flow;
   flow.id = id;
-  flow.route = &route;  // points into the topology's stable route table
+  flow.route = &group.route;
+  flow.group = &group;
   flow.src = src;
   flow.dst = dst;
   flow.bytes_remaining = static_cast<double>(bytes);
@@ -101,7 +110,7 @@ void TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes, Transfe
   // The flow joins the network after its route latency; that keeps latency out of the
   // bandwidth-sharing math while still delaying short transfers realistically. The flow
   // body lives in pending_ so the event closure carries two words, not the whole route.
-  sim_->ScheduleAfter(latency, [this, id] { JoinFlow(id); });
+  sim_->ScheduleAfter(RouteLatency(*topology_, group.route), [this, id] { JoinFlow(id); });
 }
 
 std::uint32_t TransferManager::ParkContinuation(Continuation done) {
@@ -183,9 +192,8 @@ TransferManager::Flow& TransferManager::AttachFlow(Flow flow) {
   const auto [it, inserted] = flows_.emplace(id, std::move(flow));
   HCHECK(inserted);
   Flow& attached = it->second;  // stable address: unordered_map never moves elements
-  RouteGroup& group = groups_[attached.route];
-  group.route = attached.route;
-  for (LinkId lid : *attached.route) {
+  RouteGroup& group = *attached.group;
+  for (LinkId lid : group.route) {
     const auto slot = static_cast<std::size_t>(lid);
     ++link_active_[slot];
     link_stats_[slot].max_queue_depth =
@@ -197,7 +205,6 @@ TransferManager::Flow& TransferManager::AttachFlow(Flow flow) {
       RecordQueueDepth(lid);
     }
   }
-  attached.group = &group;
   attached.member_index = group.members.size();
   group.members.push_back(&attached);
   group.rate = 0.0;  // the newcomer has no stamp yet: force the member pass
@@ -210,8 +217,7 @@ void TransferManager::DetachFlow(Flow& flow, std::vector<LinkId>* dirty_links) {
   group.members[flow.member_index] = last;
   last->member_index = flow.member_index;
   group.members.pop_back();
-  flow.group = nullptr;
-  for (LinkId lid : *flow.route) {
+  for (LinkId lid : group.route) {
     const auto slot = static_cast<std::size_t>(lid);
     --link_active_[slot];
     HCHECK_GE(link_active_[slot], 0);
@@ -356,10 +362,7 @@ int TransferManager::FlapLinkFlows(const std::vector<LinkId>& links) {
       flow.bytes_remaining = static_cast<double>(flow.bytes_total);
       flow.rate = 0.0;
       flow.completion_time = 0.0;
-      double latency = 0.0;
-      for (LinkId lid : *flow.route) {
-        latency += topology_->link(lid).spec.latency_sec;
-      }
+      const double latency = RouteLatency(*topology_, *flow.route);
       Flow moved = std::move(flow);
       flows_.erase(id);
       pending_.emplace(id, std::move(moved));
@@ -491,7 +494,7 @@ void TransferManager::ReRateFlowsOnLinks(std::vector<LinkId>* dirty_links) {
         continue;
       }
       group->rerate_mark = rerate_mark_;
-      const double rate = ComputeRate(*group->route);
+      const double rate = ComputeRate(group->route);
       if (rate == group->rate) {
         // Same share as before (bottlenecked on an untouched link) and no newcomer: every
         // projection is still valid and the heap entry stays where it is.
@@ -573,13 +576,15 @@ std::string TransferManager::DebugCheckConsistency() const {
       return os.str();
     }
   }
-  // Membership: every active flow sits in its route's group at its member_index, and the
+  // Membership: every active flow sits in its pair's group at its member_index, and the
   // groups hold nothing else (distinct slots and equal totals make it a bijection).
   std::size_t members = 0;
   std::size_t active_groups = 0;
-  for (const auto& [route, group] : groups_) {
-    if (group.route != route) {
-      os << "route group is keyed by another route";
+  for (const auto& [key, group] : groups_) {
+    const auto src = static_cast<NodeId>(key >> 32);
+    const auto dst = static_cast<NodeId>(key & 0xffffffffu);
+    if (group.route != topology_->Route(src, dst)) {
+      os << "route group " << src << " -> " << dst << " holds another pair's route";
       return os.str();
     }
     members += group.members.size();
@@ -592,8 +597,8 @@ std::string TransferManager::DebugCheckConsistency() const {
     return os.str();
   }
   for (const auto& [id, flow] : flows_) {
-    const auto it = groups_.find(flow.route);
-    if (it == groups_.end() || flow.group != &it->second ||
+    const auto it = groups_.find(RouteKey(flow.src, flow.dst));
+    if (it == groups_.end() || flow.group != &it->second || flow.route != &it->second.route ||
         flow.member_index >= flow.group->members.size() ||
         flow.group->members[flow.member_index] != &flow) {
       os << "flow " << id << ": not a member of its route's group";
@@ -603,11 +608,11 @@ std::string TransferManager::DebugCheckConsistency() const {
   // From-scratch per-link group lists: exactly the active groups whose route crosses the
   // link, each once.
   std::vector<std::vector<const RouteGroup*>> want_groups(link_groups_.size());
-  for (const auto& [route, group] : groups_) {
+  for (const auto& [key, group] : groups_) {
     if (group.members.empty()) {
       continue;
     }
-    for (LinkId lid : *route) {
+    for (LinkId lid : group.route) {
       want_groups[static_cast<std::size_t>(lid)].push_back(&group);
     }
   }
@@ -620,7 +625,7 @@ std::string TransferManager::DebugCheckConsistency() const {
       return os.str();
     }
   }
-  for (const auto& [route, group] : groups_) {
+  for (const auto& [key, group] : groups_) {
     if (group.members.empty()) {
       if (group.earliest != nullptr || group.heap_index != kNoHeapIndex) {
         os << "emptied route group kept an earliest member or a heap entry";
@@ -630,7 +635,7 @@ std::string TransferManager::DebugCheckConsistency() const {
     }
     // From-scratch rate: a pure function of the (verified) counts, so it must match
     // bitwise, and every member must carry it.
-    const double want_rate = ComputeRate(*route);
+    const double want_rate = ComputeRate(group.route);
     if (group.rate != want_rate) {
       os << "route group rate " << group.rate << " != from-scratch " << want_rate;
       return os.str();

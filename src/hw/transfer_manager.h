@@ -1,23 +1,24 @@
 // Flow-level DMA model over the topology.
 //
-// A transfer is a flow along the (precomputed) route between two nodes. At any instant a
-// flow's rate is min over its route's links of (link bandwidth / number of active flows on
-// that link) — the classic processor-sharing approximation of max-min fair bandwidth
-// allocation. Rates are recomputed whenever a flow starts or finishes, so contention on the
-// shared switch-to-host uplink (the paper's Fig. 2(a)/(b) bottleneck) emerges naturally.
+// A transfer is a flow along the route between two nodes. At any instant a flow's rate is
+// min over its route's links of (link bandwidth / number of active flows on that link) —
+// the classic processor-sharing approximation of max-min fair bandwidth allocation. Rates
+// are recomputed whenever a flow starts or finishes, so contention on the shared
+// switch-to-host uplink (the paper's Fig. 2(a)/(b) bottleneck) emerges naturally.
 //
-// Flows on one route always share one rate (the rate is a pure function of the route's
-// link counts), so the manager keeps one *route group* per route with active flows: its
-// members, their shared rate, and its earliest member by (completion time, flow id). The
-// per-link lists hold groups, not flows. A change point (arrival, departure, bandwidth
-// scale) dirties the links it touches; each group crossing a dirty link is re-rated with
-// one rate computation, and only when that rate moved are its members re-stamped with
-// `now + bytes_remaining / rate`. The next completion comes from an indexed min-heap with
-// one entry per active group, keyed by the group's earliest member, so peeking it is O(1)
-// and a re-rate costs one re-key per group instead of one per flow. Completion times and
-// the order in which simultaneous completions fire (flow id) are bit-identical to rating
-// every flow on its own. Scheduled wakeups are generation-tagged and invalidated by any
-// later re-rate. No O(flows x links) scan per event anywhere.
+// Flows on one route always share one rate (the rate is a pure function of the route's link
+// counts), so the manager keeps one *route group* per (src, dst) pair that has carried a
+// flow: its route, asked of the topology once, and while active its members, their shared
+// rate, and its earliest member by (completion time, flow id). The per-link lists hold
+// groups, not flows. A change point (arrival, departure, bandwidth scale) dirties the links
+// it touches; each group crossing a dirty link is re-rated with one rate computation, and
+// only when that rate moved are its members re-stamped with `now + bytes_remaining / rate`.
+// The next completion comes from an indexed min-heap with one entry per active group, keyed
+// by the group's earliest member, so peeking it is O(1) and a re-rate costs one re-key per
+// group instead of one per flow. Completion times and the order in which simultaneous
+// completions fire (flow id) are bit-identical to rating every flow on its own. Scheduled
+// wakeups are generation-tagged and invalidated by any later re-rate. No O(flows x links)
+// scan per event anywhere.
 //
 // Each transfer carries the caller's continuation, which receives a typed outcome
 // (completed or aborted). Until the transfer ends it is parked in a free-listed slot vector;
@@ -192,10 +193,11 @@ class TransferManager {
 
   const Topology& topology() const { return *topology_; }
 
-  // Test hook: rebuilds link counts, route-group membership, per-link group lists and
-  // rates from scratch and diffs them against the incrementally maintained state, then
-  // validates each group's earliest member and the completion heap (one entry per active
-  // group, index back-pointers, keys, heap order). Returns an empty string when
+  // Test hook: checks each group's route against Topology::Route for its pair, rebuilds
+  // link counts, route-group membership, per-link group lists and rates from scratch and
+  // diffs them against the incrementally maintained state, then validates each group's
+  // earliest member and the completion heap (one entry per active group, index
+  // back-pointers, keys, heap order). Returns an empty string when
   // consistent, else a human-readable description of the first divergence. Counts and
   // rates must match exactly (rates are pure functions of integer counts); projected
   // completion times may drift by FP round-off and are checked to a relative tolerance.
@@ -208,8 +210,8 @@ class TransferManager {
 
   struct Flow {
     std::int64_t id = 0;
-    // Points into the finalized Topology's route table (stable for the topology's
-    // lifetime) — flows are hot-path objects, so the route is never copied.
+    // Points into its group's route (groups never move) — flows are hot-path objects, so
+    // the route is never copied.
     const std::vector<LinkId>* route = nullptr;
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
@@ -218,18 +220,18 @@ class TransferManager {
     double rate = 0.0;  // bytes/sec under the current allocation; 0 until first rated
     // Absolute sim time at which the flow drains at `rate` (stamped at the last rate change).
     SimTime completion_time = 0.0;
-    RouteGroup* group = nullptr;   // the route's group while the flow is active
-    std::size_t member_index = 0;  // position in group->members
+    RouteGroup* group = nullptr;   // its (src, dst) group; a member only while active
+    std::size_t member_index = 0;  // position in group->members while active
     TransferKind kind = TransferKind::kOther;
     std::uint32_t continuation = 0;  // slot of the parked continuation
     int attempts = 0;  // transient aborts suffered so far (retry tier)
   };
 
-  // The active flows on one route. A group is *active* while it has members: only then is
-  // it on its route's per-link lists and in the completion heap. An emptied group stays
-  // allocated (the route's next flow reuses it) but is unlinked from both.
+  // One (src, dst) pair's route and active flows. A group is *active* while it has members:
+  // only then is it on its route's per-link lists and in the completion heap. An emptied
+  // group stays allocated (the pair's next transfer reuses it) but is unlinked from both.
   struct RouteGroup {
-    const std::vector<LinkId>* route = nullptr;
+    std::vector<LinkId> route;
     std::vector<Flow*> members;
     // The rate every member was last stamped at. Reset to 0 when a flow joins, so the next
     // re-rate pass stamps the newcomer even if the route's share did not move.
@@ -267,8 +269,8 @@ class TransferManager {
   // rates computed at the previous change point. Must run before the flow set changes.
   void AdvanceToNow();
 
-  // Inserts the flow into its route's group (activating the group on the per-link lists
-  // if it was empty); its stamp and the group's heap entry follow at the next re-rate.
+  // Inserts the flow into its group (activating the group on the per-link lists if it was
+  // empty); its stamp and the group's heap entry follow at the next re-rate.
   Flow& AttachFlow(Flow flow);
   // Removes the flow from its group, appending its route to `dirty_links`. An emptied
   // group leaves the per-link lists and the heap; otherwise, if the flow was the group's
@@ -332,8 +334,9 @@ class TransferManager {
   std::int64_t flows_retried_ = 0;      // transient aborts absorbed by a re-issue
   std::int64_t retry_exhausted_ = 0;    // flows that ran out of attempts
   double retry_backoff_sec_ = 0.0;      // total backoff delay injected by retries
-  // One group per route that has ever carried a flow; node-based, so groups never move.
-  std::unordered_map<const std::vector<LinkId>*, RouteGroup> groups_;
+  // One group per (src, dst) pair that has carried a flow, keyed by src << 32 | dst;
+  // node-based, so groups, and the routes flows point into, never move.
+  std::unordered_map<std::uint64_t, RouteGroup> groups_;
   std::vector<std::vector<RouteGroup*>> link_groups_;  // active groups crossing each link
   std::vector<Completion> completion_heap_;  // indexed min-heap, one entry per active group
   std::vector<LinkStats> link_stats_;

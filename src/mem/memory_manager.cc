@@ -31,14 +31,6 @@ Bytes MemoryCounters::total_p2p_in() const {
   return total;
 }
 
-Bytes MemoryCounters::total_clean_drops() const {
-  Bytes total = 0;
-  for (Bytes b : clean_drops) {
-    total += b;
-  }
-  return total;
-}
-
 // ---- MemoryManager -------------------------------------------------------------------------
 
 MemoryManager::MemoryManager(MemorySystem* system, int device_index, NodeId device_node,

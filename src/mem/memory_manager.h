@@ -66,7 +66,6 @@ struct MemoryCounters {
   Bytes total_swap_in() const;
   Bytes total_swap_out() const;
   Bytes total_p2p_in() const;
-  Bytes total_clean_drops() const;
   Bytes swap_in_of(TensorClass cls) const { return swap_in[static_cast<int>(cls)]; }
   Bytes swap_out_of(TensorClass cls) const { return swap_out[static_cast<int>(cls)]; }
 };

@@ -47,7 +47,6 @@ Engine::Engine(Simulator* sim, const Machine* machine, MemorySystem* memory,
     transfers_->set_record_queue_timeline(true);
   }
   iteration_remaining_.assign(static_cast<std::size_t>(plan->num_iterations), 0);
-  iteration_end_.assign(static_cast<std::size_t>(plan->num_iterations), 0.0);
   for (const Task& task : plan->tasks) {
     ++iteration_remaining_[static_cast<std::size_t>(task.iteration)];
     if (task.kind == TaskKind::kAllReduce) {

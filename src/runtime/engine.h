@@ -147,7 +147,6 @@ class Engine {
   std::map<TaskId, MemoryManager::Acquisition> prefetched_;
   std::map<int, int> collective_group_size_;
   std::vector<int> iteration_remaining_;
-  std::vector<double> iteration_end_;
   Snapshot last_snapshot_;
   double last_iteration_end_ = 0.0;
 

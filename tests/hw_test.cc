@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -90,6 +92,118 @@ TEST(TopologyTest, MachineCarriesGpuSpecs) {
   EXPECT_EQ(machine.num_gpus(), 4);
   EXPECT_EQ(machine.gpus[0].memory_bytes, 11 * kGiB);
   EXPECT_GT(machine.gpus[0].effective_flops(), 0.0);
+}
+
+// ---- Route oracle ---------------------------------------------------------------------------
+// Finalize once ran a BFS from every node and stored each ordered pair's route, then gave
+// each GPU its nearest host by those routes. Both survive here as the oracle that the tree
+// walk must reproduce.
+
+// routes[src * num_nodes + dst]: BFS over each node's out-links in link-id order (the order
+// AddDuplexLink appends them), so fewest hops, ties to the earlier out-link.
+std::vector<std::vector<LinkId>> AllPairsBfsRoutes(const Topology& topo) {
+  const auto n = static_cast<std::size_t>(topo.num_nodes());
+  std::vector<std::vector<LinkId>> out_links(n);
+  for (LinkId lid = 0; lid < topo.num_links(); ++lid) {
+    out_links[static_cast<std::size_t>(topo.link(lid).src)].push_back(lid);
+  }
+  std::vector<std::vector<LinkId>> routes(n * n);
+  for (std::size_t src = 0; src < n; ++src) {
+    std::vector<LinkId> in_link(n, -1);
+    std::vector<bool> visited(n, false);
+    std::deque<std::size_t> frontier{src};
+    visited[src] = true;
+    while (!frontier.empty()) {
+      const std::size_t at = frontier.front();
+      frontier.pop_front();
+      for (LinkId lid : out_links[at]) {
+        const auto next = static_cast<std::size_t>(topo.link(lid).dst);
+        if (!visited[next]) {
+          visited[next] = true;
+          in_link[next] = lid;
+          frontier.push_back(next);
+        }
+      }
+    }
+    for (std::size_t dst = 0; dst < n; ++dst) {
+      std::vector<LinkId>& path = routes[src * n + dst];
+      for (std::size_t at = dst; at != src;) {
+        path.push_back(in_link[at]);
+        at = static_cast<std::size_t>(topo.link(in_link[at]).src);
+      }
+      std::reverse(path.begin(), path.end());
+    }
+  }
+  return routes;
+}
+
+// Empty when Route agrees with the oracle on every ordered node pair, and HostNodeForGpu
+// and ServerOfGpu with the nearest host (fewest hops, ties to the lowest host id) on every
+// GPU; otherwise the first disagreement.
+std::string DiffAgainstOracle(const Topology& topo) {
+  const std::vector<std::vector<LinkId>> routes = AllPairsBfsRoutes(topo);
+  const auto n = static_cast<std::size_t>(topo.num_nodes());
+  for (NodeId src = 0; src < topo.num_nodes(); ++src) {
+    for (NodeId dst = 0; dst < topo.num_nodes(); ++dst) {
+      if (topo.Route(src, dst) != routes[static_cast<std::size_t>(src) * n +
+                                         static_cast<std::size_t>(dst)]) {
+        return "route " + topo.node(src).name + " -> " + topo.node(dst).name;
+      }
+    }
+  }
+  std::vector<NodeId> hosts;
+  for (NodeId id = 0; id < topo.num_nodes(); ++id) {
+    if (topo.node(id).kind == NodeKind::kHost) {
+      hosts.push_back(id);
+    }
+  }
+  for (int g = 0; g < topo.num_gpus(); ++g) {
+    const auto gpu = static_cast<std::size_t>(topo.gpu_node(g));
+    std::size_t best = 0;
+    for (std::size_t h = 1; h < hosts.size(); ++h) {
+      if (routes[gpu * n + static_cast<std::size_t>(hosts[h])].size() <
+          routes[gpu * n + static_cast<std::size_t>(hosts[best])].size()) {
+        best = h;
+      }
+    }
+    if (topo.HostNodeForGpu(g) != hosts[best] ||
+        topo.ServerOfGpu(g) != static_cast<int>(best)) {
+      return "swap host of gpu " + std::to_string(g);
+    }
+  }
+  return "";
+}
+
+TEST(TopologyTest, ServerRoutesMatchAllPairsBfsOracle) {
+  for (const bool nvlink : {false, true}) {
+    for (int gpus = 1; gpus <= 8; ++gpus) {
+      for (int per_switch = 1; per_switch <= 4; ++per_switch) {
+        ServerConfig config;
+        config.num_gpus = gpus;
+        config.gpus_per_switch = per_switch;
+        if (nvlink) {
+          config.gpu_link = NvLink2();
+        }
+        EXPECT_EQ(DiffAgainstOracle(MakeCommodityServerTopology(config)), "")
+            << gpus << " GPUs, " << per_switch << " per switch, nvlink " << nvlink;
+      }
+    }
+  }
+}
+
+TEST(TopologyTest, ClusterRoutesMatchAllPairsBfsOracle) {
+  for (const int servers : {1, 2, 3, 5, 12, 32}) {
+    for (const int per_rack : {0, 1, 2, 5, 16}) {
+      for (const int gpus : {1, 2, 4}) {
+        ClusterConfig config;
+        config.num_servers = servers;
+        config.nodes_per_rack = per_rack;
+        config.server.num_gpus = gpus;
+        EXPECT_EQ(DiffAgainstOracle(MakeClusterTopology(config)), "")
+            << servers << " nodes, " << per_rack << " per rack, " << gpus << " GPUs each";
+      }
+    }
+  }
 }
 
 // ---- TransferManager ------------------------------------------------------------------------
@@ -515,6 +629,42 @@ TEST(TopologyDeathTest, FinalizeWithoutHostAborts) {
   Topology topo;
   topo.AddNode(NodeKind::kGpu, "gpu0");
   EXPECT_DEATH(topo.Finalize(), "host");
+}
+
+TEST(TopologyDeathTest, FinalizeRejectsASecondLinkBetweenTwoNodes) {
+  Topology topo;
+  const NodeId host = topo.AddNode(NodeKind::kHost, "host");
+  const NodeId gpu = topo.AddNode(NodeKind::kGpu, "gpu0");
+  topo.AddDuplexLink(host, gpu, PcieGen3x16());
+  topo.AddDuplexLink(host, gpu, NvLink2());
+  EXPECT_DEATH(topo.Finalize(), "must be a tree: 2 nodes need 2 directed links.*have 4");
+}
+
+TEST(TopologyDeathTest, FinalizeRejectsACycle) {
+  Topology topo;
+  const NodeId host = topo.AddNode(NodeKind::kHost, "host");
+  const NodeId sw = topo.AddNode(NodeKind::kSwitch, "pcie-sw0");
+  const NodeId gpu = topo.AddNode(NodeKind::kGpu, "gpu0");
+  topo.AddDuplexLink(sw, host, PcieGen3x16());
+  topo.AddDuplexLink(gpu, sw, PcieGen3x16());
+  topo.AddDuplexLink(gpu, host, PcieGen3x16());
+  EXPECT_DEATH(topo.Finalize(), "must be a tree: 3 nodes need 4 directed links.*have 6");
+}
+
+TEST(TopologyDeathTest, FinalizeRejectsADisconnectedTopology) {
+  // Four duplex links for five nodes pass the link count, but the cycle among the switch
+  // and two GPUs leaves them cut off from the host.
+  Topology topo;
+  const NodeId host = topo.AddNode(NodeKind::kHost, "host");
+  const NodeId gpu0 = topo.AddNode(NodeKind::kGpu, "gpu0");
+  const NodeId sw = topo.AddNode(NodeKind::kSwitch, "pcie-sw0");
+  const NodeId gpu1 = topo.AddNode(NodeKind::kGpu, "gpu1");
+  const NodeId gpu2 = topo.AddNode(NodeKind::kGpu, "gpu2");
+  topo.AddDuplexLink(gpu0, host, PcieGen3x16());
+  topo.AddDuplexLink(gpu1, sw, PcieGen3x16());
+  topo.AddDuplexLink(gpu2, sw, PcieGen3x16());
+  topo.AddDuplexLink(gpu1, gpu2, NvLink2());
+  EXPECT_DEATH(topo.Finalize(), "disconnected: 2 of 5 nodes reach host");
 }
 
 }  // namespace

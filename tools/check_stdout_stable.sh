@@ -35,6 +35,8 @@ benches=(
   bench_chaos
   bench_cluster_scaleout
   bench_multitenant
+  bench_whatif_interconnect
+  bench_fault_recovery
 )
 
 if [[ -d "$bench_dir" ]]; then

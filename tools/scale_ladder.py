@@ -11,7 +11,7 @@ stdout (equal digests mean byte-identical reports) and its time per GPU relative
 Run from the repository root after building the Tier-1 tree:
 
   python3 tools/scale_ladder.py [--binary build/tools/harmony_sim] [--out BENCH_scale.json]
-      [--gpus 8,64,256,512,1024]
+      [--gpus 8,64,256,512,1024,2048,4096]
 
 Points run one at a time and the largest needs a few GB of RAM.
 """
@@ -62,7 +62,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--binary", default=str(ROOT / "build" / "tools" / "harmony_sim"))
     parser.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
-    parser.add_argument("--gpus", default="8,64,256,512,1024")
+    parser.add_argument("--gpus", default="8,64,256,512,1024,2048,4096")
     args = parser.parse_args()
     binary = Path(args.binary)
     if not binary.is_file():
