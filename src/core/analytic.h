@@ -37,9 +37,6 @@ struct AnalyticSwapModel {
   static double BaselineDpOptStateVolume(double k_bytes, int n_gpus) {
     return 2.0 * n_gpus * k_bytes;
   }
-  static double HarmonyDpOptStateVolume(double k_bytes, int n_gpus) {
-    return 2.0 * n_gpus * k_bytes;
-  }
   static double HarmonyPpOptStateVolume(double k_bytes) { return 2.0 * k_bytes; }
 
   // Ring all-reduce bytes moved per iteration for DP schemes.

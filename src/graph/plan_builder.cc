@@ -49,12 +49,22 @@ PlanBuilder::PlanBuilder(const Model* model, TensorRegistry* registry, int num_d
       options.num_replicas * options.microbatches * options.microbatch_size;
 
   const int R = model_->num_layers();
+  std::vector<std::string> layer_names;
+  layer_names.reserve(static_cast<std::size_t>(R));
+  for (int l = 0; l < R; ++l) {
+    layer_names.push_back(model_->layer(l).name);
+  }
+  registry_->SetLayerNames(std::move(layer_names));
+
   weights_.Resize(1, R, 1, options.num_replicas);
   opt_states_.Resize(1, R, 1, options.num_replicas);
   grads_.Resize(options.iterations, R, 1, options.num_replicas);
   acts_.Resize(options.iterations, R + 1, options.microbatches, options.num_replicas);
   act_grads_.Resize(options.iterations, R + 1, options.microbatches, options.num_replicas);
   stashes_.Resize(options.iterations, R, options.microbatches, options.num_replicas);
+  // Each table slot holds at most one tensor.
+  registry_->Reserve(weights_.ids.size() + opt_states_.ids.size() + grads_.ids.size() +
+                     acts_.ids.size() + act_grads_.ids.size() + stashes_.ids.size());
 }
 
 void PlanBuilder::TensorTable::Resize(int iterations, int layers, int microbatches,
@@ -102,10 +112,10 @@ TensorId PlanBuilder::Weight(int layer, int replica) {
   if (id != kInvalidTensor) {
     return id;
   }
-  const Layer& l = model_->layer(layer);
-  id = registry_->Create(
-      "W[" + l.name + "]r" + std::to_string(replica), ShardBytes(l.cost.param_bytes),
-      TensorClass::kWeight, /*host_valid=*/true, layer, -1, replica);
+  id = registry_->Create({.bytes = ShardBytes(model_->layer(layer).cost.param_bytes),
+                          .cls = TensorClass::kWeight, .layer = layer, .replica_gpu = replica,
+                          .form = TensorNameForm::kWeight},
+                         /*host_valid=*/true);
   return id;
 }
 
@@ -118,9 +128,10 @@ TensorId PlanBuilder::OptState(int layer, int replica) {
   if (id != kInvalidTensor) {
     return id;
   }
-  id = registry_->Create(
-      "K[" + l.name + "]r" + std::to_string(replica), ShardBytes(l.cost.opt_state_bytes),
-      TensorClass::kOptimizerState, /*host_valid=*/true, layer, -1, replica);
+  id = registry_->Create({.bytes = ShardBytes(l.cost.opt_state_bytes),
+                          .cls = TensorClass::kOptimizerState, .layer = layer,
+                          .replica_gpu = replica, .form = TensorNameForm::kOptState},
+                         /*host_valid=*/true);
   return id;
 }
 
@@ -129,11 +140,10 @@ TensorId PlanBuilder::WeightGrad(int layer, int replica) {
   if (id != kInvalidTensor) {
     return id;
   }
-  const Layer& l = model_->layer(layer);
-  id = registry_->Create(
-      "dW[" + l.name + "]r" + std::to_string(replica) + "i" + std::to_string(iteration_),
-      ShardBytes(l.cost.grad_bytes), TensorClass::kWeightGrad, /*host_valid=*/false, layer, -1,
-      replica);
+  id = registry_->Create({.bytes = ShardBytes(model_->layer(layer).cost.grad_bytes),
+                          .cls = TensorClass::kWeightGrad, .layer = layer, .replica_gpu = replica,
+                          .iteration = iteration_, .form = TensorNameForm::kWeightGrad},
+                         /*host_valid=*/false);
   return id;
 }
 
@@ -143,11 +153,11 @@ TensorId PlanBuilder::Activation(int layer, int microbatch, int replica) {
     return id;
   }
   const bool is_input = layer == 0;
-  id = registry_->Create(
-      "X" + std::to_string(layer) + "mb" + std::to_string(microbatch) + "r" +
-          std::to_string(replica) + "i" + std::to_string(iteration_),
-      ActBytes(layer), is_input ? TensorClass::kInput : TensorClass::kActivation,
-      /*host_valid=*/is_input, layer - 1, microbatch, replica);
+  id = registry_->Create({.bytes = ActBytes(layer),
+                          .cls = is_input ? TensorClass::kInput : TensorClass::kActivation,
+                          .layer = layer - 1, .microbatch = microbatch, .replica_gpu = replica,
+                          .iteration = iteration_, .form = TensorNameForm::kActivation},
+                         /*host_valid=*/is_input);
   return id;
 }
 
@@ -157,11 +167,10 @@ TensorId PlanBuilder::ActGrad(int layer, int microbatch, int replica) {
   if (id != kInvalidTensor) {
     return id;
   }
-  id = registry_->Create(
-      "dX" + std::to_string(layer) + "mb" + std::to_string(microbatch) + "r" +
-          std::to_string(replica) + "i" + std::to_string(iteration_),
-      ActBytes(layer), TensorClass::kActivationGrad, /*host_valid=*/false, layer - 1,
-      microbatch, replica);
+  id = registry_->Create({.bytes = ActBytes(layer), .cls = TensorClass::kActivationGrad,
+                          .layer = layer - 1, .microbatch = microbatch, .replica_gpu = replica,
+                          .iteration = iteration_, .form = TensorNameForm::kActivationGrad},
+                         /*host_valid=*/false);
   return id;
 }
 
@@ -174,11 +183,11 @@ TensorId PlanBuilder::Stash(int layer, int microbatch, int replica) {
   if (id != kInvalidTensor) {
     return id;
   }
-  id = registry_->Create(
-      "S" + std::to_string(layer) + "mb" + std::to_string(microbatch) + "r" +
-          std::to_string(replica) + "i" + std::to_string(iteration_),
-      l.cost.stash_bytes_per_sample * options_.microbatch_size, TensorClass::kActivation,
-      /*host_valid=*/false, layer, microbatch, replica);
+  id = registry_->Create({.bytes = l.cost.stash_bytes_per_sample * options_.microbatch_size,
+                          .cls = TensorClass::kActivation, .layer = layer, .microbatch = microbatch,
+                          .replica_gpu = replica, .iteration = iteration_,
+                          .form = TensorNameForm::kStash},
+                         /*host_valid=*/false);
   return id;
 }
 

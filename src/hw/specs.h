@@ -52,10 +52,6 @@ inline LinkSpec PcieGen3x16() {
   return LinkSpec{"PCIe3-x16", GBps(12.8), 5e-6};
 }
 
-inline LinkSpec PcieGen3x8() {
-  return LinkSpec{"PCIe3-x8", GBps(6.4), 5e-6};
-}
-
 // NVLink-class link, for what-if topologies (the paper's commodity server has none).
 inline LinkSpec NvLink2() {
   return LinkSpec{"NVLink2", GBps(25.0), 2e-6};

@@ -47,7 +47,7 @@ MemoryManager::Acquisition MemoryManager::Acquire(WorkingSet set, bool best_effo
     for (TensorId id : ids) {
       TensorState& s = reg.mutable_state(id);
       HCHECK(s.residency != Residency::kDead)
-          << "acquire of dead tensor " << reg.meta(id).name;
+          << "acquire of dead tensor " << reg.name(id);
       ++s.pin_count;
     }
   };
@@ -97,7 +97,7 @@ void MemoryManager::Release(AcquireHandle handle) {
 void MemoryManager::MarkDirty(TensorId id) {
   TensorState& s = system_->registry().mutable_state(id);
   HCHECK(s.residency == Residency::kResident && s.device == device_index_)
-      << "MarkDirty on non-resident tensor " << system_->registry().meta(id).name;
+      << "MarkDirty on non-resident tensor " << system_->registry().name(id);
   if (!s.dirty) {
     s.dirty = true;
     LookaheadPush(id);  // the clean bit is part of the lookahead eviction key
@@ -127,9 +127,9 @@ Bytes MemoryManager::ResidentDirtyBytesOf(TensorClass cls) const {
 void MemoryManager::FreeTensor(TensorId id) {
   TensorRegistry& reg = system_->registry();
   TensorState& s = reg.mutable_state(id);
-  HCHECK_EQ(s.pin_count, 0) << "FreeTensor on pinned tensor " << reg.meta(id).name;
+  HCHECK_EQ(s.pin_count, 0) << "FreeTensor on pinned tensor " << reg.name(id);
   HCHECK(s.residency == Residency::kResident || s.residency == Residency::kNone)
-      << "FreeTensor on in-flight tensor " << reg.meta(id).name
+      << "FreeTensor on in-flight tensor " << reg.name(id)
       << " (callers must free synchronously after Release, before the next pump)";
   if (s.residency == Residency::kResident) {
     HCHECK_EQ(s.device, device_index_);
@@ -187,7 +187,7 @@ bool MemoryManager::PumpHead() {
     ensure_all(head.set.allocate, /*accumulate=*/false, /*allocate=*/true);
   }
   if (worst == Progress::kOk && !head.scratch_allocated && head.set.scratch_bytes > 0) {
-    const Bytes offset = AllocateWithEviction(head.set.scratch_bytes, "scratch");
+    const Bytes offset = AllocateWithEviction(head.set.scratch_bytes, kInvalidTensor);
     if (offset == -2) {
       worst = Progress::kStuck;
     } else if (offset == -1) {
@@ -249,7 +249,7 @@ MemoryManager::Progress MemoryManager::EnsureTensor(Pending& p, TensorId id,
     system_->MarkTensorWaiter(id, device_index_);
     return Progress::kOk;  // the transfer's completion wakes this device to re-evaluate
   }
-  HCHECK(s.residency != Residency::kDead) << "use of dead tensor " << meta.name;
+  HCHECK(s.residency != Residency::kDead) << "use of dead tensor " << reg.name(id);
 
   auto progress_of = [](Bytes offset) {
     return offset == -2 ? Progress::kStuck : Progress::kBlocked;
@@ -257,7 +257,7 @@ MemoryManager::Progress MemoryManager::EnsureTensor(Pending& p, TensorId id,
 
   if (s.residency == Residency::kNone) {
     if (s.host_valid) {
-      const Bytes offset = AllocateWithEviction(meta.bytes, meta.name.c_str());
+      const Bytes offset = AllocateWithEviction(meta.bytes, id);
       if (offset < 0) {
         return progress_of(offset);
       }
@@ -265,8 +265,8 @@ MemoryManager::Progress MemoryManager::EnsureTensor(Pending& p, TensorId id,
       return Progress::kOk;
     }
     HCHECK(is_accumulate || is_allocate)
-        << "fetch of tensor " << meta.name << " which has no valid copy anywhere";
-    const Bytes offset = AllocateWithEviction(meta.bytes, meta.name.c_str());
+        << "fetch of tensor " << reg.name(id) << " which has no valid copy anywhere";
+    const Bytes offset = AllocateWithEviction(meta.bytes, id);
     if (offset < 0) {
       return progress_of(offset);
     }
@@ -284,11 +284,11 @@ MemoryManager::Progress MemoryManager::EnsureTensor(Pending& p, TensorId id,
   // Resident on a peer device.
   HCHECK(s.residency == Residency::kResident);
   HCHECK_NE(s.device, device_index_);
-  HCHECK(!is_allocate) << "fresh output " << meta.name << " already resident on device "
+  HCHECK(!is_allocate) << "fresh output " << reg.name(id) << " already resident on device "
                        << s.device;
   MemoryManager* peer = &system_->manager(s.device);
   if (system_->policy().allow_p2p) {
-    const Bytes offset = AllocateWithEviction(meta.bytes, meta.name.c_str());
+    const Bytes offset = AllocateWithEviction(meta.bytes, id);
     if (offset < 0) {
       return progress_of(offset);
     }
@@ -333,10 +333,13 @@ void MemoryManager::CancelHead() {
   ready->Fire();
 }
 
-Bytes MemoryManager::AllocateWithEviction(Bytes bytes, const char* what) {
+Bytes MemoryManager::AllocateWithEviction(Bytes bytes, TensorId tensor) {
+  auto what = [&] {
+    return tensor == kInvalidTensor ? std::string("scratch") : system_->registry().name(tensor);
+  };
   HCHECK_LE(bytes, allocator_.capacity())
-      << "tensor " << what << " (" << FormatBytes(bytes) << ") exceeds device " << device_index_
-      << " capacity " << FormatBytes(allocator_.capacity());
+      << "tensor " << what() << " (" << FormatBytes(bytes) << ") exceeds device "
+      << device_index_ << " capacity " << FormatBytes(allocator_.capacity());
   for (;;) {
     const Bytes offset = allocator_.Allocate(bytes);
     if (offset >= 0) {
@@ -359,9 +362,11 @@ Bytes MemoryManager::AllocateWithEviction(Bytes bytes, const char* what) {
     // Everything evictable is gone and nothing is in flight: only an external change
     // (Release / FreeTensor, often on another request) can unblock this. The engine's
     // deadlock detector reports schedules where that never happens.
-    HLOG(kDebug) << "device " << device_index_ << " stuck allocating " << what << " ("
-                 << FormatBytes(bytes) << "): used " << FormatBytes(allocator_.used_bytes())
-                 << " of " << FormatBytes(allocator_.capacity());
+    if (LogThreshold() <= LogSeverity::kDebug) {
+      HLOG(kDebug) << "device " << device_index_ << " stuck allocating " << what() << " ("
+                   << FormatBytes(bytes) << "): used " << FormatBytes(allocator_.used_bytes())
+                   << " of " << FormatBytes(allocator_.capacity());
+    }
     return -2;
   }
 }
@@ -1104,12 +1109,12 @@ Status MemorySystem::CheckQuiescent() const {
   for (TensorId id = 0; id < registry_->size(); ++id) {
     const TensorState& state = registry_->state(id);
     if (state.pin_count != 0) {
-      return InternalError("tensor " + registry_->meta(id).name + " leaked " +
+      return InternalError("tensor " + registry_->name(id) + " leaked " +
                            std::to_string(state.pin_count) + " pins");
     }
     if (state.residency == Residency::kSwappingIn ||
         state.residency == Residency::kSwappingOut) {
-      return InternalError("tensor " + registry_->meta(id).name +
+      return InternalError("tensor " + registry_->name(id) +
                            " still in flight after the run");
     }
   }

@@ -170,7 +170,6 @@ class MemoryManager {
   Bytes capacity() const { return allocator_.capacity(); }
   Bytes used_bytes() const { return allocator_.used_bytes(); }
   const MemoryCounters& counters() const { return counters_; }
-  MemoryCounters& mutable_counters() { return counters_; }
   bool IsResidentHere(TensorId id) const;
 
   // Bytes of `cls` tensors resident on this device whose copy diverges from host — exactly
@@ -211,10 +210,11 @@ class MemoryManager {
   // Issues whatever actions tensor `id` needs; on kBlocked/kStuck callers stop issuing to
   // preserve FIFO memory fairness.
   Progress EnsureTensor(Pending& p, TensorId id, bool is_accumulate, bool is_allocate);
-  // Allocates `bytes`, evicting LRU victims as needed. Returns the offset, or -1 when
-  // blocked behind an in-flight eviction, or -2 when stuck (everything evictable is gone
-  // and nothing is in flight). Fatal only when `bytes` exceeds raw device capacity.
-  Bytes AllocateWithEviction(Bytes bytes, const char* what);
+  // Allocates `bytes` for `tensor` (kInvalidTensor: a task's scratch), evicting LRU victims
+  // as needed. Returns the offset, or -1 when blocked behind an in-flight eviction, or -2
+  // when stuck (everything evictable is gone and nothing is in flight). Fatal only when
+  // `bytes` exceeds raw device capacity.
+  Bytes AllocateWithEviction(Bytes bytes, TensorId tensor);
   // Drops a best-effort head request: unpins, marks cancelled, fires ready.
   void CancelHead();
   // Compacts all live allocations to low offsets (simulating a virtual-memory remap),

@@ -1,9 +1,10 @@
 // Tensor metadata and residency state machine.
 //
-// Tensors here are *descriptors* (name, size, class, lineage) — the timing engine never
-// materializes payloads. The paper's Fig. 5(a) tensor classes are modelled explicitly so
-// swap volume can be accounted per class (that is how bench_fig5 verifies the analytic
-// model for weights while other tensors keep flowing).
+// Tensors here are *descriptors* (size, class, lineage) — the timing engine never
+// materializes payloads. A tensor's name is rendered from its descriptor only when
+// something prints it (reports, lint findings, check failures). The paper's Fig. 5(a)
+// tensor classes are modelled explicitly so swap volume can be accounted per class (that is
+// how bench_fig5 verifies the analytic model for weights while other tensors keep flowing).
 //
 // Residency: at any time a tensor has at most one device copy (moves, not replicas — DP
 // weight replicas are distinct tensors) plus an optional valid host copy. The state machine:
@@ -18,6 +19,8 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/util/check.h"
@@ -51,15 +54,30 @@ enum class Residency : int {
   kDead = 4,        // freed; any use is a bug
 };
 
+// How a tensor's name is spelled. PlanBuilder's six forms render from the meta's fields
+// and the registry's layer names; a literal name is kept verbatim in a side table.
+enum class TensorNameForm : std::uint8_t {
+  kLiteral,         // as given to TensorRegistry::Create
+  kWeight,          // W[<layer name>]r<replica>
+  kOptState,        // K[<layer name>]r<replica>
+  kWeightGrad,      // dW[<layer name>]r<replica>i<iteration>
+  kActivation,      // X<layer + 1>mb<microbatch>r<replica>i<iteration>; X0 is the input
+  kActivationGrad,  // dX<layer + 1>mb<microbatch>r<replica>i<iteration>
+  kStash,           // S<layer>mb<microbatch>r<replica>i<iteration>
+};
+
 struct TensorMeta {
-  TensorId id = kInvalidTensor;
-  std::string name;
   Bytes bytes = 0;
   TensorClass cls = TensorClass::kWorkspace;
   int layer = -1;       // producing layer, if any
   int microbatch = -1;  // owning microbatch, -1 for per-model state
   int replica_gpu = -1; // DP replica owner, -1 for unreplicated tensors
+  int iteration = -1;   // owning iteration, -1 for state that outlives one
+  TensorNameForm form = TensorNameForm::kLiteral;
 };
+
+static_assert(std::is_trivially_copyable_v<TensorMeta>,
+              "a tensor's metadata holds no heap memory");
 
 struct TensorState {
   Residency residency = Residency::kNone;
@@ -81,13 +99,27 @@ class TensorRegistry {
   TensorRegistry(TensorRegistry&&) = default;
   TensorRegistry& operator=(TensorRegistry&&) = default;
 
-  // Creates a tensor; `host_valid` marks pre-existing host state (weights loaded from a
-  // checkpoint, input batches staged by the data loader).
+  // Creates a tensor named by `meta.form` (not kLiteral); `host_valid` marks pre-existing
+  // host state (weights loaded from a checkpoint, input batches staged by the data loader).
+  TensorId Create(const TensorMeta& meta, bool host_valid);
+  // Creates a tensor with a literal name (tests, microbenchmarks).
   TensorId Create(std::string name, Bytes bytes, TensorClass cls, bool host_valid,
                   int layer = -1, int microbatch = -1, int replica_gpu = -1);
 
+  // The names W, K and dW tensors render their layer with, indexed by TensorMeta::layer.
+  // A registry holds one model's tensors: a second call must pass the same names.
+  void SetLayerNames(std::vector<std::string> names);
+
+  // Makes room for `more` tensors beyond those created so far.
+  void Reserve(std::size_t more) {
+    metas_.reserve(metas_.size() + more);
+    states_.reserve(states_.size() + more);
+  }
+
   int size() const { return static_cast<int>(metas_.size()); }
   const TensorMeta& meta(TensorId id) const { return metas_.at(static_cast<std::size_t>(id)); }
+  // The tensor's name, e.g. "W[embedding]r0" or "X3mb1r0i2"; rendered on every call.
+  std::string name(TensorId id) const;
   const TensorState& state(TensorId id) const {
     return states_.at(static_cast<std::size_t>(id));
   }
@@ -99,8 +131,12 @@ class TensorRegistry {
   Bytes TotalBytes(TensorClass cls) const;
 
  private:
+  TensorId Add(const TensorMeta& meta, bool host_valid);
+
   std::vector<TensorMeta> metas_;
   std::vector<TensorState> states_;
+  std::vector<std::string> layer_names_;
+  std::vector<std::pair<TensorId, std::string>> literal_names_;  // ascending ids
   std::uint64_t lru_clock_ = 0;
 };
 

@@ -74,7 +74,6 @@ bool CollectiveEngine::TryRunHierarchical(Group& group_state) {
     nodes.push_back(std::move(members));
   }
 
-  ++hierarchical_groups_run_;
   auto script = std::make_shared<Script>();
   script->callbacks = std::move(group_state.callbacks);
   const Bytes chunk = (group_state.bytes + static_cast<Bytes>(k) - 1) / static_cast<Bytes>(k);
@@ -181,12 +180,6 @@ void CollectiveEngine::RunScriptedRound(std::shared_ptr<Script> script, std::siz
   const std::vector<Hop>& hops = script->rounds[round];
   auto barrier = std::make_shared<CountdownEvent>(sim_, static_cast<int>(hops.size()));
   for (const Hop& hop : hops) {
-    total_bytes_moved_ += hop.bytes;
-    if (topo.ServerOfGpu(hop.src_device) == topo.ServerOfGpu(hop.dst_device)) {
-      intra_node_bytes_moved_ += hop.bytes;
-    } else {
-      inter_node_bytes_moved_ += hop.bytes;
-    }
     auto arrived = [barrier](TransferOutcome) { barrier->Arrive(); };
     static_assert(TransferManager::Continuation::kStoredInline<decltype(arrived)>);
     transfers_->StartTransfer(topo.gpu_node(hop.src_device), topo.gpu_node(hop.dst_device),
@@ -213,7 +206,6 @@ void CollectiveEngine::RunRound(Group group_state, int round) {
     const NodeId src = topo.gpu_node(group_state.devices[static_cast<std::size_t>(i)]);
     const NodeId dst =
         topo.gpu_node(group_state.devices[static_cast<std::size_t>((i + 1) % n)]);
-    total_bytes_moved_ += chunk;
     auto arrived = [barrier](TransferOutcome) { barrier->Arrive(); };
     static_assert(TransferManager::Continuation::kStoredInline<decltype(arrived)>);
     transfers_->StartTransfer(src, dst, chunk, TransferKind::kCollective, std::move(arrived));

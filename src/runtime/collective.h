@@ -36,13 +36,6 @@ class CollectiveEngine {
   void Arrive(int group, int device_index, Bytes bytes, int expected,
               std::function<void()> on_done);
 
-  Bytes total_bytes_moved() const { return total_bytes_moved_; }
-  // Byte split of the hierarchical path: hops whose endpoints share a server vs. hops that
-  // cross the NIC/rack fabric. Both zero when every group ran the flat ring.
-  Bytes intra_node_bytes_moved() const { return intra_node_bytes_moved_; }
-  Bytes inter_node_bytes_moved() const { return inter_node_bytes_moved_; }
-  int hierarchical_groups_run() const { return hierarchical_groups_run_; }
-
  private:
   struct Group {
     int expected = 0;
@@ -72,10 +65,6 @@ class CollectiveEngine {
   Simulator* sim_;
   TransferManager* transfers_;
   std::map<int, Group> groups_;
-  Bytes total_bytes_moved_ = 0;
-  Bytes intra_node_bytes_moved_ = 0;
-  Bytes inter_node_bytes_moved_ = 0;
-  int hierarchical_groups_run_ = 0;
 };
 
 }  // namespace harmony

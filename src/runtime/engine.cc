@@ -239,10 +239,11 @@ RunReport Engine::Run() {
     if (!c.any()) {
       continue;
     }
-    const TensorMeta& meta = registry.meta(static_cast<TensorId>(t));
+    const TensorId id = static_cast<TensorId>(t);
+    const TensorMeta& meta = registry.meta(id);
     RunReport::TensorChurn entry;
-    entry.tensor = meta.id;
-    entry.name = meta.name;
+    entry.tensor = id;
+    entry.name = registry.name(id);
     entry.cls = TensorClassName(meta.cls);
     entry.bytes = meta.bytes;
     entry.evictions = c.evictions;

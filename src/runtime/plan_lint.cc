@@ -1,10 +1,10 @@
 #include "src/runtime/plan_lint.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
-#include <queue>
-#include <set>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -215,7 +215,7 @@ class Linter {
   }
 
   std::string TensorName(TensorId id) const {
-    return "tensor " + std::to_string(id) + " (" + registry_.meta(id).name + ")";
+    return "tensor " + std::to_string(id) + " (" + registry_.name(id) + ")";
   }
 
   // ---- cheap tier ---------------------------------------------------------------------------
@@ -285,38 +285,45 @@ class Linter {
     }
 
     // Acyclicity of deps + per-device order (Kahn). The topological order doubles as the
-    // processing order for the deep tier's reachability pass.
-    std::vector<std::vector<TaskId>> out(st(n()));
+    // processing order for the deep tier's reachability pass. Successors are stored flat
+    // (CSR), each task's in edge order: its dependents by id, then its queue successor.
     std::vector<int> indegree(st(n()), 0);
-    auto add_edge = [&](TaskId from, TaskId to) {
-      out[st(from)].push_back(to);
-      ++indegree[st(to)];
+    auto for_each_edge = [this](auto&& edge) {
+      for (const Task& t : plan_.tasks) {
+        for (TaskId dep : plan_.deps(t.id)) {
+          edge(dep, t.id);
+        }
+      }
+      for (const auto& order : plan_.per_device_order) {
+        for (std::size_t i = 1; i < order.size(); ++i) {
+          edge(order[i - 1], order[i]);
+        }
+      }
     };
-    for (const Task& t : plan_.tasks) {
-      for (TaskId dep : plan_.deps(t.id)) {
-        add_edge(dep, t.id);
-      }
+    successor_offsets_.assign(st(n()) + 1, 0);
+    for_each_edge([&](TaskId from, TaskId to) {
+      ++successor_offsets_[st(from) + 1];
+      ++indegree[st(to)];
+    });
+    for (std::size_t i = 1; i < successor_offsets_.size(); ++i) {
+      successor_offsets_[i] += successor_offsets_[i - 1];
     }
-    for (const auto& order : plan_.per_device_order) {
-      for (std::size_t i = 1; i < order.size(); ++i) {
-        add_edge(order[i - 1], order[i]);
-      }
-    }
-    std::queue<TaskId> ready;
-    for (int i = 0; i < n(); ++i) {
-      if (indegree[st(i)] == 0) {
-        ready.push(i);
-      }
-    }
+    successors_.resize(successor_offsets_.back());
+    std::vector<std::size_t> fill(successor_offsets_.begin(), successor_offsets_.end() - 1);
+    for_each_edge([&](TaskId from, TaskId to) { successors_[fill[st(from)]++] = to; });
+
+    // topo_ doubles as Kahn's FIFO: tasks leave it in the order they entered.
     topo_.clear();
     topo_.reserve(st(n()));
-    while (!ready.empty()) {
-      const TaskId t = ready.front();
-      ready.pop();
-      topo_.push_back(t);
-      for (TaskId next : out[st(t)]) {
+    for (int i = 0; i < n(); ++i) {
+      if (indegree[st(i)] == 0) {
+        topo_.push_back(i);
+      }
+    }
+    for (std::size_t head = 0; head < topo_.size(); ++head) {
+      for (TaskId next : successors(topo_[head])) {
         if (--indegree[st(next)] == 0) {
-          ready.push(next);
+          topo_.push_back(next);
         }
       }
     }
@@ -335,21 +342,35 @@ class Linter {
                 (stuck.empty() ? std::string("?") : TaskName(stuck.front())) + ")",
             std::move(stuck));
     }
-    successors_ = std::move(out);
   }
 
-  // Every tensor id a task mentions must exist. Walks all five tensor lists per task, by
-  // position: this also runs when the ids themselves are inconsistent.
+  std::span<const TaskId> successors(TaskId t) const {
+    const std::size_t begin = successor_offsets_[st(t)];
+    return {successors_.data() + begin, successor_offsets_[st(t) + 1] - begin};
+  }
+
+  // Every tensor id a task mentions must exist. Scans the five tensor columns whole (their
+  // shape is sound, so that covers every task's lists), and walks them task by task, by
+  // position, only to name the offenders.
   void CheckTensorReferences() {
+    constexpr std::array<TaskList, 5> kTensorLists = {
+        TaskList::kFetch, TaskList::kAccumulate, TaskList::kAllocate, TaskList::kDirty,
+        TaskList::kFreeAfter};
+    const auto known = [this](TensorId id) { return id >= 0 && id < registry_.size(); };
     tensor_refs_broken_ = false;
+    for (TaskList which : kTensorLists) {
+      const std::vector<int>& ids = plan_.lists[static_cast<std::size_t>(which)].ids;
+      tensor_refs_broken_ = tensor_refs_broken_ || !std::all_of(ids.begin(), ids.end(), known);
+    }
+    if (!tensor_refs_broken_) {
+      return;
+    }
     for (TaskId i = 0; i < n(); ++i) {
-      for (TaskList which : {TaskList::kFetch, TaskList::kAccumulate, TaskList::kAllocate,
-                             TaskList::kDirty, TaskList::kFreeAfter}) {
+      for (TaskList which : kTensorLists) {
         for (TensorId id : plan_.list(which, i)) {
-          if (id >= 0 && id < registry_.size()) {
+          if (known(id)) {
             continue;
           }
-          tensor_refs_broken_ = true;
           if (!Error(LintCheck::kDanglingReference,
                      TaskName(i) + " " + TaskListName(which) + " references tensor " +
                          std::to_string(id) + " outside the registry (size " +
@@ -367,24 +388,24 @@ class Linter {
   // guaranteed quiescence failure after the run. free_after must name distinct tensors
   // from the task's own working set (FreeTensor on a pinned or in-flight tensor aborts).
   void CheckPinBalance() {
-    std::vector<TensorId> ws;
+    std::vector<TensorId> ws;  // scratch, reused across tasks
+    std::vector<TensorId> frees;
     for (const Task& t : plan_.tasks) {
       ws.clear();
       for (TaskList which : kWorkingSetLists) {
         const std::span<const TensorId> ids = plan_.list(which, t.id);
         ws.insert(ws.end(), ids.begin(), ids.end());
       }
-      std::vector<TensorId> sorted = ws;
-      std::sort(sorted.begin(), sorted.end());
-      const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
-      if (dup != sorted.end()) {
+      std::sort(ws.begin(), ws.end());
+      const auto dup = std::adjacent_find(ws.begin(), ws.end());
+      if (dup != ws.end()) {
         Error(LintCheck::kPinBalance,
               TaskName(t.id) + " pins " + TensorName(*dup) +
                   " more than once in one working set — acquire/release pairing leaks a pin",
               {t.id}, *dup, t.device);
       }
       const std::span<const TensorId> free_after = plan_.free_after(t.id);
-      std::vector<TensorId> frees(free_after.begin(), free_after.end());
+      frees.assign(free_after.begin(), free_after.end());
       std::sort(frees.begin(), frees.end());
       const auto dup_free = std::adjacent_find(frees.begin(), frees.end());
       if (dup_free != frees.end()) {
@@ -393,7 +414,7 @@ class Linter {
               {t.id}, *dup_free, t.device);
       }
       for (TensorId id : free_after) {
-        if (std::find(ws.begin(), ws.end(), id) == ws.end()) {
+        if (!std::binary_search(ws.begin(), ws.end(), id)) {
           Error(LintCheck::kPinBalance,
                 TaskName(t.id) + " frees " + TensorName(id) +
                     " that is not in its own working set — the free is unordered with the "
@@ -643,58 +664,61 @@ class Linter {
     }
     // node id: merged group nodes first, then singleton tasks.
     std::vector<int> node_of(st(n()), -1);
-    int next = 0;
     std::vector<int> group_ids;
+    std::vector<const std::vector<const Task*>*> group_members;
     for (const auto& [group, members] : groups) {
       for (const Task* m : members) {
-        node_of[st(m->id)] = next;
+        node_of[st(m->id)] = static_cast<int>(group_ids.size());
       }
       group_ids.push_back(group);
-      ++next;
+      group_members.push_back(&members);
     }
-    const int num_groups = next;
+    const int num_groups = static_cast<int>(group_ids.size());
+    std::vector<TaskId> singleton_task;  // node num_groups + k is singleton_task[k]
     for (int i = 0; i < n(); ++i) {
       if (node_of[st(i)] < 0) {
-        node_of[st(i)] = next++;
+        node_of[st(i)] = num_groups + static_cast<int>(singleton_task.size());
+        singleton_task.push_back(i);
       }
     }
-    std::vector<std::set<int>> out(st(next));
-    std::vector<int> indegree(st(next), 0);
-    auto add_edge = [&](TaskId from, TaskId to) {
-      const int a = node_of[st(from)];
-      const int b = node_of[st(to)];
-      if (a != b && out[st(a)].insert(b).second) {
-        ++indegree[st(b)];
-      }
-    };
-    for (const Task& t : plan_.tasks) {
-      for (TaskId dep : plan_.deps(t.id)) {
-        add_edge(dep, t.id);
-      }
-    }
-    for (const auto& order : plan_.per_device_order) {
-      for (std::size_t i = 1; i < order.size(); ++i) {
-        add_edge(order[i - 1], order[i]);
-      }
-    }
-    std::queue<int> ready;
-    for (int i = 0; i < next; ++i) {
-      if (indegree[st(i)] == 0) {
-        ready.push(i);
-      }
-    }
-    int processed = 0;
-    while (!ready.empty()) {
-      const int v = ready.front();
-      ready.pop();
-      ++processed;
-      for (int succ : out[st(v)]) {
-        if (--indegree[st(succ)] == 0) {
-          ready.push(succ);
+    const int num_nodes = num_groups + static_cast<int>(singleton_task.size());
+    // Kahn over the merged graph, read straight off the task graph's successors. Merged
+    // edges are counted with their multiplicity: each copy is removed once its source is
+    // processed, so a node still becomes ready exactly when all its predecessors are done.
+    std::vector<int> indegree(st(num_nodes), 0);
+    for (TaskId t = 0; t < n(); ++t) {
+      for (TaskId succ : successors(t)) {
+        if (node_of[st(t)] != node_of[st(succ)]) {
+          ++indegree[st(node_of[st(succ)])];
         }
       }
     }
-    if (processed != next) {
+    std::vector<int> ready;
+    ready.reserve(st(num_nodes));
+    for (int v = 0; v < num_nodes; ++v) {
+      if (indegree[st(v)] == 0) {
+        ready.push_back(v);
+      }
+    }
+    auto release = [&](int v, TaskId t) {
+      for (TaskId succ : successors(t)) {
+        const int w = node_of[st(succ)];
+        if (w != v && --indegree[st(w)] == 0) {
+          ready.push_back(w);
+        }
+      }
+    };
+    for (std::size_t head = 0; head < ready.size(); ++head) {
+      const int v = ready[head];
+      if (v < num_groups) {
+        for (const Task* m : *group_members[st(v)]) {
+          release(v, m->id);
+        }
+      } else {
+        release(v, singleton_task[st(v - num_groups)]);
+      }
+    }
+    if (static_cast<int>(ready.size()) != num_nodes) {
       std::vector<int> stuck_groups;
       for (int g = 0; g < num_groups; ++g) {
         if (indegree[st(g)] > 0) {
@@ -748,7 +772,7 @@ class Linter {
     for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
       const TaskId u = *it;
       std::uint64_t* row = &reach_[st(u) * blocks_];
-      for (TaskId v : successors_[st(u)]) {
+      for (TaskId v : successors(u)) {
         row[st(v) / 64] |= std::uint64_t{1} << (st(v) % 64);
         const std::uint64_t* succ = &reach_[st(v) * blocks_];
         for (std::size_t b = 0; b < blocks_; ++b) {
@@ -1001,7 +1025,10 @@ class Linter {
   bool structure_ok_ = false;
   bool tensor_refs_broken_ = false;
   std::vector<TaskId> topo_;
-  std::vector<std::vector<TaskId>> successors_;
+  // The task graph (deps + per-device order) as CSR: task t's successors are
+  // successors_[successor_offsets_[t], successor_offsets_[t + 1]).
+  std::vector<std::size_t> successor_offsets_;
+  std::vector<TaskId> successors_;
   std::size_t blocks_ = 0;
   std::vector<std::uint64_t> reach_;
   std::vector<std::vector<Access>> accesses_;

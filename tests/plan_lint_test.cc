@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -205,26 +207,25 @@ TEST(PlanLintUnit, DetectsInfeasibleSingleTaskWorkingSet) {
   EXPECT_TRUE(HasCheck(report, LintCheck::kFeasibility)) << report.Render();
 }
 
-TEST(PlanLintUnit, DetectsCollectiveReplicaHoleAndByteMismatch) {
-  TinyPlan tiny;
+// Appends a two-member all-reduce group whose replicas are {0, 2}: replica 1 is a hole in
+// {0..k-1}.
+void AddReplicaHoleGroup(TinyPlan* tiny) {
   for (int i = 0; i < 2; ++i) {
     Task ar;
     ar.kind = TaskKind::kAllReduce;
     ar.device = i;
-    ar.replica = i == 0 ? 0 : 2;  // replica 1 missing: hole in {0..k-1}
+    ar.replica = i == 0 ? 0 : 2;
     ar.collective_group = 0;
     ar.collective_bytes = kMiB;
-    tiny.plan.per_device_order[static_cast<std::size_t>(i)].push_back(tiny.plan.AddTask(ar));
+    tiny->plan.per_device_order[static_cast<std::size_t>(i)].push_back(tiny->plan.AddTask(ar));
   }
-  const LintReport report = tiny.Lint();
-  EXPECT_TRUE(HasCheck(report, LintCheck::kCollective)) << report.Render();
 }
 
-TEST(PlanLintUnit, DetectsCrossedCollectiveRendezvousDeadlock) {
-  TinyPlan tiny;
-  // Two groups, one member each per device, queued in opposite orders: group 0 waits for
-  // device 1's member which sits behind group 1's member, which waits for device 0's member
-  // behind group 0's. The plain task graph is acyclic; only the rendezvous view deadlocks.
+// Appends two groups, one member each per device, queued in opposite orders: group 0 waits
+// for device 1's member which sits behind group 1's member, which waits for device 0's
+// member behind group 0's. The plain task graph is acyclic; only the rendezvous view
+// deadlocks.
+void AddCrossedGroups(TinyPlan* tiny) {
   for (int g = 0; g < 2; ++g) {
     for (int d = 0; d < 2; ++d) {
       Task ar;
@@ -233,14 +234,26 @@ TEST(PlanLintUnit, DetectsCrossedCollectiveRendezvousDeadlock) {
       ar.replica = d;
       ar.collective_group = g;
       ar.collective_bytes = kMiB;
-      tiny.plan.AddTask(ar);
+      tiny->plan.AddTask(ar);
     }
   }
   // device 0 runs group 0 then group 1; device 1 runs group 1 then group 0.
-  tiny.plan.per_device_order[0].push_back(2);  // group 0
-  tiny.plan.per_device_order[0].push_back(4);  // group 1
-  tiny.plan.per_device_order[1].push_back(5);  // group 1
-  tiny.plan.per_device_order[1].push_back(3);  // group 0
+  tiny->plan.per_device_order[0].push_back(2);  // group 0
+  tiny->plan.per_device_order[0].push_back(4);  // group 1
+  tiny->plan.per_device_order[1].push_back(5);  // group 1
+  tiny->plan.per_device_order[1].push_back(3);  // group 0
+}
+
+TEST(PlanLintUnit, DetectsCollectiveReplicaHoleAndByteMismatch) {
+  TinyPlan tiny;
+  AddReplicaHoleGroup(&tiny);
+  const LintReport report = tiny.Lint();
+  EXPECT_TRUE(HasCheck(report, LintCheck::kCollective)) << report.Render();
+}
+
+TEST(PlanLintUnit, DetectsCrossedCollectiveRendezvousDeadlock) {
+  TinyPlan tiny;
+  AddCrossedGroups(&tiny);
   const LintReport report = tiny.Lint();
   EXPECT_TRUE(HasCheck(report, LintCheck::kCollective)) << report.Render();
   const std::string rendered = report.Render();
@@ -694,14 +707,46 @@ bool MutateDropParticipant(Plan* plan, Rng& rng) {
 constexpr int kMutationsPerClass = 100;
 constexpr int kRequiredHits = 95;
 
-TEST(PlanLintMutation, DetectsDeletedOrderingEdges) {
+enum class Mutation { kDeleteEdge, kSwapDevice, kDropParticipant };
+
+// Seed `seed`'s plan of one mutation class, mutated; null when the draw held nothing to
+// mutate (such a draw does not count).
+std::unique_ptr<BuiltPlan> SeededMutant(Mutation mutation, int seed) {
+  const std::uint64_t s = static_cast<std::uint64_t>(seed);
+  std::unique_ptr<BuiltPlan> built;
+  bool mutated = false;
+  switch (mutation) {
+    case Mutation::kDeleteEdge: {
+      Rng rng(s * 7919 + 3);
+      built = BuildPipelinePlan(rng);
+      EXPECT_TRUE(built->plan.Validate().ok()) << "unmutated plan must be valid";
+      mutated = MutateDeleteEdge(&built->plan, rng);
+      break;
+    }
+    case Mutation::kSwapDevice: {
+      Rng rng(s * 104729 + 17);
+      built = BuildPipelinePlan(rng);
+      mutated = MutateSwapDevice(&built->plan, built->registry, rng);
+      break;
+    }
+    case Mutation::kDropParticipant: {
+      Rng rng(s * 15485863 + 29);
+      built = BuildCollectivePlan(rng);
+      mutated = MutateDropParticipant(&built->plan, rng);
+      break;
+    }
+  }
+  return mutated ? std::move(built) : nullptr;
+}
+
+// Lints `kMutationsPerClass` seeded mutants of one class under both tiers and checks that
+// at least `kRequiredHits` percent of them are flagged.
+void ExpectDetected(Mutation mutation) {
   int applied = 0, detected = 0;
   for (int seed = 0; seed < kMutationsPerClass; ++seed) {
-    Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 3);
-    std::unique_ptr<BuiltPlan> built = BuildPipelinePlan(rng);
-    ASSERT_EQ(built->plan.Validate().ok(), true) << "unmutated plan must be valid";
-    if (!MutateDeleteEdge(&built->plan, rng)) {
-      continue;  // no load-bearing cross-device edge in this draw (does not count)
+    const std::unique_ptr<BuiltPlan> built = SeededMutant(mutation, seed);
+    if (built == nullptr) {
+      continue;
     }
     ++applied;
     const LintReport report = DeepLint(*built, /*with_capacities=*/false);
@@ -710,47 +755,101 @@ TEST(PlanLintMutation, DetectsDeletedOrderingEdges) {
     }
   }
   ASSERT_GE(applied, kMutationsPerClass * 9 / 10)
-      << "mutation generator failed to find deletable edges often enough";
+      << "mutation generator found something to mutate too rarely";
   EXPECT_GE(detected * kMutationsPerClass, kRequiredHits * applied)
       << "detected " << detected << "/" << applied;
 }
 
-TEST(PlanLintMutation, DetectsSwappedDeviceBindings) {
-  int applied = 0, detected = 0;
-  for (int seed = 0; seed < kMutationsPerClass; ++seed) {
-    Rng rng(static_cast<std::uint64_t>(seed) * 104729 + 17);
-    std::unique_ptr<BuiltPlan> built = BuildPipelinePlan(rng);
-    if (!MutateSwapDevice(&built->plan, built->registry, rng)) {
-      continue;
-    }
-    ++applied;
-    const LintReport report = DeepLint(*built, /*with_capacities=*/false);
-    if (report.num_errors() > 0) {
-      ++detected;
-    }
-  }
-  ASSERT_GE(applied, kMutationsPerClass * 9 / 10);
-  EXPECT_GE(detected * kMutationsPerClass, kRequiredHits * applied)
-      << "detected " << detected << "/" << applied;
-}
+TEST(PlanLintMutation, DetectsDeletedOrderingEdges) { ExpectDetected(Mutation::kDeleteEdge); }
+
+TEST(PlanLintMutation, DetectsSwappedDeviceBindings) { ExpectDetected(Mutation::kSwapDevice); }
 
 TEST(PlanLintMutation, DetectsDroppedAllReduceParticipants) {
-  int applied = 0, detected = 0;
-  for (int seed = 0; seed < kMutationsPerClass; ++seed) {
-    Rng rng(static_cast<std::uint64_t>(seed) * 15485863 + 29);
-    std::unique_ptr<BuiltPlan> built = BuildCollectivePlan(rng);
-    if (!MutateDropParticipant(&built->plan, rng)) {
-      continue;
-    }
-    ++applied;
-    const LintReport report = DeepLint(*built, /*with_capacities=*/false);
-    if (report.num_errors() > 0) {
-      ++detected;
+  ExpectDetected(Mutation::kDropParticipant);
+}
+
+// ---- parity: the findings' order and text are pinned -----------------------------------------
+
+// The hand-broken plans of the PlanLintUnit cases, each linted as its test lints it.
+std::vector<LintReport> UnitCaseReports() {
+  std::vector<LintReport> reports;
+  auto broken = [&reports](const std::function<void(TinyPlan*)>& edit,
+                           std::vector<Bytes> capacities = {}) {
+    TinyPlan tiny;
+    edit(&tiny);
+    reports.push_back(tiny.Lint(std::move(capacities)));
+  };
+  broken([](TinyPlan*) {});
+  broken([](TinyPlan* t) { SetList(&t->plan, TaskList::kDeps, 0, {1}); });
+  broken([](TinyPlan* t) {
+    t->plan.tasks[1].device = 0;
+    t->plan.per_device_order[0] = {1, 0};
+    t->plan.per_device_order[1] = {};
+  });
+  broken([](TinyPlan* t) { SetList(&t->plan, TaskList::kDeps, 1, {7}); });
+  broken([](TinyPlan* t) { SetList(&t->plan, TaskList::kFetch, 1, {t->act, 99}); });
+  broken([](TinyPlan* t) {
+    t->plan.lists[static_cast<std::size_t>(TaskList::kFetch)].offsets.pop_back();
+  });
+  broken([](TinyPlan* t) {
+    t->plan.lists[static_cast<std::size_t>(TaskList::kDeps)].offsets.back() = 5;
+  });
+  broken([](TinyPlan* t) {
+    t->plan.lists[static_cast<std::size_t>(TaskList::kAllocate)].offsets = {0, 2, 1};
+  });
+  broken([](TinyPlan* t) { SetList(&t->plan, TaskList::kFetch, 1, {t->act, t->act}); });
+  broken([](TinyPlan* t) { SetList(&t->plan, TaskList::kFreeAfter, 0, {t->act, t->act}); });
+  broken([](TinyPlan* t) {
+    SetList(&t->plan, TaskList::kFreeAfter, 0, {t->act});
+    SetList(&t->plan, TaskList::kFreeAfter, 1, {t->act});
+  });
+  broken([](TinyPlan* t) { SetList(&t->plan, TaskList::kFreeAfter, 0, {t->act}); });
+  broken([](TinyPlan* t) { SetList(&t->plan, TaskList::kDeps, 1, {}); });
+  broken([](TinyPlan*) {}, {3 * kMiB, 3 * kMiB});
+  broken(AddReplicaHoleGroup);
+  broken(AddCrossedGroups);
+  return reports;
+}
+
+// FNV-1a, 64 bits, as 16 hex digits.
+std::string Fnv1aHex(const std::string& text) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char c : text) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(hash));
+  return hex;
+}
+
+// Every finding the lint emits on the unit cases and on the seeded mutants of all three
+// classes (cheap tier alone, then both tiers as the mutation tests run them), as JSON
+// reports concatenated in that order. The digest was recorded before the cheap tier was
+// rewritten over flat arrays and before tensor names became rendered on demand; both
+// changes had to keep every byte of it.
+TEST(PlanLintParity, FindingsMatchTheRecordedDigest) {
+  std::string all;
+  for (const LintReport& report : UnitCaseReports()) {
+    all += report.ToJson();
+    all += '\n';
+  }
+  for (const Mutation mutation :
+       {Mutation::kDeleteEdge, Mutation::kSwapDevice, Mutation::kDropParticipant}) {
+    for (int seed = 0; seed < kMutationsPerClass; ++seed) {
+      const std::unique_ptr<BuiltPlan> built = SeededMutant(mutation, seed);
+      if (built == nullptr) {
+        continue;
+      }
+      LintOptions cheap;
+      cheap.deep = false;
+      all += LintPlan(built->plan, built->registry, cheap).ToJson();
+      all += '\n';
+      all += DeepLint(*built, /*with_capacities=*/false).ToJson();
+      all += '\n';
     }
   }
-  ASSERT_GE(applied, kMutationsPerClass * 9 / 10);
-  EXPECT_GE(detected * kMutationsPerClass, kRequiredHits * applied)
-      << "detected " << detected << "/" << applied;
+  EXPECT_EQ(all.size(), 321730u);
+  EXPECT_EQ(Fnv1aHex(all), "a0bec4bf722dc715");
 }
 
 }  // namespace

@@ -122,9 +122,9 @@ TEST(PlanBuilderTest, EveryEphemeralTensorFreedExactlyOnce) {
   for (TensorId id = 0; id < registry.size(); ++id) {
     const TensorClass cls = registry.meta(id).cls;
     if (cls == TensorClass::kWeight || cls == TensorClass::kOptimizerState) {
-      EXPECT_EQ(freed.count(id), 0u) << registry.meta(id).name;
+      EXPECT_EQ(freed.count(id), 0u) << registry.name(id);
     } else {
-      EXPECT_EQ(freed[id], 1) << registry.meta(id).name << " freed " << freed[id] << " times";
+      EXPECT_EQ(freed[id], 1) << registry.name(id) << " freed " << freed[id] << " times";
     }
   }
 }

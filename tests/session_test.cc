@@ -9,6 +9,9 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <set>
+#include <span>
+#include <string>
 #include <utility>
 
 #include "src/core/packer.h"
@@ -101,6 +104,135 @@ TEST(FitProbeTest, PeaksIgnoreIterationCountOnTheModelZoo) {
       }
     }
   }
+}
+
+// ---- tensor names ------------------------------------------------------------------------
+
+// The expressions PlanBuilder used to spell each name with, back when every tensor stored
+// its name: the oracle for TensorRegistry::name. X and dX were created with
+// meta.layer = layer - 1.
+std::string BuilderName(const Model& model, const TensorMeta& m) {
+  const std::string r = std::to_string(m.replica_gpu);
+  const std::string i = std::to_string(m.iteration);
+  switch (m.form) {
+    case TensorNameForm::kWeight:
+      return "W[" + model.layer(m.layer).name + "]r" + r;
+    case TensorNameForm::kOptState:
+      return "K[" + model.layer(m.layer).name + "]r" + r;
+    case TensorNameForm::kWeightGrad:
+      return "dW[" + model.layer(m.layer).name + "]r" + r + "i" + i;
+    case TensorNameForm::kActivation:
+      return "X" + std::to_string(m.layer + 1) + "mb" + std::to_string(m.microbatch) + "r" + r +
+             "i" + i;
+    case TensorNameForm::kActivationGrad:
+      return "dX" + std::to_string(m.layer + 1) + "mb" + std::to_string(m.microbatch) + "r" +
+             r + "i" + i;
+    case TensorNameForm::kStash:
+      return "S" + std::to_string(m.layer) + "mb" + std::to_string(m.microbatch) + "r" + r +
+             "i" + i;
+    case TensorNameForm::kLiteral:
+      break;
+  }
+  return "<literal>";
+}
+
+// The class each generated form is created with.
+bool FormMatchesClass(const TensorMeta& m) {
+  switch (m.form) {
+    case TensorNameForm::kWeight:
+      return m.cls == TensorClass::kWeight;
+    case TensorNameForm::kOptState:
+      return m.cls == TensorClass::kOptimizerState;
+    case TensorNameForm::kWeightGrad:
+      return m.cls == TensorClass::kWeightGrad;
+    case TensorNameForm::kActivation:
+      return m.cls == (m.layer < 0 ? TensorClass::kInput : TensorClass::kActivation);
+    case TensorNameForm::kActivationGrad:
+      return m.cls == TensorClass::kActivationGrad;
+    case TensorNameForm::kStash:
+      return m.cls == TensorClass::kActivation;
+    case TensorNameForm::kLiteral:
+      break;
+  }
+  return false;
+}
+
+// Every tensor of every plan on FitProbeTest's zoo grid, plus a 12-replica, 11-iteration
+// point for multi-digit numbers, renders the name the builder used to store. Forward tasks
+// also pin the names to the plan's structure: a forward fetches X[layer_begin] of its own
+// microbatch, replica and iteration, then W of each layer it covers.
+TEST(TensorNameTest, RenderedNamesMatchTheBuilderSpelling) {
+  struct Point {
+    const char* model;
+    Scheme scheme;
+    int nodes;
+    int iterations;
+  };
+  std::vector<Point> grid;
+  for (const char* name : {"lenet", "alexnet", "gnmt", "amoebanet", "bert-base", "bert-large",
+                           "gpt2-xl", "toy"}) {
+    for (Scheme scheme : {Scheme::kBaselineDp, Scheme::kBaselinePp, Scheme::kHarmonyDp,
+                          Scheme::kHarmonyPp, Scheme::kHarmonyTp, Scheme::kServing}) {
+      for (int nodes : {1, 2}) {
+        grid.push_back({name, scheme, nodes, 3});
+      }
+    }
+  }
+  grid.push_back({"lenet", Scheme::kHarmonyDp, 3, 11});
+
+  std::set<TensorNameForm> forms;
+  bool input = false, multi_digit_replica = false, multi_digit_iteration = false;
+  for (const Point& point : grid) {
+    const Model model = ModelByName(point.model).value();
+    SessionConfig config;
+    config.scheme = point.scheme;
+    config.num_nodes = point.nodes;
+    config.iterations = point.iterations;
+    config.microbatches = 2;
+    config.microbatch_size = 2;
+    config.pack_size = 2;
+    if ((point.scheme == Scheme::kBaselinePp || point.scheme == Scheme::kServing) &&
+        model.num_layers() < config.total_gpus()) {
+      continue;  // one pipeline stage per GPU needs a layer per GPU
+    }
+    SCOPED_TRACE(std::string(point.model) + ", " + SchemeName(point.scheme) + ", " +
+                 std::to_string(point.nodes) + " node(s)");
+    TensorRegistry registry;
+    const TensorId literal =
+        registry.Create("loader-batch", kMiB, TensorClass::kInput, /*host_valid=*/true);
+    const Plan plan =
+        BuildPlanForConfig(model, MakeSessionMachine(config), &registry, config);
+    ASSERT_EQ(registry.name(literal), "loader-batch");
+    for (TensorId id = literal + 1; id < registry.size(); ++id) {
+      const TensorMeta& m = registry.meta(id);
+      ASSERT_NE(m.form, TensorNameForm::kLiteral) << "tensor " << id;
+      EXPECT_TRUE(FormMatchesClass(m)) << registry.name(id);
+      ASSERT_EQ(registry.name(id), BuilderName(model, m)) << "tensor " << id;
+      forms.insert(m.form);
+      input = input || (m.form == TensorNameForm::kActivation && m.layer == -1);
+      multi_digit_replica = multi_digit_replica || m.replica_gpu >= 10;
+      multi_digit_iteration = multi_digit_iteration || m.iteration >= 10;
+    }
+    for (const Task& t : plan.tasks) {
+      if (t.kind != TaskKind::kForward) {
+        continue;
+      }
+      const std::span<const TensorId> fetch = plan.fetch(t.id);
+      const std::string r = "r" + std::to_string(t.replica);
+      ASSERT_EQ(fetch.size(), static_cast<std::size_t>(1 + t.layer_end - t.layer_begin));
+      EXPECT_EQ(registry.name(fetch[0]), "X" + std::to_string(t.layer_begin) + "mb" +
+                                             std::to_string(t.microbatch) + r + "i" +
+                                             std::to_string(t.iteration));
+      for (int l = t.layer_begin; l < t.layer_end; ++l) {
+        EXPECT_EQ(registry.name(fetch[static_cast<std::size_t>(1 + l - t.layer_begin)]),
+                  "W[" + model.layer(l).name + "]" + r);
+      }
+    }
+  }
+  EXPECT_EQ(forms.size(), 6u) << "every generated form is reached";
+  EXPECT_TRUE(input) << "the layer-0 input X0 is reached";
+  EXPECT_TRUE(multi_digit_replica);
+  EXPECT_TRUE(multi_digit_iteration);
 }
 
 TEST(PrepareSessionTest, RunExecutesThePreparedPlan) {

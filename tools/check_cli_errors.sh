@@ -107,6 +107,25 @@ for args in "--jobs=train@0" "--quota=t0:bw=0.5" "--sched=fifo --jobs=train@0 --
   fi
 done
 
+# --tune and the elastic --faults run end in no run report: each report flag is refused
+# (exit 2) instead of being dropped by a run that exits 0 and writes nothing.
+out_dir=$(mktemp -d)
+trap 'rm -rf "$out_dir"' EXIT
+for mode in --tune --faults=fail@1:gpu1; do
+  for flag in --json="$out_dir/r.json" --csv="$out_dir/r.csv" --trace="$out_dir/r.trace" \
+      --timeline --explain; do
+    err=$("$sim" --model=lenet "$mode" "$flag" 2>&1 >/dev/null)
+    code=$?
+    want="${mode%%=*} cannot be combined"
+    if [[ $code -ne 2 || "$err" != *"$want"* || "$err" != *"--help"* ]]; then
+      echo "FAIL $mode $flag : exit $code, stderr: $err" >&2
+      failures=$((failures + 1))
+    else
+      echo "ok   $mode $flag -> exit 2 (report flag refused)"
+    fi
+  done
+done
+
 # expect_invalid <expected-substring> <flag...>: well-formed flags whose configuration
 # fails validation must exit 1 with the typed error on stderr, not crash.
 expect_invalid() {

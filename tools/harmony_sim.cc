@@ -299,6 +299,15 @@ int Run(int argc, char** argv) {
     }
     config.faults = faults.value();
   }
+  if ((tune || (!config.faults.empty() && !lint)) &&
+      (explain || timeline || !flags.Get("json").empty() || !flags.Get("csv").empty() ||
+       !flags.Get("trace").empty())) {
+    // Neither mode ends in one run report for these flags to render or write.
+    std::cerr << (tune ? "--tune" : "--faults")
+              << " cannot be combined with --json, --csv, --trace, --timeline, or --explain"
+                 "\n(run with --help for flag usage)\n";
+    return 2;
+  }
 
   if (tune) {
     // Tuner mode: sweep the memory-performance tango knobs around the requested config and
