@@ -125,8 +125,9 @@ BENCHMARK(BM_FlowChurn)->Arg(1000);
 // Steady-state churn on one device: the population is twice what fits, so every acquisition
 // of the round-robin next tensor evicts exactly one resident. args: {residents,
 // reference_scan, lookahead}. The reference arm forces the retained full scan through
-// MemorySystem::set_reference_scan_eviction (index maintenance still runs, so the delta is
-// purely victim-selection cost).
+// MemorySystem::set_reference_scan_eviction. The scan visits every member of the same LRU
+// list the indexed pick walks from its head, and index maintenance still runs, so the delta
+// is purely victim-selection cost.
 class EvictionChurnHarness {
  public:
   EvictionChurnHarness(int residents, bool reference_scan, bool lookahead) {

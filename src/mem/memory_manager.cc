@@ -67,11 +67,12 @@ MemoryManager::Acquisition MemoryManager::Acquire(WorkingSet set, bool best_effo
 }
 
 void MemoryManager::Release(AcquireHandle handle) {
-  if (cancelled_.erase(handle) > 0) {
-    return;  // best-effort request that never materialized
-  }
   auto it = held_.find(handle);
   HCHECK(it != held_.end()) << "release of unknown acquisition " << handle;
+  if (it->second.cancelled()) {
+    held_.erase(it);
+    return;  // best-effort request that never materialized: nothing to unpin or pump
+  }
   TensorRegistry& reg = system_->registry();
   auto unpin_all = [&](const std::vector<TensorId>& ids) {
     for (TensorId id : ids) {
@@ -112,7 +113,7 @@ bool MemoryManager::IsResidentHere(TensorId id) const {
 Bytes MemoryManager::ResidentDirtyBytesOf(TensorClass cls) const {
   const TensorRegistry& reg = system_->registry();
   Bytes total = 0;
-  for (TensorId id : resident_) {
+  for (TensorId id = lru_head_; id != kInvalidTensor; id = system_->lru_links(id).next) {
     if (reg.meta(id).cls != cls) {
       continue;
     }
@@ -134,7 +135,6 @@ void MemoryManager::FreeTensor(TensorId id) {
   if (s.residency == Residency::kResident) {
     HCHECK_EQ(s.device, device_index_);
     allocator_.Free(s.alloc_offset, reg.meta(id).bytes);
-    resident_.erase(id);
     IndexRemove(id);
   }
   s.residency = Residency::kDead;
@@ -172,7 +172,7 @@ bool MemoryManager::PumpHead() {
   Progress worst = Progress::kOk;
   auto ensure_all = [&](const std::vector<TensorId>& ids, bool accumulate, bool allocate) {
     for (TensorId id : ids) {
-      const Progress p = EnsureTensor(head, id, accumulate, allocate);
+      const Progress p = EnsureTensor(id, accumulate, allocate);
       if (p != Progress::kOk) {
         worst = p;
         return;
@@ -229,8 +229,8 @@ bool MemoryManager::PumpHead() {
   return true;
 }
 
-MemoryManager::Progress MemoryManager::EnsureTensor(Pending& p, TensorId id,
-                                                    bool is_accumulate, bool is_allocate) {
+MemoryManager::Progress MemoryManager::EnsureTensor(TensorId id, bool is_accumulate,
+                                                    bool is_allocate) {
   TensorRegistry& reg = system_->registry();
   TensorState& s = reg.mutable_state(id);
   const TensorMeta& meta = reg.meta(id);
@@ -240,9 +240,6 @@ MemoryManager::Progress MemoryManager::EnsureTensor(Pending& p, TensorId id,
   }
   if (s.residency == Residency::kSwappingIn && s.device == device_index_) {
     return Progress::kOk;  // arrival will re-pump
-  }
-  if (p.issued.count(id) > 0) {
-    return Progress::kOk;  // a multi-stage bring is in flight
   }
   if (s.residency == Residency::kSwappingOut ||
       (s.residency == Residency::kSwappingIn && s.device != device_index_)) {
@@ -275,7 +272,6 @@ MemoryManager::Progress MemoryManager::EnsureTensor(Pending& p, TensorId id,
     s.alloc_offset = offset;
     s.dirty = true;  // device copy is the only copy
     s.lru_tick = reg.NextLruTick();
-    resident_.insert(id);
     IndexAdd(id);
     NoteUsage();
     return Progress::kOk;
@@ -297,7 +293,6 @@ MemoryManager::Progress MemoryManager::EnsureTensor(Pending& p, TensorId id,
   }
   // Per-GPU virtualization: no cross-device context. Stage through host memory: the owner
   // writes the tensor back, then the regular kNone+host_valid path swaps it in here.
-  p.issued.insert(id);
   BeginStagedFetchFromPeer(id, peer);
   return Progress::kOk;
 }
@@ -329,7 +324,7 @@ void MemoryManager::CancelHead() {
     allocator_.Free(head.scratch_offset, head.set.scratch_bytes);
   }
   OneShotEvent* ready = head.ready.get();
-  cancelled_.emplace(head.handle, std::move(head.ready));
+  held_.emplace(head.handle, Held{{}, Held::kCancelled, std::move(head.ready)});
   ready->Fire();
 }
 
@@ -379,7 +374,7 @@ void MemoryManager::Defragment() {
   };
   std::vector<Item> items;
   TensorRegistry& reg = system_->registry();
-  for (TensorId id : resident_) {
+  for (TensorId id = lru_head_; id != kInvalidTensor; id = system_->lru_links(id).next) {
     TensorState& s = reg.mutable_state(id);
     HCHECK_GE(s.alloc_offset, 0);
     items.push_back(Item{s.alloc_offset, reg.meta(id).bytes, &s.alloc_offset});
@@ -421,7 +416,7 @@ TensorId MemoryManager::PickVictimByScan(const NextUseFn& oracle, bool lookahead
     std::uint64_t best_next = 0;
     bool best_clean = false;
     std::uint64_t best_tick = std::numeric_limits<std::uint64_t>::max();
-    for (TensorId id : resident_) {
+    for (TensorId id = lru_head_; id != kInvalidTensor; id = system_->lru_links(id).next) {
       const TensorState& s = reg.state(id);
       if (s.residency != Residency::kResident || s.pin_count > 0) {
         continue;
@@ -455,7 +450,7 @@ TensorId MemoryManager::PickVictimByScan(const NextUseFn& oracle, bool lookahead
     }
   } else {
     std::uint64_t best_tick = std::numeric_limits<std::uint64_t>::max();
-    for (TensorId id : resident_) {
+    for (TensorId id = lru_head_; id != kInvalidTensor; id = system_->lru_links(id).next) {
       const TensorState& s = reg.state(id);
       if (s.residency != Residency::kResident || s.pin_count > 0) {
         continue;
@@ -560,7 +555,6 @@ bool MemoryManager::EvictOne() {
   const bool can_drop = !s.dirty && s.host_valid && !policy.write_back_clean;
   if (can_drop) {
     allocator_.Free(s.alloc_offset, meta.bytes);
-    resident_.erase(victim);
     IndexRemove(victim);
     s.residency = Residency::kNone;
     s.device = -1;
@@ -581,7 +575,6 @@ bool MemoryManager::EvictOne() {
     const TensorMeta& m = registry.meta(victim);
     HCHECK(state.residency == Residency::kSwappingOut);
     allocator_.Free(state.alloc_offset, m.bytes);
-    resident_.erase(victim);
     IndexRemove(victim);
     state.residency = Residency::kNone;
     state.device = -1;
@@ -605,7 +598,6 @@ void MemoryManager::BeginSwapIn(TensorId id, Bytes offset) {
   s.residency = Residency::kSwappingIn;
   s.device = device_index_;
   s.alloc_offset = offset;
-  resident_.insert(id);
   IndexAdd(id);
   counters_.swap_in[static_cast<int>(meta.cls)] += meta.bytes;
   system_->NoteChurn(id, device_index_, ChurnKind::kSwapIn, meta.bytes);
@@ -640,7 +632,6 @@ void MemoryManager::BeginPeerFetch(TensorId id, Bytes offset, MemoryManager* pee
   // transfer start: a relocation-safe simplification (the peer may not reuse-and-corrupt it
   // in the simulation, since data never physically exists) that keeps no raw offsets alive
   // across defragmentation.
-  peer->resident_.erase(id);
   peer->IndexRemove(id);
   peer->allocator_.Free(peer_offset, meta.bytes);
   // The peer just gained free memory; its wakeup rides the pump pass already in progress
@@ -649,7 +640,6 @@ void MemoryManager::BeginPeerFetch(TensorId id, Bytes offset, MemoryManager* pee
   s.residency = Residency::kSwappingIn;
   s.device = device_index_;
   s.alloc_offset = offset;
-  resident_.insert(id);
   IndexAdd(id);
   counters_.p2p_in[static_cast<int>(meta.cls)] += meta.bytes;
   system_->NoteChurn(id, device_index_, ChurnKind::kP2pIn, meta.bytes);
@@ -676,20 +666,18 @@ void MemoryManager::BeginStagedFetchFromPeer(TensorId id, MemoryManager* peer) {
   TensorRegistry& reg = system_->registry();
   TensorState& s = reg.mutable_state(id);
   const TensorMeta& meta = reg.meta(id);
-  const AcquireHandle handle = pending_.front().handle;
 
   if (!s.dirty && s.host_valid) {
     // Host already has a valid copy; the owner just drops its replica (no DMA). Note this
     // still differs from p2p: the data must be *re-uploaded* from host over the uplink.
     peer->allocator_.Free(s.alloc_offset, meta.bytes);
-    peer->resident_.erase(id);
     peer->IndexRemove(id);
     s.residency = Residency::kNone;
     s.device = -1;
     s.alloc_offset = -1;
-    // Freed memory; its wakeup rides FinishStagedOwnerLeg's pump.
+    // Freed memory; its wakeup rides the pump of this device that issues the host leg.
     system_->MarkDeviceDirty(peer->device_index_);
-    FinishStagedOwnerLeg(handle, id);
+    system_->SchedulePump(device_index_);
     return;
   }
 
@@ -697,13 +685,12 @@ void MemoryManager::BeginStagedFetchFromPeer(TensorId id, MemoryManager* peer) {
   ++peer->evictions_in_flight_;
   peer->counters_.swap_out[static_cast<int>(meta.cls)] += meta.bytes;
   system_->NoteChurn(id, peer->device_index_, ChurnKind::kPeerStageWriteBack, meta.bytes);
-  auto written_back = [this, id, peer, handle](TransferOutcome) {
+  auto written_back = [this, id, peer](TransferOutcome) {
     TensorRegistry& registry = system_->registry();
     TensorState& state = registry.mutable_state(id);
     const TensorMeta& m = registry.meta(id);
     HCHECK(state.residency == Residency::kSwappingOut);
     peer->allocator_.Free(state.alloc_offset, m.bytes);
-    peer->resident_.erase(id);
     peer->IndexRemove(id);
     state.residency = Residency::kNone;
     state.device = -1;
@@ -712,21 +699,14 @@ void MemoryManager::BeginStagedFetchFromPeer(TensorId id, MemoryManager* peer) {
     state.dirty = false;
     --peer->evictions_in_flight_;
     system_->SchedulePump(peer->device_index_);
+    // Wakes this device too if a re-pump saw the write-back in flight; the pump below
+    // issues the host leg either way.
     system_->WakeTensorWaiters(id);
-    FinishStagedOwnerLeg(handle, id);
+    system_->SchedulePump(device_index_);
   };
   static_assert(TransferManager::Continuation::kStoredInline<decltype(written_back)>);
   system_->transfers().StartTransfer(peer->device_node_, peer->host_node_, meta.bytes,
                                      TransferKind::kSwapOut, std::move(written_back));
-}
-
-void MemoryManager::FinishStagedOwnerLeg(AcquireHandle handle, TensorId id) {
-  for (Pending& pending : pending_) {
-    if (pending.handle == handle) {
-      pending.issued.erase(id);
-    }
-  }
-  system_->SchedulePump(device_index_);
 }
 
 void MemoryManager::NoteUsage() {
@@ -814,20 +794,16 @@ void MemoryManager::LookaheadPush(TensorId id) {
 
 void MemoryManager::RebuildLookaheadIndex() {
   lookahead_heap_ = decltype(lookahead_heap_){};
-  for (TensorId id : resident_) {
+  for (TensorId id = lru_head_; id != kInvalidTensor; id = system_->lru_links(id).next) {
     LookaheadPush(id);
   }
 }
 
 std::string MemoryManager::DebugCheckIndexConsistency() const {
   const TensorRegistry& reg = system_->registry();
-  if (lru_size_ != resident_.size()) {
-    return "device " + std::to_string(device_index_) + ": LRU list size " +
-           std::to_string(lru_size_) + " != resident_ size " +
-           std::to_string(resident_.size());
-  }
-  // Walk the list: every member must be tracked in resident_, and kResident members must
-  // appear in strictly ascending lru_tick order (the PickVictimLru correctness invariant).
+  // Walk the list: every member's state must hold an allocation on this device, and
+  // kResident members must appear in strictly ascending lru_tick order (the PickVictimLru
+  // correctness invariant).
   std::size_t walked = 0;
   std::uint64_t last_resident_tick = 0;
   TensorId prev = kInvalidTensor;
@@ -844,11 +820,13 @@ std::string MemoryManager::DebugCheckIndexConsistency() const {
       return "device " + std::to_string(device_index_) + ": LRU back-link of tensor " +
              std::to_string(id) + " is broken";
     }
-    if (resident_.count(id) == 0) {
-      return "device " + std::to_string(device_index_) + ": LRU member " +
-             std::to_string(id) + " is not tracked as resident";
-    }
     const TensorState& s = reg.state(id);
+    if (s.device != device_index_ || s.residency == Residency::kNone ||
+        s.residency == Residency::kDead) {
+      return "device " + std::to_string(device_index_) + ": LRU member " +
+             std::to_string(id) + " holds no allocation here (device " +
+             std::to_string(s.device) + ")";
+    }
     if (s.residency == Residency::kResident) {
       if (s.lru_tick <= last_resident_tick && last_resident_tick != 0) {
         return "device " + std::to_string(device_index_) + ": LRU order violated at tensor " +
@@ -862,21 +840,6 @@ std::string MemoryManager::DebugCheckIndexConsistency() const {
   if (walked != lru_size_) {
     return "device " + std::to_string(device_index_) + ": LRU list walk saw " +
            std::to_string(walked) + " members, expected " + std::to_string(lru_size_);
-  }
-  for (TensorId id : resident_) {
-    const TensorState& s = reg.state(id);
-    if (s.device != device_index_) {
-      return "device " + std::to_string(device_index_) + ": resident tensor " +
-             std::to_string(id) + " claims device " + std::to_string(s.device);
-    }
-    // Read the table directly: a never-linked id may lie past its end, and a check must
-    // not grow it.
-    const std::size_t idx = static_cast<std::size_t>(id);
-    if (idx >= system_->lru_links_.size() ||
-        system_->lru_links_[idx].owner != device_index_) {
-      return "device " + std::to_string(device_index_) + ": resident tensor " +
-             std::to_string(id) + " missing from the LRU list";
-    }
   }
   return "";
 }
@@ -1070,19 +1033,22 @@ Status MemorySystem::CheckQuiescent() const {
                            " pending acquisitions after the run");
     }
     if (!manager->held_.empty()) {
+      std::size_t cancelled = 0;
+      for (const auto& [handle, held] : manager->held_) {
+        if (held.cancelled()) {
+          ++cancelled;
+        }
+      }
       return InternalError("device " + std::to_string(manager->device_index_) + " has " +
                            std::to_string(manager->held_.size()) +
-                           " unreleased acquisitions after the run");
+                           " unreleased acquisitions after the run, " +
+                           std::to_string(cancelled) +
+                           " of them cancelled best-effort requests (which must be "
+                           "Release()d too, or the records grow forever)");
     }
     if (manager->evictions_in_flight_ != 0) {
       return InternalError("device " + std::to_string(manager->device_index_) +
                            " has write-backs in flight after the run");
-    }
-    if (!manager->cancelled_.empty()) {
-      return InternalError("device " + std::to_string(manager->device_index_) + " has " +
-                           std::to_string(manager->cancelled_.size()) +
-                           " unreleased cancelled acquisitions after the run (best-effort "
-                           "handles must still be Release()d, or the set grows forever)");
     }
     const std::string index_drift = manager->DebugCheckIndexConsistency();
     if (!index_drift.empty()) {
@@ -1116,6 +1082,18 @@ Status MemorySystem::CheckQuiescent() const {
         state.residency == Residency::kSwappingOut) {
       return InternalError("tensor " + registry_->name(id) +
                            " still in flight after the run");
+    }
+    // The converse of each list walk: a tensor whose allocation lives on a device is
+    // linked on that device's list. Read the table directly: an id that was never linked
+    // may lie past its end, and a check must not grow it.
+    if (state.residency != Residency::kNone && state.residency != Residency::kDead) {
+      const std::size_t idx = static_cast<std::size_t>(id);
+      if (state.device < 0 || idx >= lru_links_.size() ||
+          lru_links_[idx].owner != state.device) {
+        return InternalError("eviction index out of sync after the run: tensor " +
+                             registry_->name(id) + " holds an allocation on device " +
+                             std::to_string(state.device) + " but is not on its LRU list");
+      }
     }
   }
   return Status::Ok();

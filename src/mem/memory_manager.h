@@ -23,7 +23,6 @@
 #include <map>
 #include <memory>
 #include <queue>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -152,7 +151,10 @@ class MemoryManager {
 
   // True when `handle` belonged to a best-effort request that was cancelled. Release() on a
   // cancelled handle is a no-op.
-  bool WasCancelled(AcquireHandle handle) const { return cancelled_.count(handle) > 0; }
+  bool WasCancelled(AcquireHandle handle) const {
+    const auto it = held_.find(handle);
+    return it != held_.end() && it->second.cancelled();
+  }
 
   // Unpins the set, frees its scratch and destroys its `ready` event. Tensors stay resident
   // until evicted or freed.
@@ -179,13 +181,12 @@ class MemoryManager {
  private:
   friend class MemorySystem;
 
-  // An acquisition's `ready` event moves with it from Pending to Held (or into cancelled_)
-  // and is destroyed by Release, so the manager keeps events only for live acquisitions.
+  // An acquisition's `ready` event moves with it from Pending to Held and is destroyed by
+  // Release, so the manager keeps events only for live acquisitions.
   struct Pending {
     AcquireHandle handle;
     WorkingSet set;
     std::unique_ptr<OneShotEvent> ready;
-    std::set<TensorId> issued;  // bring-actions already in flight for this request
     bool scratch_allocated = false;
     Bytes scratch_offset = -1;
     bool best_effort = false;
@@ -197,10 +198,16 @@ class MemoryManager {
     kStuck,    // no progress possible without external change (release / free)
   };
 
+  // A granted request, or a cancelled best-effort one (empty set, scratch_offset kCancelled)
+  // whose fired `ready` event lives until Release. The flag shares scratch_offset because a
+  // separate field would move every held_ node into the allocator's next size class, which
+  // raised dp_cluster's peak RSS by 1-5 MB through heap fragmentation.
   struct Held {
+    static constexpr Bytes kCancelled = -2;
     WorkingSet set;
-    Bytes scratch_offset = -1;
+    Bytes scratch_offset = -1;  // -1: no scratch
     std::unique_ptr<OneShotEvent> ready;
+    bool cancelled() const { return scratch_offset == kCancelled; }
   };
 
   // Tries to make progress on the head pending request; returns true if it was granted.
@@ -209,7 +216,7 @@ class MemoryManager {
   bool Satisfied(const Pending& p) const;
   // Issues whatever actions tensor `id` needs; on kBlocked/kStuck callers stop issuing to
   // preserve FIFO memory fairness.
-  Progress EnsureTensor(Pending& p, TensorId id, bool is_accumulate, bool is_allocate);
+  Progress EnsureTensor(TensorId id, bool is_accumulate, bool is_allocate);
   // Allocates `bytes` for `tensor` (kInvalidTensor: a task's scratch), evicting LRU victims
   // as needed. Returns the offset, or -1 when blocked behind an in-flight eviction, or -2
   // when stuck (everything evictable is gone and nothing is in flight). Fatal only when
@@ -225,10 +232,10 @@ class MemoryManager {
   bool EvictOne();
   void BeginSwapIn(TensorId id, Bytes offset);
   void BeginPeerFetch(TensorId id, Bytes offset, MemoryManager* peer);
+  // Starts the owner-side leg of a fetch staged through host memory. Until it lands the
+  // tensor is kSwappingOut, which EnsureTensor waits out; the landing re-pumps this device,
+  // whose head then issues the host leg as a plain swap-in.
   void BeginStagedFetchFromPeer(TensorId id, MemoryManager* peer);
-  // A staged fetch of `id` for request `handle` finished its owner-side leg: lets the
-  // request issue the host leg and re-pumps this device.
-  void FinishStagedOwnerLeg(AcquireHandle handle, TensorId id);
   void NoteUsage();
 
   // ---- Indexed victim selection (DESIGN.md §5, "Indexed eviction") ----
@@ -259,8 +266,9 @@ class MemoryManager {
     }
   };
 
-  // Index maintenance. Every resident_ insert/erase and every lru_tick change of a member
-  // must go through these, or indexed victim selection diverges from the reference scan.
+  // Index maintenance. Every change of which device holds a tensor's allocation and every
+  // lru_tick change of a member must go through these, or the LRU list stops being the
+  // resident set.
   void IndexAdd(TensorId id);
   void IndexRemove(TensorId id);
   void IndexTickChange(TensorId id);
@@ -271,16 +279,19 @@ class MemoryManager {
   // Pushes a fresh lookahead key for `id` (no-op unless the policy is kLookahead, an oracle
   // is installed, and `id` is kResident here). Duplicates are harmless.
   void LookaheadPush(TensorId id);
-  // Drops and re-derives the lookahead heap from resident_ (oracle install / replacement).
+  // Drops and re-derives the lookahead heap from the LRU list (oracle install / replacement).
   void RebuildLookaheadIndex();
   TensorId PickVictimLru() const;
   TensorId PickVictimLookahead(const NextUseFn& oracle, bool drop_is_free);
-  // The original O(residents) scan, kept as the audit / benchmark baseline.
+  // The original O(residents) scan, kept as the audit / benchmark baseline. It walks the LRU
+  // list's members but not their order: its pick depends only on their keys.
   TensorId PickVictimByScan(const NextUseFn& oracle, bool lookahead) const;
 
  public:
-  // Returns "" when the LRU list exactly mirrors resident_ (size, membership, ascending
-  // ticks among kResident members), else a description of the first divergence. Test hook.
+  // Returns "" when the LRU list is well-formed (links, size, ascending ticks among
+  // kResident members) and every member's TensorState holds an allocation on this device,
+  // else a description of the first divergence. The converse, that every such tensor is
+  // linked, is MemorySystem::CheckQuiescent's O(tensors) pass. Test hook.
   std::string DebugCheckIndexConsistency() const;
 
  private:
@@ -294,16 +305,15 @@ class MemoryManager {
 
   std::deque<Pending> pending_;
   std::map<AcquireHandle, Held> held_;
-  // Cancelled best-effort requests, each with its fired `ready` event, until Release.
-  std::map<AcquireHandle, std::unique_ptr<OneShotEvent>> cancelled_;
-  std::set<TensorId> resident_;  // tensors whose allocation lives on this device
   int evictions_in_flight_ = 0;
   AcquireHandle next_handle_ = 1;
 
-  // Intrusive doubly-linked LRU list over exactly the members of resident_. Every lru_tick
-  // bump assigns a fresh global maximum (NextLruTick is a global monotone counter) and
-  // moves the tensor to the tail, so kResident members always sit in ascending-tick order
-  // and the head-side walk in PickVictimLru finds the reference scan's min-tick pick.
+  // Intrusive doubly-linked LRU list, which is also the resident set: it links exactly the
+  // tensors whose allocation lives on this device (kResident, kSwappingIn, or kSwappingOut
+  // with `device` equal to this one). Every lru_tick bump assigns a fresh global maximum
+  // (NextLruTick is a global monotone counter) and moves the tensor to the tail, so
+  // kResident members always sit in ascending-tick order and the head-side walk in
+  // PickVictimLru finds the reference scan's min-tick pick.
   // kSwappingIn members may be linked out of tick order (they join with a pre-assigned
   // tick), but they are never candidates and land with a tick bump that repositions them.
   // The links themselves live in the MemorySystem's per-tensor table (see LruLinks).
@@ -351,7 +361,8 @@ class MemorySystem {
   void set_audit_eviction(bool on) { audit_eviction_ = on; }
   bool audit_eviction() const { return audit_eviction_; }
   // Forces the O(residents) reference scan for victim selection — the baseline arm of
-  // BM_EvictionChurn. Index maintenance still runs so the comparison is honest.
+  // BM_EvictionChurn. The scan walks the same LRU list the indexed pick uses, ignoring its
+  // order, and index maintenance still runs, so the comparison is pick cost alone.
   void set_reference_scan_eviction(bool on) { reference_scan_eviction_ = on; }
   bool reference_scan_eviction() const { return reference_scan_eviction_; }
 
@@ -404,8 +415,8 @@ class MemorySystem {
   void NoteChurn(TensorId id, int device, ChurnKind kind, Bytes bytes);
   void NoteEviction(TensorId id);
 
-  // One tensor's place in its owner's LRU list. A tensor sits in at most one device's
-  // resident_ at a time (moves, not replicas; see tensor.h), so one table indexed by
+  // One tensor's place in its owner's LRU list. A tensor's allocation lives on at most one
+  // device at a time (moves, not replicas; see tensor.h), so one table indexed by
   // TensorId serves every manager's list: O(tensors), not O(devices x tensors).
   struct LruLinks {
     TensorId prev = kInvalidTensor;  // kInvalidTensor = list end

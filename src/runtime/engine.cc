@@ -303,10 +303,11 @@ void Engine::AcquireAndRun(int device, TaskId task_id) {
   acquire_start_[slot] = now;
   inbound_mark_[slot] = memory_->InboundBusySeconds(device);
 
-  auto it = prefetched_.find(task_id);
-  if (it != prefetched_.end()) {
-    const MemoryManager::Acquisition acq = it->second;
-    prefetched_.erase(it);
+  DeviceState& state = devices_[slot];
+  if (state.prefetched != kInvalidTask) {
+    HCHECK_EQ(state.prefetched, task_id) << "device " << device << " prefetched out of order";
+    const MemoryManager::Acquisition acq = state.prefetch;
+    state.prefetched = kInvalidTask;
     acq.ready->OnFired([this, device, task_id, acq] {
       MemoryManager& mgr = memory_->manager(device);
       if (mgr.WasCancelled(acq.handle)) {
@@ -416,15 +417,13 @@ void Engine::MaybePrefetch(int device) {
   if (!options_.prefetch) {
     return;
   }
-  const DeviceState& state = devices_[static_cast<std::size_t>(device)];
+  DeviceState& state = devices_[static_cast<std::size_t>(device)];
   const auto& order = plan_->per_device_order[static_cast<std::size_t>(device)];
   if (state.next_index >= order.size()) {
     return;
   }
   const TaskId next_id = order[state.next_index];
-  if (prefetched_.count(next_id) > 0) {
-    return;
-  }
+  HCHECK_EQ(state.prefetched, kInvalidTask) << "device " << device << " prefetched twice";
   for (TaskId dep : plan_->deps(next_id)) {
     if (!completion_[static_cast<std::size_t>(dep)]->fired()) {
       return;  // inputs not produced yet; prefetching would fetch stale/absent data
@@ -445,8 +444,8 @@ void Engine::MaybePrefetch(int device) {
   if (needed > manager.capacity() - manager.used_bytes()) {
     return;
   }
-  prefetched_.emplace(next_id,
-                      manager.Acquire(plan_->working_set(next_id), /*best_effort=*/true));
+  state.prefetched = next_id;
+  state.prefetch = manager.Acquire(plan_->working_set(next_id), /*best_effort=*/true);
 }
 
 void Engine::OnIterationComplete(int iteration) {

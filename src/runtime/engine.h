@@ -104,6 +104,10 @@ class Engine {
  private:
   struct DeviceState {
     std::size_t next_index = 0;
+    // The best-effort acquisition MaybePrefetch issued for order[next_index], consumed by
+    // that task's AcquireAndRun before next_index moves again; kInvalidTask when none.
+    TaskId prefetched = kInvalidTask;
+    MemoryManager::Acquisition prefetch{};
   };
 
   struct Snapshot {
@@ -144,7 +148,6 @@ class Engine {
 
   std::vector<std::unique_ptr<OneShotEvent>> completion_;
   std::vector<DeviceState> devices_;
-  std::map<TaskId, MemoryManager::Acquisition> prefetched_;
   std::map<int, int> collective_group_size_;
   std::vector<int> iteration_remaining_;
   Snapshot last_snapshot_;

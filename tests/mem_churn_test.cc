@@ -7,8 +7,9 @@
 //      write-backs, p2p steals, staged fetches, prefetch cancellation and defragmentation
 //      under both policies and both eviction modes), and
 //   2. whole-session runs at minimal feasible capacity, seeded like RandomRunTest.
-// Plus deterministic regressions: the indexes survive Defragment and FreeTensor, and
-// CheckQuiescent reports leaked cancelled best-effort handles.
+// Plus deterministic regressions: the indexes survive Defragment and FreeTensor, a staged
+// fetch re-pumped mid-write-back brings its tensor once, CheckQuiescent cross-checks list
+// membership against TensorState, and it reports leaked cancelled best-effort handles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -138,7 +139,7 @@ TEST_P(EvictionChurnTest, IndexedVictimMatchesReferenceScanUnderRandomChurn) {
       held.push_back(HeldSet{device, acq.handle, std::move(pinned)});
     } else if (!held.empty() && (op < 7 || held.size() >= 2)) {
       // Release one held set, sometimes dirtying its members first (Release is required
-      // even for cancelled best-effort handles — that erase is what keeps cancelled_
+      // even for cancelled best-effort handles — that erase is what keeps the held records
       // bounded).
       const std::size_t pick = rng.NextBounded(held.size());
       HeldSet hs = held[static_cast<std::size_t>(pick)];
@@ -366,9 +367,107 @@ TEST(IndexRegressionTest, TensorMovesBetweenDevicesByP2pAndStagedFetch) {
   }
 }
 
-// A cancelled best-effort handle that is never Released leaks an entry in cancelled_;
-// CheckQuiescent must call that out (the tuner sweep would otherwise grow it forever), and
-// the late Release must clear it.
+// A fetch staged through host memory is in flight while its tensor is kSwappingOut on the
+// owner. When another tensor of the same request lands first, the requester is re-pumped
+// mid-write-back: it must wait the write-back out (kSwappingOut), not stage a second one,
+// and the landing must still wake it to issue the host leg exactly once.
+TEST(IndexRegressionTest, StagedFetchRepumpedMidWriteBackIssuesOneBring) {
+  ChurnHarness h(LmsPolicy(), /*capacity=*/256 * kMiB, /*install_oracle=*/false);
+  TensorRegistry& reg = h.reg_;
+  const TensorId a = reg.Create("A", 64 * kMiB, TensorClass::kActivation, false);
+  const TensorId c = reg.Create("C", 4096, TensorClass::kActivation, true);
+
+  MemoryManager& gpu0 = h.system_->manager(0);
+  WorkingSet produce;
+  produce.allocate = {a};  // no copy anywhere: zero-initialized on gpu0, dirty
+  auto produced = gpu0.Acquire(std::move(produce));
+  h.sim_.RunUntilIdle();
+  ASSERT_TRUE(produced.ready->fired());
+  gpu0.Release(produced.handle);
+  h.sim_.RunUntilIdle();
+
+  MemoryManager& gpu1 = h.system_->manager(1);
+  WorkingSet consume;
+  consume.fetch = {a, c};
+  auto consumed = gpu1.Acquire(std::move(consume));
+  while (reg.state(c).residency != Residency::kResident) {
+    ASSERT_TRUE(h.sim_.RunOne());
+  }
+  // C's landing scheduled a re-pump of gpu1; it runs while A's write-back is in flight.
+  ASSERT_EQ(reg.state(a).residency, Residency::kSwappingOut);
+  ASSERT_TRUE(h.sim_.RunOne());
+  EXPECT_EQ(reg.state(a).residency, Residency::kSwappingOut);
+  EXPECT_FALSE(consumed.ready->fired());
+  h.sim_.RunUntilIdle();
+
+  ASSERT_TRUE(consumed.ready->fired());
+  EXPECT_EQ(reg.state(a).residency, Residency::kResident);
+  EXPECT_EQ(reg.state(a).device, 1);
+  int write_backs = 0;
+  int swap_ins = 0;
+  for (const ChurnEvent& event : h.system_->churn_audit_log()) {
+    if (event.tensor == a) {
+      write_backs += event.kind == ChurnKind::kPeerStageWriteBack ? 1 : 0;
+      swap_ins += event.kind == ChurnKind::kSwapIn ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(write_backs, 1);
+  EXPECT_EQ(swap_ins, 1);
+  gpu1.Release(consumed.handle);
+  h.sim_.RunUntilIdle();
+  ExpectIndexesConsistent(*h.system_);
+  const Status quiescent = h.system_->CheckQuiescent();
+  EXPECT_TRUE(quiescent.ok()) << quiescent.ToString();
+}
+
+// Each LRU list is its device's resident set. A list walk checks every member against its
+// TensorState; CheckQuiescent checks the converse, that every tensor whose state holds an
+// allocation on a device is linked there, whether or not its id ever reached the link table.
+TEST(IndexRegressionTest, CheckQuiescentCrossChecksListMembershipAgainstTensorState) {
+  ChurnHarness h(HarmonyPolicy(), /*capacity=*/4096, /*install_oracle=*/false);
+  TensorRegistry& reg = h.reg_;
+  MemoryManager& mgr = h.system_->manager(0);
+  const TensorId a = reg.Create("A", 512, TensorClass::kWeight, true);
+  const TensorId b = reg.Create("B", 512, TensorClass::kWeight, true);  // never used
+  WorkingSet set;
+  set.fetch = {a};
+  auto acq = mgr.Acquire(std::move(set));
+  h.sim_.RunUntilIdle();
+  ASSERT_TRUE(acq.ready->fired());
+  mgr.Release(acq.handle);
+  h.sim_.RunUntilIdle();
+  ASSERT_TRUE(h.system_->CheckQuiescent().ok());
+  const TensorId ghost = reg.Create("Ghost", 512, TensorClass::kWeight, true);
+
+  // B's id is in the link table, Ghost's lies past its end; neither is linked.
+  for (const TensorId unlinked : {b, ghost}) {
+    TensorState& s = reg.mutable_state(unlinked);
+    const TensorState saved = s;
+    s.residency = Residency::kResident;
+    s.device = 0;
+    s.alloc_offset = 2048;
+    const Status status = h.system_->CheckQuiescent();
+    ASSERT_FALSE(status.ok()) << reg.name(unlinked);
+    EXPECT_NE(status.ToString().find("tensor " + reg.name(unlinked) + " holds an allocation"),
+              std::string::npos)
+        << status.ToString();
+    s = saved;
+  }
+  ASSERT_TRUE(h.system_->CheckQuiescent().ok());
+
+  // A is linked on gpu0, but its state now claims gpu1: gpu0's list walk reports it.
+  reg.mutable_state(a).device = 1;
+  EXPECT_NE(mgr.DebugCheckIndexConsistency().find("holds no allocation here"),
+            std::string::npos)
+      << mgr.DebugCheckIndexConsistency();
+  EXPECT_FALSE(h.system_->CheckQuiescent().ok());
+  reg.mutable_state(a).device = 0;
+  ExpectIndexesConsistent(*h.system_);
+}
+
+// A cancelled best-effort handle that is never Released leaks its Held record; CheckQuiescent
+// must call that out (the tuner sweep would otherwise grow the records forever), and the late
+// Release must clear it.
 TEST(IndexRegressionTest, CheckQuiescentReportsLeakedCancelledHandles) {
   ChurnHarness h(HarmonyPolicy(), /*capacity=*/1024, /*install_oracle=*/false);
   TensorRegistry& reg = h.reg_;

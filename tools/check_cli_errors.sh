@@ -107,24 +107,36 @@ for args in "--jobs=train@0" "--quota=t0:bw=0.5" "--sched=fifo --jobs=train@0 --
   fi
 done
 
+# expect_refused <mode> <flag>: the mode cannot honor the flag, so harmony_sim must refuse
+# the pair (exit 2, naming the mode, with the usage hint) instead of exiting 0 without it.
+expect_refused() {
+  local mode=$1 flag=$2
+  local err
+  err=$("$sim" --model=lenet --iterations=1 "$mode" "$flag" 2>&1 >/dev/null)
+  local code=$?
+  if [[ $code -ne 2 || "$err" != *"${mode%%=*} cannot be combined"* || "$err" != *"--help"* ]]; then
+    echo "FAIL $mode $flag : exit $code, stderr: $err" >&2
+    failures=$((failures + 1))
+  else
+    echo "ok   $mode $flag -> exit 2 (flag refused)"
+  fi
+}
+
 # --tune and the elastic --faults run end in no run report: each report flag is refused
-# (exit 2) instead of being dropped by a run that exits 0 and writes nothing.
+# instead of being dropped by a run that exits 0 and writes nothing. The lint run honors
+# only --json (the lint report), and --tune would run the sweep and drop --lint.
 out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
+report_flags=(--csv="$out_dir/r.csv" --trace="$out_dir/r.trace" --timeline --explain)
 for mode in --tune --faults=fail@1:gpu1; do
-  for flag in --json="$out_dir/r.json" --csv="$out_dir/r.csv" --trace="$out_dir/r.trace" \
-      --timeline --explain; do
-    err=$("$sim" --model=lenet "$mode" "$flag" 2>&1 >/dev/null)
-    code=$?
-    want="${mode%%=*} cannot be combined"
-    if [[ $code -ne 2 || "$err" != *"$want"* || "$err" != *"--help"* ]]; then
-      echo "FAIL $mode $flag : exit $code, stderr: $err" >&2
-      failures=$((failures + 1))
-    else
-      echo "ok   $mode $flag -> exit 2 (report flag refused)"
-    fi
+  for flag in --json="$out_dir/r.json" "${report_flags[@]}"; do
+    expect_refused "$mode" "$flag"
   done
 done
+for flag in "${report_flags[@]}"; do
+  expect_refused --lint "$flag"
+done
+expect_refused --tune --lint
 
 # expect_invalid <expected-substring> <flag...>: well-formed flags whose configuration
 # fails validation must exit 1 with the typed error on stderr, not crash.

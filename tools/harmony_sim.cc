@@ -299,13 +299,25 @@ int Run(int argc, char** argv) {
     }
     config.faults = faults.value();
   }
-  if ((tune || (!config.faults.empty() && !lint)) &&
-      (explain || timeline || !flags.Get("json").empty() || !flags.Get("csv").empty() ||
-       !flags.Get("trace").empty())) {
-    // Neither mode ends in one run report for these flags to render or write.
-    std::cerr << (tune ? "--tune" : "--faults")
-              << " cannot be combined with --json, --csv, --trace, --timeline, or --explain"
-                 "\n(run with --help for flag usage)\n";
+  // Only a single run ends in a run report for the report flags to render or write. The
+  // tuner prints its table and honors none of them (nor --lint, which it would drop); the
+  // lint run honors only --json, which writes the lint report; the elastic --faults run
+  // honors none.
+  const bool report_flags = explain || timeline || !flags.Get("csv").empty() ||
+                            !flags.Get("trace").empty();
+  const bool json = !flags.Get("json").empty();
+  const char* refusal = nullptr;
+  if (tune && (lint || report_flags || json)) {
+    refusal = "--tune cannot be combined with --lint, --json, --csv, --trace, --timeline, or "
+              "--explain";
+  } else if (lint && report_flags) {
+    refusal = "--lint cannot be combined with --csv, --trace, --timeline, or --explain";
+  } else if (!config.faults.empty() && !lint && (report_flags || json)) {
+    refusal = "--faults cannot be combined with --json, --csv, --trace, --timeline, or "
+              "--explain";
+  }
+  if (refusal != nullptr) {
+    std::cerr << refusal << "\n(run with --help for flag usage)\n";
     return 2;
   }
 
