@@ -82,6 +82,12 @@ FaultPlan ShiftFaultPlan(const FaultPlan& plan, double offset, const std::vector
 
 ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config) {
   ElasticResult result;
+  // The bookkeeping below sizes itself by the config's GPU count, so the shape is checked
+  // before anything is sized.
+  result.status = CheckSessionShape(model, config);
+  if (!result.status.ok()) {
+    return result;
+  }
   // Fault targets index GPUs across the whole fleet, so the bookkeeping does too.
   const int total_gpus = config.total_gpus();
   // Rebinding re-plans one server onto its survivors. A multi-node fleet keeps its

@@ -80,8 +80,9 @@ struct ElasticResult {
 // the survivors. With no faults armed this degenerates to exactly one RunTraining call.
 // Only a single-server run rebinds; a multi-node fleet keeps its shape in every segment,
 // so a straggler there finishes degraded instead of being excluded.
-// Each segment is built once by PrepareSession: an invalid `config` and an infeasible
-// rebound configuration both surface in `status`, not as crashes.
+// Each segment is built once by PrepareSession. An invalid `config` and an infeasible
+// rebound configuration both surface in `status`, not as crashes; when the first segment
+// cannot be built, `segments` is empty.
 ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config);
 
 // Rewrites `plan` into the frame of a recovery segment starting at global sim time

@@ -68,7 +68,8 @@ void TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes, Transfe
                                     Continuation done) {
   HCHECK_GE(bytes, 0);
   HCHECK(done) << "StartTransfer needs a continuation";
-  const std::uint32_t slot = ParkContinuation(std::move(done));
+  Flow& flow = NewFlow(std::move(done));
+  const std::uint32_t slot = flow.slot;
 
   if (NodeFailed(src) || NodeFailed(dst)) {
     // Typed failure instead of a crash: the transfer ends now, aborted, and the caller
@@ -87,65 +88,61 @@ void TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes, Transfe
   const auto [group_it, new_pair] = groups_.try_emplace(RouteKey(src, dst));
   RouteGroup& group = group_it->second;
   if (new_pair) {
+    group.src = src;
+    group.dst = dst;
     group.route = topology_->Route(src, dst);
   }
 
-  const std::int64_t id = next_flow_id_++;
+  flow.id = next_flow_id_++;
   bytes_by_kind_[static_cast<std::size_t>(kind)] += bytes;
   node_io_[static_cast<std::size_t>(src)].out_by_kind[static_cast<std::size_t>(kind)] += bytes;
   node_io_[static_cast<std::size_t>(dst)].in_by_kind[static_cast<std::size_t>(kind)] += bytes;
-
-  Flow flow;
-  flow.id = id;
-  flow.route = &group.route;
   flow.group = &group;
-  flow.src = src;
-  flow.dst = dst;
   flow.bytes_remaining = static_cast<double>(bytes);
   flow.bytes_total = bytes;
   flow.kind = kind;
-  flow.continuation = slot;
-  pending_.emplace(id, std::move(flow));
 
   // The flow joins the network after its route latency; that keeps latency out of the
-  // bandwidth-sharing math while still delaying short transfers realistically. The flow
-  // body lives in pending_ so the event closure carries two words, not the whole route.
-  sim_->ScheduleAfter(RouteLatency(*topology_, group.route), [this, id] { JoinFlow(id); });
+  // bandwidth-sharing math while still delaying short transfers realistically.
+  sim_->ScheduleAfter(RouteLatency(*topology_, group.route), [this, slot] { JoinFlow(slot); });
 }
 
-std::uint32_t TransferManager::ParkContinuation(Continuation done) {
-  if (free_continuations_.empty()) {
-    continuations_.push_back(std::move(done));
-    return static_cast<std::uint32_t>(continuations_.size() - 1);
+TransferManager::Flow& TransferManager::NewFlow(Continuation done) {
+  std::uint32_t slot = 0;
+  if (free_flows_.empty()) {
+    slot = static_cast<std::uint32_t>(flows_.size());
+    flows_.emplace_back();
+  } else {
+    slot = free_flows_.back();
+    free_flows_.pop_back();
+    flows_[slot] = Flow{};
   }
-  const std::uint32_t slot = free_continuations_.back();
-  free_continuations_.pop_back();
-  continuations_[slot] = std::move(done);
-  return slot;
+  Flow& flow = flows_[slot];
+  flow.slot = slot;
+  flow.done = std::move(done);
+  return flow;
 }
 
 void TransferManager::Finish(std::uint32_t slot, TransferOutcome outcome) {
   sim_->ScheduleAfter(0.0, [this, slot, outcome] {
-    Continuation done = std::move(continuations_[slot]);
-    free_continuations_.push_back(slot);
+    Continuation done = std::move(flows_[slot].done);
+    free_flows_.push_back(slot);
     done(outcome);
   });
 }
 
-void TransferManager::JoinFlow(std::int64_t id) {
-  const auto it = pending_.find(id);
-  HCHECK(it != pending_.end());
-  Flow flow = std::move(it->second);
-  pending_.erase(it);
-  if (NodeFailed(flow.src) || NodeFailed(flow.dst)) {
+void TransferManager::JoinFlow(std::uint32_t slot) {
+  Flow& flow = flows_[slot];
+  const RouteGroup& group = *flow.group;
+  if (NodeFailed(group.src) || NodeFailed(group.dst)) {
     // An endpoint died while the transfer was still in its latency window.
     ++flows_aborted_;
-    Finish(flow.continuation, TransferOutcome::kAborted);
+    Finish(slot, TransferOutcome::kAborted);
     return;
   }
   AdvanceToNow();
-  Flow& attached = AttachFlow(std::move(flow));
-  dirty_scratch_.assign(attached.route->begin(), attached.route->end());
+  AttachFlow(flow);
+  dirty_scratch_.assign(group.route.begin(), group.route.end());
   ReRateFlowsOnLinks(&dirty_scratch_);
   ScheduleNextCompletion();
 }
@@ -165,8 +162,10 @@ void TransferManager::AdvanceToNow() {
   if (dt <= 0.0) {
     return;
   }
-  for (auto& [id, flow] : flows_) {
-    flow.bytes_remaining = std::max(0.0, flow.bytes_remaining - flow.rate * dt);
+  for (const Completion& entry : completion_heap_) {
+    for (Flow* flow : entry.group->members) {
+      flow->bytes_remaining = std::max(0.0, flow->bytes_remaining - flow->rate * dt);
+    }
   }
   for (std::size_t lid = 0; lid < link_active_.size(); ++lid) {
     if (link_active_[lid] > 0) {
@@ -187,12 +186,8 @@ void TransferManager::RecordQueueDepth(LinkId link) {
   timeline.push_back(LinkQueueSample{now, link_active_[slot]});
 }
 
-TransferManager::Flow& TransferManager::AttachFlow(Flow flow) {
-  const std::int64_t id = flow.id;
-  const auto [it, inserted] = flows_.emplace(id, std::move(flow));
-  HCHECK(inserted);
-  Flow& attached = it->second;  // stable address: unordered_map never moves elements
-  RouteGroup& group = *attached.group;
+void TransferManager::AttachFlow(Flow& flow) {
+  RouteGroup& group = *flow.group;
   for (LinkId lid : group.route) {
     const auto slot = static_cast<std::size_t>(lid);
     ++link_active_[slot];
@@ -205,10 +200,11 @@ TransferManager::Flow& TransferManager::AttachFlow(Flow flow) {
       RecordQueueDepth(lid);
     }
   }
-  attached.member_index = group.members.size();
-  group.members.push_back(&attached);
+  flow.member_index = group.members.size();
+  group.members.push_back(&flow);
+  flow.in_network = true;
+  ++active_flows_;
   group.rate = 0.0;  // the newcomer has no stamp yet: force the member pass
-  return attached;
 }
 
 void TransferManager::DetachFlow(Flow& flow, std::vector<LinkId>* dirty_links) {
@@ -217,6 +213,8 @@ void TransferManager::DetachFlow(Flow& flow, std::vector<LinkId>* dirty_links) {
   group.members[flow.member_index] = last;
   last->member_index = flow.member_index;
   group.members.pop_back();
+  flow.in_network = false;
+  --active_flows_;
   for (LinkId lid : group.route) {
     const auto slot = static_cast<std::size_t>(lid);
     --link_active_[slot];
@@ -258,7 +256,7 @@ void TransferManager::ApplyUplinkBandwidthQuota(double fraction) {
   if (fraction == 1.0) {
     return;  // full share: keep the exact pre-quota link state (and event sequence)
   }
-  HCHECK(flows_.empty()) << "quota must be applied before any flow starts";
+  HCHECK_EQ(active_flows_, 0) << "quota must be applied before any flow starts";
   for (LinkId lid = 0; lid < topology_->num_links(); ++lid) {
     const TopologyLink& link = topology_->link(lid);
     const bool shared_uplink =
@@ -288,6 +286,24 @@ void TransferManager::SetLinkBandwidthScale(LinkId link, double scale) {
   ScheduleNextCompletion();
 }
 
+std::vector<TransferManager::Flow*> TransferManager::FlowsOnLinks(
+    const std::vector<LinkId>& links) const {
+  std::vector<Flow*> flows;
+  for (LinkId lid : links) {
+    HCHECK_GE(lid, 0);
+    HCHECK_LT(static_cast<std::size_t>(lid), link_groups_.size());
+    for (const RouteGroup* group : link_groups_[static_cast<std::size_t>(lid)]) {
+      flows.insert(flows.end(), group->members.begin(), group->members.end());
+    }
+  }
+  // Flow-id order, not slot order: slots are reused, so only the id says which transfer
+  // started first (determinism).
+  std::sort(flows.begin(), flows.end(),
+            [](const Flow* a, const Flow* b) { return a->id < b->id; });
+  flows.erase(std::unique(flows.begin(), flows.end()), flows.end());
+  return flows;
+}
+
 void TransferManager::FailNode(NodeId node) {
   HCHECK_GE(node, 0);
   HCHECK_LT(static_cast<std::size_t>(node), node_dead_.size());
@@ -298,29 +314,19 @@ void TransferManager::FailNode(NodeId node) {
   node_dead_[static_cast<std::size_t>(node)] = true;
 
   // Every flow whose route crosses one of the node's links has a dead endpoint or a dead
-  // forwarder; abort them all. Collect ids first — DetachFlow mutates the groups.
-  std::vector<std::int64_t> doomed;
+  // forwarder; abort them all.
+  std::vector<LinkId> links;
   for (LinkId lid = 0; lid < topology_->num_links(); ++lid) {
     const TopologyLink& link = topology_->link(lid);
-    if (link.src != node && link.dst != node) {
-      continue;
-    }
-    for (const RouteGroup* group : link_groups_[static_cast<std::size_t>(lid)]) {
-      for (const Flow* flow : group->members) {
-        doomed.push_back(flow->id);
-      }
+    if (link.src == node || link.dst == node) {
+      links.push_back(lid);
     }
   }
-  std::sort(doomed.begin(), doomed.end());
-  doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
-
   dirty_scratch_.clear();
-  for (std::int64_t id : doomed) {
-    Flow& flow = flows_.at(id);
-    DetachFlow(flow, &dirty_scratch_);
+  for (Flow* flow : FlowsOnLinks(links)) {
+    DetachFlow(*flow, &dirty_scratch_);
     ++flows_aborted_;
-    Finish(flow.continuation, TransferOutcome::kAborted);
-    flows_.erase(id);
+    Finish(flow->slot, TransferOutcome::kAborted);
   }
   ReRateFlowsOnLinks(&dirty_scratch_);
   ScheduleNextCompletion();
@@ -328,60 +334,41 @@ void TransferManager::FailNode(NodeId node) {
 
 int TransferManager::FlapLinkFlows(const std::vector<LinkId>& links) {
   AdvanceToNow();
-
-  // Collect victims first — DetachFlow mutates the groups — and sort/dedupe so a
-  // flow crossing several flapped links aborts once, in flow-id order (determinism).
-  std::vector<std::int64_t> doomed;
-  for (LinkId lid : links) {
-    HCHECK_GE(lid, 0);
-    HCHECK_LT(static_cast<std::size_t>(lid), link_groups_.size());
-    for (const RouteGroup* group : link_groups_[static_cast<std::size_t>(lid)]) {
-      for (const Flow* flow : group->members) {
-        doomed.push_back(flow->id);
-      }
-    }
-  }
-  std::sort(doomed.begin(), doomed.end());
-  doomed.erase(std::unique(doomed.begin(), doomed.end()), doomed.end());
-  if (doomed.empty()) {
+  const std::vector<Flow*> victims = FlowsOnLinks(links);
+  if (victims.empty()) {
     return 0;
   }
 
   dirty_scratch_.clear();
-  for (std::int64_t id : doomed) {
-    Flow& flow = flows_.at(id);
-    DetachFlow(flow, &dirty_scratch_);
-    ++flow.attempts;
-    if (retry_policy_ != nullptr && !retry_policy_->Exhausted(flow.attempts)) {
+  for (Flow* flow : victims) {
+    DetachFlow(*flow, &dirty_scratch_);
+    ++flow->attempts;
+    if (retry_policy_ != nullptr && !retry_policy_->Exhausted(flow->attempts)) {
       // Absorb: re-issue the whole transfer after a deterministic backoff plus the route
       // latency. Bytes were counted once at StartTransfer; the retransmit costs time and
       // link occupancy but is never double-counted against node_io / bytes_by_kind.
-      const double backoff = retry_policy_->DelayFor(flow.id, flow.attempts);
+      const double backoff = retry_policy_->DelayFor(flow->id, flow->attempts);
       ++flows_retried_;
       retry_backoff_sec_ += backoff;
-      flow.bytes_remaining = static_cast<double>(flow.bytes_total);
-      flow.rate = 0.0;
-      flow.completion_time = 0.0;
-      const double latency = RouteLatency(*topology_, *flow.route);
-      Flow moved = std::move(flow);
-      flows_.erase(id);
-      pending_.emplace(id, std::move(moved));
-      sim_->ScheduleAfter(backoff + latency, [this, id] { JoinFlow(id); });
+      flow->bytes_remaining = static_cast<double>(flow->bytes_total);
+      flow->rate = 0.0;
+      flow->completion_time = 0.0;
+      sim_->ScheduleAfter(backoff + RouteLatency(*topology_, flow->group->route),
+                          [this, slot = flow->slot] { JoinFlow(slot); });
     } else {
       // Budget exhausted (or no policy): surface the abort exactly like a node-failure
       // victim, plus the typed exhaustion escalation.
       ++flows_aborted_;
       ++retry_exhausted_;
-      Finish(flow.continuation, TransferOutcome::kAborted);
-      flows_.erase(id);
+      Finish(flow->slot, TransferOutcome::kAborted);
       if (retry_exhausted_handler_) {
-        retry_exhausted_handler_(id, sim_->now());
+        retry_exhausted_handler_(flow->id, sim_->now());
       }
     }
   }
   ReRateFlowsOnLinks(&dirty_scratch_);
   ScheduleNextCompletion();
-  return static_cast<int>(doomed.size());
+  return static_cast<int>(victims.size());
 }
 
 // ---- indexed completion heap ------------------------------------------------------------
@@ -515,7 +502,7 @@ void TransferManager::ReRateFlowsOnLinks(std::vector<LinkId>* dirty_links) {
 void TransferManager::ScheduleNextCompletion() {
   ++wakeup_generation_;
   if (completion_heap_.empty()) {
-    HCHECK(flows_.empty()) << "active flows but no completion entry";
+    HCHECK_EQ(active_flows_, 0) << "active flows but no completion entry";
     return;
   }
   // A projection rated at an earlier change point can sit an ulp before now; clamp.
@@ -544,7 +531,7 @@ void TransferManager::OnWakeup(std::uint64_t generation) {
       }
       continue;
     }
-    for (LinkId lid : *flow.route) {
+    for (LinkId lid : group.route) {
       LinkStats& stats = link_stats_[static_cast<std::size_t>(lid)];
       stats.bytes_carried += flow.bytes_total;
       stats.bytes_by_kind[static_cast<std::size_t>(flow.kind)] += flow.bytes_total;
@@ -552,9 +539,7 @@ void TransferManager::OnWakeup(std::uint64_t generation) {
     }
     DetachFlow(flow, &dirty_scratch_);
     ++flows_completed_;
-    const std::int64_t id = flow.id;
-    Finish(flow.continuation, TransferOutcome::kCompleted);
-    flows_.erase(id);
+    Finish(flow.slot, TransferOutcome::kCompleted);
   }
   ReRateFlowsOnLinks(&dirty_scratch_);
   ScheduleNextCompletion();
@@ -562,12 +547,27 @@ void TransferManager::OnWakeup(std::uint64_t generation) {
 
 std::string TransferManager::DebugCheckConsistency() const {
   std::ostringstream os;
-  // From-scratch link counts.
+  // From-scratch link counts over the records in the network, each of which must sit in
+  // its group at its member_index.
   std::vector<int> want_active(link_active_.size(), 0);
-  for (const auto& [id, flow] : flows_) {
-    for (LinkId lid : *flow.route) {
+  int in_network = 0;
+  for (const Flow& flow : flows_) {
+    if (!flow.in_network) {
+      continue;
+    }
+    if (flow.member_index >= flow.group->members.size() ||
+        flow.group->members[flow.member_index] != &flow) {
+      os << "flow " << flow.id << ": not a member of its route's group";
+      return os.str();
+    }
+    ++in_network;
+    for (LinkId lid : flow.group->route) {
       ++want_active[static_cast<std::size_t>(lid)];
     }
+  }
+  if (in_network != active_flows_) {
+    os << in_network << " records in the network, but the active count is " << active_flows_;
+    return os.str();
   }
   for (std::size_t lid = 0; lid < link_active_.size(); ++lid) {
     if (link_active_[lid] != want_active[lid]) {
@@ -576,15 +576,15 @@ std::string TransferManager::DebugCheckConsistency() const {
       return os.str();
     }
   }
-  // Membership: every active flow sits in its pair's group at its member_index, and the
-  // groups hold nothing else (distinct slots and equal totals make it a bijection).
+  // Membership: the groups hold nothing but the records in the network (distinct slots
+  // and equal totals make it a bijection).
   std::size_t members = 0;
   std::size_t active_groups = 0;
   for (const auto& [key, group] : groups_) {
-    const auto src = static_cast<NodeId>(key >> 32);
-    const auto dst = static_cast<NodeId>(key & 0xffffffffu);
-    if (group.route != topology_->Route(src, dst)) {
-      os << "route group " << src << " -> " << dst << " holds another pair's route";
+    if (key != RouteKey(group.src, group.dst) ||
+        group.route != topology_->Route(group.src, group.dst)) {
+      os << "route group " << group.src << " -> " << group.dst
+         << " holds another pair's key or route";
       return os.str();
     }
     members += group.members.size();
@@ -592,18 +592,9 @@ std::string TransferManager::DebugCheckConsistency() const {
       ++active_groups;
     }
   }
-  if (members != flows_.size()) {
-    os << "route groups hold " << members << " members for " << flows_.size() << " flows";
+  if (members != static_cast<std::size_t>(active_flows_)) {
+    os << "route groups hold " << members << " members for " << active_flows_ << " flows";
     return os.str();
-  }
-  for (const auto& [id, flow] : flows_) {
-    const auto it = groups_.find(RouteKey(flow.src, flow.dst));
-    if (it == groups_.end() || flow.group != &it->second || flow.route != &it->second.route ||
-        flow.member_index >= flow.group->members.size() ||
-        flow.group->members[flow.member_index] != &flow) {
-      os << "flow " << id << ": not a member of its route's group";
-      return os.str();
-    }
   }
   // From-scratch per-link group lists: exactly the active groups whose route crosses the
   // link, each once.

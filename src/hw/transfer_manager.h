@@ -20,11 +20,12 @@
 // wakeups are generation-tagged and invalidated by any later re-rate. No O(flows x links)
 // scan per event anywhere.
 //
-// Each transfer carries the caller's continuation, which receives a typed outcome
-// (completed or aborted). Until the transfer ends it is parked in a free-listed slot vector;
-// the end schedules a two-word [this, slot] event at +0, and running that event frees the
-// slot. So the manager's per-transfer memory is bounded by what is in flight, not by the
-// length of the run.
+// Each transfer is one record from StartTransfer until the caller's continuation, which
+// receives a typed outcome (completed or aborted), has run. Records sit in a table that
+// never moves them and reuses freed slots LIFO. The join after the route latency, a retry's
+// re-join and the +0 end event are each a two-word [this, slot] closure, and running the
+// end event frees the slot. So the manager's per-transfer memory is bounded by what is in
+// flight, not by the length of the run.
 //
 // The manager also keeps byte/busy-time accounting per link and per transfer kind, which the
 // benches read back as "swap volume" and "link utilization".
@@ -32,6 +33,7 @@
 #define HARMONY_SRC_HW_TRANSFER_MANAGER_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -183,12 +185,10 @@ class TransferManager {
   const std::vector<LinkQueueSample>& queue_timeline(LinkId link) const {
     return queue_timeline_.at(static_cast<std::size_t>(link));
   }
-  int num_active_flows() const { return static_cast<int>(flows_.size()); }
-  // Continuations parked for transfers whose continuation has not run yet (test hook: zero
-  // once the simulator drains).
-  std::size_t continuations_parked() const {
-    return continuations_.size() - free_continuations_.size();
-  }
+  int num_active_flows() const { return active_flows_; }
+  // Transfers whose continuation has not run yet (test hook: zero once the simulator
+  // drains).
+  std::size_t continuations_parked() const { return flows_.size() - free_flows_.size(); }
   std::int64_t flows_completed() const { return flows_completed_; }
 
   const Topology& topology() const { return *topology_; }
@@ -208,29 +208,31 @@ class TransferManager {
 
   struct RouteGroup;
 
+  // A transfer's record (see the file comment). It is in the network, sharing bandwidth as
+  // a member of its group, from each join until it completes, aborts or is flapped. A
+  // zero-byte or same-node transfer never joins, so its record holds only the continuation.
   struct Flow {
     std::int64_t id = 0;
-    // Points into its group's route (groups never move) — flows are hot-path objects, so
-    // the route is never copied.
-    const std::vector<LinkId>* route = nullptr;
-    NodeId src = kInvalidNode;
-    NodeId dst = kInvalidNode;
     double bytes_remaining = 0.0;
     Bytes bytes_total = 0;
     double rate = 0.0;  // bytes/sec under the current allocation; 0 until first rated
     // Absolute sim time at which the flow drains at `rate` (stamped at the last rate change).
     SimTime completion_time = 0.0;
-    RouteGroup* group = nullptr;   // its (src, dst) group; a member only while active
-    std::size_t member_index = 0;  // position in group->members while active
+    RouteGroup* group = nullptr;   // its (src, dst) group, which owns the route
+    std::size_t member_index = 0;  // position in group->members while in the network
     TransferKind kind = TransferKind::kOther;
-    std::uint32_t continuation = 0;  // slot of the parked continuation
     int attempts = 0;  // transient aborts suffered so far (retry tier)
+    std::uint32_t slot = 0;  // this record's index in flows_
+    bool in_network = false;
+    Continuation done;
   };
 
   // One (src, dst) pair's route and active flows. A group is *active* while it has members:
   // only then is it on its route's per-link lists and in the completion heap. An emptied
   // group stays allocated (the pair's next transfer reuses it) but is unlinked from both.
   struct RouteGroup {
+    NodeId src = kInvalidNode;
+    NodeId dst = kInvalidNode;
     std::vector<LinkId> route;
     std::vector<Flow*> members;
     // The rate every member was last stamped at. Reset to 0 when a flow joins, so the next
@@ -265,17 +267,24 @@ class TransferManager {
     return a.id < b.id;
   }
 
-  // Integrates all active flows (and per-link busy time) forward to sim_->now() using the
-  // rates computed at the previous change point. Must run before the flow set changes.
+  // Integrates all active flows (the members of the groups in the completion heap) and
+  // per-link busy time forward to sim_->now() using the rates computed at the previous
+  // change point. Must run before the flow set changes.
   void AdvanceToNow();
+
+  // Takes a free record (reusing freed slots first), holding only `done`.
+  Flow& NewFlow(Continuation done);
 
   // Inserts the flow into its group (activating the group on the per-link lists if it was
   // empty); its stamp and the group's heap entry follow at the next re-rate.
-  Flow& AttachFlow(Flow flow);
+  void AttachFlow(Flow& flow);
   // Removes the flow from its group, appending its route to `dirty_links`. An emptied
   // group leaves the per-link lists and the heap; otherwise, if the flow was the group's
   // earliest member, the group's heap entry is re-keyed to its new earliest member.
   void DetachFlow(Flow& flow, std::vector<LinkId>* dirty_links);
+  // The active flows crossing any of `links`, each once, in flow-id order — the order in
+  // which a failure or a flap handles its victims.
+  std::vector<Flow*> FlowsOnLinks(const std::vector<LinkId>& links) const;
 
   // Re-rates exactly the groups that cross any link in `dirty_links`: one rate computation
   // per group. A group whose rate is unchanged (bottlenecked on an untouched link) keeps
@@ -297,32 +306,25 @@ class TransferManager {
   void ScheduleNextCompletion();
   void OnWakeup(std::uint64_t generation);
 
-  // Moves a pending flow (one that finished its route-latency window) into the active set
-  // and re-rates the links it joins; aborts it instead if an endpoint died meanwhile.
-  void JoinFlow(std::int64_t id);
+  // Puts a flow whose route latency (or retry backoff) has elapsed into the network and
+  // re-rates the links it joins; aborts it instead if an endpoint died meanwhile.
+  void JoinFlow(std::uint32_t slot);
 
-  // Parks `done` in a free slot (reusing freed ones first) and returns the slot.
-  std::uint32_t ParkContinuation(Continuation done);
-  // Ends a transfer: schedules its parked continuation as a fresh event at +0 with
-  // `outcome`. The slot is freed when that event runs, before the continuation is called,
-  // so the continuation may start transfers of its own.
+  // Ends a transfer: schedules its continuation as a fresh event at +0 with `outcome`. The
+  // record is freed when that event runs, before the continuation is called, so the
+  // continuation may start transfers of its own.
   void Finish(std::uint32_t slot, TransferOutcome outcome);
 
   Simulator* sim_;
   const Topology* topology_;
 
   std::int64_t next_flow_id_ = 0;
-  // Unordered is safe: no code depends on iteration order (completion order comes from the
-  // heap comparator, rates are pure functions of counts), and lookups are on the hot path.
-  // Node-based, so the Flow* held by groups stay valid while a flow is active.
-  std::unordered_map<std::int64_t, Flow> flows_;
-  // Flows still inside their route-latency window (scheduled but not yet sharing
-  // bandwidth); JoinFlow moves them into flows_.
-  std::unordered_map<std::int64_t, Flow> pending_;
-  // Continuations that have not run yet, indexed by slot; freed slots are reused LIFO, so
-  // the vector is as long as the most transfers ever in flight at once.
-  std::vector<Continuation> continuations_;
-  std::vector<std::uint32_t> free_continuations_;
+  // Transfer records by slot. A deque, so records never move (groups hold Flow*). Freed
+  // slots wait in free_flows_ and are reused LIFO, so the table is as long as the most
+  // transfers ever in flight at once.
+  std::deque<Flow> flows_;
+  std::vector<std::uint32_t> free_flows_;
+  int active_flows_ = 0;  // records in the network
 
   std::vector<int> link_active_;  // active flow count per link (maintained incrementally)
   std::vector<double> link_scale_;  // effective-bandwidth multiplier per link (fault model)
@@ -335,7 +337,7 @@ class TransferManager {
   std::int64_t retry_exhausted_ = 0;    // flows that ran out of attempts
   double retry_backoff_sec_ = 0.0;      // total backoff delay injected by retries
   // One group per (src, dst) pair that has carried a flow, keyed by src << 32 | dst;
-  // node-based, so groups, and the routes flows point into, never move.
+  // node-based, so the groups flows point to never move.
   std::unordered_map<std::uint64_t, RouteGroup> groups_;
   std::vector<std::vector<RouteGroup*>> link_groups_;  // active groups crossing each link
   std::vector<Completion> completion_heap_;  // indexed min-heap, one entry per active group

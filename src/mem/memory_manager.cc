@@ -55,22 +55,30 @@ MemoryManager::Acquisition MemoryManager::Acquire(WorkingSet set, bool best_effo
   pin_all(set.accumulate);
   pin_all(set.allocate);
 
-  Pending pending;
-  pending.handle = next_handle_++;
-  pending.ready = std::make_unique<OneShotEvent>(&system_->sim());
-  pending.set = std::move(set);
-  pending.best_effort = best_effort;
-  const Acquisition result{pending.handle, pending.ready.get()};
-  pending_.push_back(std::move(pending));
+  Request& request = requests_.emplace_back();
+  request.handle = next_handle_++;
+  request.ready = std::make_unique<OneShotEvent>(&system_->sim());
+  request.set = std::move(set);
+  request.best_effort = best_effort;
+  const Acquisition result{request.handle, request.ready.get()};
   system_->SchedulePump(device_index_);
   return result;
 }
 
+std::size_t MemoryManager::GrantedIndex(AcquireHandle handle) const {
+  const auto end = requests_.begin() + static_cast<std::ptrdiff_t>(granted_);
+  const auto it = std::ranges::lower_bound(requests_.begin(), end, handle, {}, &Request::handle);
+  return it != end && it->handle == handle ? static_cast<std::size_t>(it - requests_.begin())
+                                           : granted_;
+}
+
 void MemoryManager::Release(AcquireHandle handle) {
-  auto it = held_.find(handle);
-  HCHECK(it != held_.end()) << "release of unknown acquisition " << handle;
-  if (it->second.cancelled()) {
-    held_.erase(it);
+  const std::size_t i = GrantedIndex(handle);
+  HCHECK(i < granted_) << "release of unknown acquisition " << handle;
+  const auto it = requests_.begin() + static_cast<std::ptrdiff_t>(i);
+  if (it->cancelled()) {
+    requests_.erase(it);
+    --granted_;
     return;  // best-effort request that never materialized: nothing to unpin or pump
   }
   TensorRegistry& reg = system_->registry();
@@ -85,13 +93,14 @@ void MemoryManager::Release(AcquireHandle handle) {
       system_->NoteTickChanged(id);
     }
   };
-  unpin_all(it->second.set.fetch);
-  unpin_all(it->second.set.accumulate);
-  unpin_all(it->second.set.allocate);
-  if (it->second.scratch_offset >= 0) {
-    allocator_.Free(it->second.scratch_offset, it->second.set.scratch_bytes);
+  unpin_all(it->set.fetch);
+  unpin_all(it->set.accumulate);
+  unpin_all(it->set.allocate);
+  if (it->scratch_offset >= 0) {
+    allocator_.Free(it->scratch_offset, it->set.scratch_bytes);
   }
-  held_.erase(it);
+  requests_.erase(it);
+  --granted_;
   system_->SchedulePump(device_index_);
 }
 
@@ -145,7 +154,7 @@ void MemoryManager::FreeTensor(TensorId id) {
   system_->SchedulePump(device_index_);
 }
 
-bool MemoryManager::Satisfied(const Pending& p) const {
+bool MemoryManager::Satisfied(const Request& r) const {
   const TensorRegistry& reg = system_->registry();
   auto all_resident = [&](const std::vector<TensorId>& ids) {
     for (TensorId id : ids) {
@@ -156,18 +165,18 @@ bool MemoryManager::Satisfied(const Pending& p) const {
     }
     return true;
   };
-  if (!all_resident(p.set.fetch) || !all_resident(p.set.accumulate) ||
-      !all_resident(p.set.allocate)) {
+  if (!all_resident(r.set.fetch) || !all_resident(r.set.accumulate) ||
+      !all_resident(r.set.allocate)) {
     return false;
   }
-  return p.set.scratch_bytes == 0 || p.scratch_allocated;
+  return r.set.scratch_bytes == 0 || r.scratch_offset >= 0;
 }
 
 bool MemoryManager::PumpHead() {
-  if (pending_.empty()) {
+  if (granted_ == requests_.size()) {
     return false;
   }
-  Pending& head = pending_.front();
+  Request& head = requests_[granted_];
 
   Progress worst = Progress::kOk;
   auto ensure_all = [&](const std::vector<TensorId>& ids, bool accumulate, bool allocate) {
@@ -186,14 +195,13 @@ bool MemoryManager::PumpHead() {
   if (worst == Progress::kOk) {
     ensure_all(head.set.allocate, /*accumulate=*/false, /*allocate=*/true);
   }
-  if (worst == Progress::kOk && !head.scratch_allocated && head.set.scratch_bytes > 0) {
+  if (worst == Progress::kOk && head.scratch_offset < 0 && head.set.scratch_bytes > 0) {
     const Bytes offset = AllocateWithEviction(head.set.scratch_bytes, kInvalidTensor);
     if (offset == -2) {
       worst = Progress::kStuck;
     } else if (offset == -1) {
       worst = Progress::kBlocked;
     } else {
-      head.scratch_allocated = true;
       head.scratch_offset = offset;
     }
   }
@@ -218,14 +226,8 @@ bool MemoryManager::PumpHead() {
   touch_all(head.set.accumulate);
   touch_all(head.set.allocate);
 
-  Held held;
-  held.set = std::move(head.set);
-  held.scratch_offset = head.scratch_allocated ? head.scratch_offset : -1;
-  OneShotEvent* ready = head.ready.get();
-  held.ready = std::move(head.ready);
-  held_.emplace(head.handle, std::move(held));
-  pending_.pop_front();
-  ready->Fire();
+  ++granted_;
+  head.ready->Fire();
   return true;
 }
 
@@ -298,8 +300,7 @@ MemoryManager::Progress MemoryManager::EnsureTensor(TensorId id, bool is_accumul
 }
 
 void MemoryManager::CancelHead() {
-  Pending head = std::move(pending_.front());
-  pending_.pop_front();
+  Request& head = requests_[granted_];
   TensorRegistry& reg = system_->registry();
   auto unpin_all = [&](const std::vector<TensorId>& ids) {
     for (TensorId id : ids) {
@@ -320,12 +321,13 @@ void MemoryManager::CancelHead() {
   unpin_all(head.set.fetch);
   unpin_all(head.set.accumulate);
   unpin_all(head.set.allocate);
-  if (head.scratch_allocated) {
+  if (head.scratch_offset >= 0) {
     allocator_.Free(head.scratch_offset, head.set.scratch_bytes);
   }
-  OneShotEvent* ready = head.ready.get();
-  held_.emplace(head.handle, Held{{}, Held::kCancelled, std::move(head.ready)});
-  ready->Fire();
+  head.set = WorkingSet{};
+  head.scratch_offset = Request::kCancelled;
+  ++granted_;
+  head.ready->Fire();
 }
 
 Bytes MemoryManager::AllocateWithEviction(Bytes bytes, TensorId tensor) {
@@ -379,15 +381,10 @@ void MemoryManager::Defragment() {
     HCHECK_GE(s.alloc_offset, 0);
     items.push_back(Item{s.alloc_offset, reg.meta(id).bytes, &s.alloc_offset});
   }
-  for (auto& [handle, held] : held_) {
-    if (held.scratch_offset >= 0) {
-      items.push_back(Item{held.scratch_offset, held.set.scratch_bytes, &held.scratch_offset});
-    }
-  }
-  for (auto& pending : pending_) {
-    if (pending.scratch_allocated) {
+  for (Request& request : requests_) {
+    if (request.scratch_offset >= 0) {
       items.push_back(
-          Item{pending.scratch_offset, pending.set.scratch_bytes, &pending.scratch_offset});
+          Item{request.scratch_offset, request.set.scratch_bytes, &request.scratch_offset});
     }
   }
   std::sort(items.begin(), items.end(),
@@ -1027,20 +1024,18 @@ void MemorySystem::PumpDirty() {
 
 Status MemorySystem::CheckQuiescent() const {
   for (const auto& manager : managers_) {
-    if (!manager->pending_.empty()) {
+    const std::size_t granted = manager->granted_;
+    if (manager->requests_.size() > granted) {
       return InternalError("device " + std::to_string(manager->device_index_) + " has " +
-                           std::to_string(manager->pending_.size()) +
+                           std::to_string(manager->requests_.size() - granted) +
                            " pending acquisitions after the run");
     }
-    if (!manager->held_.empty()) {
-      std::size_t cancelled = 0;
-      for (const auto& [handle, held] : manager->held_) {
-        if (held.cancelled()) {
-          ++cancelled;
-        }
-      }
+    if (granted > 0) {
+      const auto cancelled = std::count_if(
+          manager->requests_.begin(), manager->requests_.end(),
+          [](const MemoryManager::Request& request) { return request.cancelled(); });
       return InternalError("device " + std::to_string(manager->device_index_) + " has " +
-                           std::to_string(manager->held_.size()) +
+                           std::to_string(granted) +
                            " unreleased acquisitions after the run, " +
                            std::to_string(cancelled) +
                            " of them cancelled best-effort requests (which must be "

@@ -18,9 +18,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <queue>
 #include <string>
@@ -152,8 +150,8 @@ class MemoryManager {
   // True when `handle` belonged to a best-effort request that was cancelled. Release() on a
   // cancelled handle is a no-op.
   bool WasCancelled(AcquireHandle handle) const {
-    const auto it = held_.find(handle);
-    return it != held_.end() && it->second.cancelled();
+    const std::size_t i = GrantedIndex(handle);
+    return i < granted_ && requests_[i].cancelled();
   }
 
   // Unpins the set, frees its scratch and destroys its `ready` event. Tensors stay resident
@@ -181,15 +179,17 @@ class MemoryManager {
  private:
   friend class MemorySystem;
 
-  // An acquisition's `ready` event moves with it from Pending to Held and is destroyed by
-  // Release, so the manager keeps events only for live acquisitions.
-  struct Pending {
-    AcquireHandle handle;
+  // One acquisition, from Acquire to Release: waiting in the FIFO, then granted, or
+  // cancelled if it was best-effort (its set emptied, scratch_offset kCancelled). Its
+  // `ready` event lives exactly as long as the record.
+  struct Request {
+    static constexpr Bytes kCancelled = -2;
+    AcquireHandle handle = 0;
     WorkingSet set;
     std::unique_ptr<OneShotEvent> ready;
-    bool scratch_allocated = false;
-    Bytes scratch_offset = -1;
+    Bytes scratch_offset = -1;  // -1: no scratch (yet)
     bool best_effort = false;
+    bool cancelled() const { return scratch_offset == kCancelled; }
   };
 
   enum class Progress {
@@ -198,22 +198,13 @@ class MemoryManager {
     kStuck,    // no progress possible without external change (release / free)
   };
 
-  // A granted request, or a cancelled best-effort one (empty set, scratch_offset kCancelled)
-  // whose fired `ready` event lives until Release. The flag shares scratch_offset because a
-  // separate field would move every held_ node into the allocator's next size class, which
-  // raised dp_cluster's peak RSS by 1-5 MB through heap fragmentation.
-  struct Held {
-    static constexpr Bytes kCancelled = -2;
-    WorkingSet set;
-    Bytes scratch_offset = -1;  // -1: no scratch
-    std::unique_ptr<OneShotEvent> ready;
-    bool cancelled() const { return scratch_offset == kCancelled; }
-  };
-
-  // Tries to make progress on the head pending request; returns true if it was granted.
+  // Index of the granted (or cancelled) request `handle` in requests_, else granted_.
+  std::size_t GrantedIndex(AcquireHandle handle) const;
+  // Tries to make progress on the head request, the oldest waiting one; returns true if it
+  // was granted or cancelled.
   bool PumpHead();
-  // Checks whether every tensor of `p` is resident here and scratch is allocated.
-  bool Satisfied(const Pending& p) const;
+  // Checks whether every tensor of `r` is resident here and scratch is allocated.
+  bool Satisfied(const Request& r) const;
   // Issues whatever actions tensor `id` needs; on kBlocked/kStuck callers stop issuing to
   // preserve FIFO memory fairness.
   Progress EnsureTensor(TensorId id, bool is_accumulate, bool is_allocate);
@@ -303,8 +294,11 @@ class MemoryManager {
   DeviceAllocator allocator_;
   MemoryCounters counters_;
 
-  std::deque<Pending> pending_;
-  std::map<AcquireHandle, Held> held_;
+  // Every live acquisition, in handle order. Requests are granted or cancelled oldest
+  // first and new ones append, so the first granted_ records are granted or cancelled and
+  // the rest wait in FIFO order; the head is requests_[granted_].
+  std::vector<Request> requests_;
+  std::size_t granted_ = 0;
   int evictions_in_flight_ = 0;
   AcquireHandle next_handle_ = 1;
 

@@ -121,6 +121,13 @@ std::string LintReport::ToJson() const {
 
 namespace {
 
+// Findings are capped, first found wins, so a badly broken plan cannot produce a quadratic
+// report (LintReport::truncated).
+constexpr int kMaxFindings = 256;
+// Deep checks are skipped above this many tasks: the reachability bitset would need
+// tasks^2/8 bytes (LintReport::deep_ran).
+constexpr int kMaxDeepTasks = 20000;
+
 // How one task touches one tensor (bitmask; a task can both read and write, e.g. an
 // accumulating backward or an in-place all-reduce).
 struct Access {
@@ -156,7 +163,7 @@ class Linter {
     CheckCollectives();
     CheckFeasibility();
     if (options_.deep && !tensor_refs_broken_) {
-      if (report_.num_tasks > options_.max_deep_tasks) {
+      if (report_.num_tasks > kMaxDeepTasks) {
         report_.deep_ran = false;
       } else {
         report_.deep_ran = true;
@@ -178,7 +185,7 @@ class Linter {
   const Task& task(TaskId id) const { return plan_.tasks[st(id)]; }
 
   bool Emit(LintFinding finding) {
-    if (static_cast<int>(report_.findings.size()) >= options_.max_findings) {
+    if (static_cast<int>(report_.findings.size()) >= kMaxFindings) {
       report_.truncated = true;
       return false;
     }

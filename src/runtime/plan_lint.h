@@ -91,12 +91,6 @@ struct LintOptions {
   bool deep = true;
   // Per-device capacities for the feasibility check; empty skips it.
   std::vector<Bytes> device_capacities;
-  // Findings are capped (first-found wins) so a badly broken plan cannot produce a
-  // quadratic report; the report records whether truncation happened.
-  int max_findings = 256;
-  // Deep checks are skipped (and the report marked) above this many tasks — the
-  // reachability bitset would need tasks^2/8 bytes.
-  int max_deep_tasks = 20000;
 };
 
 struct LintReport {
@@ -104,8 +98,8 @@ struct LintReport {
   std::string scheme;
   int num_tasks = 0;
   int num_devices = 0;
-  bool deep_ran = false;    // deep tier executed (requested and under the size cap)
-  bool truncated = false;   // max_findings hit; counts below are lower bounds
+  bool deep_ran = false;   // deep tier executed (requested, and at most 20,000 tasks)
+  bool truncated = false;  // 256 findings hit; counts below are lower bounds
 
   int num_errors() const;
   int num_warnings() const;

@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/recovery.h"
@@ -466,6 +467,25 @@ TEST(FaultElasticTest, LastGpuDyingIsATypedError) {
   EXPECT_FALSE(result.status.ok());
   EXPECT_NE(result.status.message().find("no surviving device"), std::string::npos);
   EXPECT_EQ(result.stats.failures, 1);
+}
+
+// A config with no GPUs or no nodes is a typed INVALID_ARGUMENT with no segment: the shape
+// is checked before the fleet-wide bookkeeping is sized from it.
+TEST(FaultElasticTest, ConfigWithNoGpusIsInvalidBeforeAnySegment) {
+  const Model model = FaultModel(4);
+  for (const auto& [gpus, nodes] : {std::pair{0, 1}, std::pair{-1, 1}, std::pair{2, 0}}) {
+    SessionConfig config = FaultConfig(2, 2);
+    config.server.num_gpus = gpus;
+    config.num_nodes = nodes;
+    config.faults.Add(FaultEvent{0.05, FaultKind::kGpuFailStop, 0, 1.0, 0.0});
+    const ElasticResult result = RunTrainingElastic(model, config);
+    EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument)
+        << gpus << " GPUs x " << nodes << " nodes: " << result.status.ToString();
+    EXPECT_NE(result.status.message().find(gpus < 1 ? "num_gpus" : "nodes"),
+              std::string::npos)
+        << result.status.ToString();
+    EXPECT_TRUE(result.segments.empty());
+  }
 }
 
 TEST(FaultElasticTest, DpShrinkThatBreaksTheMinibatchIsATypedError) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -533,6 +534,52 @@ TEST_F(TransferTest, ContinuationSeesCompletedWhenARetriedFlowLands) {
   EXPECT_EQ(probe.outcome, TransferOutcome::kCompleted);
   EXPECT_GT(probe.when, 1.7);  // the second retry restarts from byte zero at ~0.72 s
   EXPECT_EQ(tm_.continuations_parked(), 0u);
+}
+
+// Starts A (1 MiB), B and C; once A's continuation has run, starts D, which takes A's freed
+// record. At t = 0.5 either flaps every link (no retry policy) or fails the host, which
+// ends B, C and D aborted. Returns the order in which the four continuations ran.
+std::vector<std::string> EndOrderAfterStrike(const Topology& topo, bool fail_host) {
+  Simulator sim;
+  TransferManager tm(&sim, &topo);
+  std::vector<std::string> order;
+  const auto record = [&order](const char* name) {
+    return [&order, name](TransferOutcome) { order.emplace_back(name); };
+  };
+  const Bytes big = static_cast<Bytes>(GBps(12.8));
+  tm.StartTransfer(topo.gpu_node(0), topo.host_node(), kMiB, TransferKind::kSwapOut,
+                   record("A"));
+  tm.StartTransfer(topo.gpu_node(1), topo.host_node(), big, TransferKind::kSwapOut,
+                   record("B"));
+  tm.StartTransfer(topo.gpu_node(2), topo.host_node(), big, TransferKind::kSwapOut,
+                   record("C"));
+  sim.ScheduleAt(0.25, [&] {
+    EXPECT_EQ(order, std::vector<std::string>{"A"});
+    EXPECT_EQ(tm.continuations_parked(), 2u);
+    tm.StartTransfer(topo.gpu_node(3), topo.host_node(), big, TransferKind::kSwapOut,
+                     record("D"));
+  });
+  sim.ScheduleAt(0.5, [&] {
+    if (fail_host) {
+      tm.FailNode(topo.host_node());
+      return;
+    }
+    std::vector<LinkId> every_link(static_cast<std::size_t>(topo.num_links()));
+    std::iota(every_link.begin(), every_link.end(), 0);
+    EXPECT_EQ(tm.FlapLinkFlows(every_link), 3);
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(tm.flows_aborted(), 3);
+  EXPECT_EQ(tm.continuations_parked(), 0u);
+  return order;
+}
+
+TEST_F(TransferTest, VictimsEndInFlowIdOrderWhenARecordIsReused) {
+  // D sits in A's old slot, so slot order would end D before B and C; victims end in
+  // flow-id (start) order.
+  const std::vector<std::string> want = {"A", "B", "C", "D"};
+  EXPECT_EQ(EndOrderAfterStrike(topo_, /*fail_host=*/false), want);
+  EXPECT_EQ(EndOrderAfterStrike(topo_, /*fail_host=*/true), want);
 }
 
 // Bandwidth conservation: N concurrent equal flows through the shared uplink take ~N times

@@ -465,9 +465,9 @@ TEST(IndexRegressionTest, CheckQuiescentCrossChecksListMembershipAgainstTensorSt
   ExpectIndexesConsistent(*h.system_);
 }
 
-// A cancelled best-effort handle that is never Released leaks its Held record; CheckQuiescent
-// must call that out (the tuner sweep would otherwise grow the records forever), and the late
-// Release must clear it.
+// A cancelled best-effort handle that is never Released leaks its request record;
+// CheckQuiescent must call that out (the tuner sweep would otherwise grow the records
+// forever), and the late Release must clear it.
 TEST(IndexRegressionTest, CheckQuiescentReportsLeakedCancelledHandles) {
   ChurnHarness h(HarmonyPolicy(), /*capacity=*/1024, /*install_oracle=*/false);
   TensorRegistry& reg = h.reg_;

@@ -418,6 +418,30 @@ TEST_F(MemorySystemTest, CountersSumAcrossDevices) {
   EXPECT_EQ(system_->TotalSwapOut(), 0);
 }
 
+TEST_F(MemorySystemTest, ReleaseOfARequestStillWaitingDies) {
+  Init(HarmonyPolicy(), /*capacity=*/1536);
+  const TensorId a = NewTensor("A", 1024, TensorClass::kWeight, true);
+  const TensorId b = NewTensor("B", 1024, TensorClass::kWeight, true);
+  WorkingSet set_a;
+  set_a.fetch = {a};
+  AcquireNow(0, set_a);  // pinned; fills the device
+  WorkingSet set_b;
+  set_b.fetch = {b};
+  auto waiting = system_->manager(0).Acquire(std::move(set_b));
+  sim_.RunUntilIdle();
+  ASSERT_FALSE(waiting.ready->fired());
+  EXPECT_DEATH(system_->manager(0).Release(waiting.handle), "release of unknown acquisition");
+}
+
+TEST_F(MemorySystemTest, SecondReleaseOfAGrantedHandleDies) {
+  Init(HarmonyPolicy());
+  WorkingSet set;
+  set.scratch_bytes = 256;
+  const auto handle = AcquireNow(0, set);
+  system_->manager(0).Release(handle);
+  EXPECT_DEATH(system_->manager(0).Release(handle), "release of unknown acquisition");
+}
+
 TEST_F(MemorySystemTest, SingleTensorLargerThanCapacityDies) {
   Init(HarmonyPolicy());
   const TensorId huge = NewTensor("huge", 4000, TensorClass::kWeight, true);

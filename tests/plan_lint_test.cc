@@ -207,6 +207,45 @@ TEST(PlanLintUnit, DetectsInfeasibleSingleTaskWorkingSet) {
   EXPECT_TRUE(HasCheck(report, LintCheck::kFeasibility)) << report.Render();
 }
 
+// The two caps are constants of the linter: 256 findings, and the deep tier only up to
+// 20,000 tasks.
+TEST(PlanLintUnit, FindingsStopAtTheCapAndTheReportSaysSo) {
+  TinyPlan tiny;
+  std::vector<int> fetch = {tiny.act};
+  for (int i = 0; i < 300; ++i) {
+    fetch.push_back(100 + i);  // 300 tensors outside the registry, one finding each
+  }
+  SetList(&tiny.plan, TaskList::kFetch, 1, fetch);
+  const LintReport report = tiny.Lint();
+  EXPECT_TRUE(report.truncated);
+  EXPECT_EQ(report.findings.size(), 256u);
+  EXPECT_TRUE(HasCheck(report, LintCheck::kDanglingReference)) << report.Render();
+}
+
+TEST(PlanLintUnit, DeepTierSkipsPlansPastTheTaskCap) {
+  // A chain of empty tasks on one device: clean, and cheap for every tier but the deep
+  // one, whose bitset would be quadratic in the task count.
+  const auto chain = [](int tasks) {
+    const TensorRegistry registry;
+    Plan plan;
+    plan.scheme = "chain";
+    plan.num_iterations = 1;
+    plan.per_device_order.resize(1);
+    Task task;
+    task.device = 0;
+    for (int i = 0; i < tasks; ++i) {
+      plan.per_device_order[0].push_back(plan.AddTask(task));
+    }
+    return LintPlan(plan, registry);
+  };
+  const LintReport small = chain(2);
+  EXPECT_TRUE(small.clean()) << small.Render();
+  EXPECT_TRUE(small.deep_ran);
+  const LintReport large = chain(20001);
+  EXPECT_TRUE(large.clean()) << large.Render();
+  EXPECT_FALSE(large.deep_ran);
+}
+
 // Appends a two-member all-reduce group whose replicas are {0, 2}: replica 1 is a hole in
 // {0..k-1}.
 void AddReplicaHoleGroup(TinyPlan* tiny) {

@@ -157,6 +157,10 @@ expect_invalid() {
 # Network-scoped fault targets are validated against the cluster shape before the run.
 expect_invalid "targets nic5" --nodes=2 --scheme=harmony-dp --microbatches=2 \
   --faults='flow_flap@1:nic5'
+# The elastic --faults run validates each segment as it builds it, so a configuration
+# that cannot start exits 1 with the typed error of its first segment.
+expect_invalid "infeasible configuration" --faults=fail@1:gpu1 --gpu_memory_gib=0.05
+expect_invalid "iterations must be >= 1" --faults=fail@1:gpu1 --iterations=0
 # baseline-pp places one 1F1B stage per GPU: more GPUs than layers is a validation error,
 # in a single run and as a scheduled job, not an abort inside the plan builder.
 stages="baseline-pp needs at least one layer per pipeline stage"

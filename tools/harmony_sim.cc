@@ -350,16 +350,15 @@ int Run(int argc, char** argv) {
 
   if (!config.faults.empty() && !lint) {
     // Elastic mode: run with fault injection and recover onto survivors after fail-stops.
-    // Each segment builds its own session, so only the cheap probe validates up front;
-    // bad configurations are messages + a non-zero exit, not HCHECK aborts.
-    const Status valid = ValidateSessionConfig(model.value(), config);
-    if (!valid.ok()) {
-      std::cerr << valid.ToString() << "\n";
+    // Each segment validates the session it builds, so a configuration that cannot start
+    // comes back with no segment: a message and a non-zero exit, not an HCHECK abort.
+    const ElasticResult elastic = RunTrainingElastic(model.value(), config);
+    if (elastic.segments.empty()) {
+      std::cerr << elastic.status.ToString() << "\n";
       return 1;
     }
     std::cout << model.value().Summary() << "\n";
     std::cout << "fault plan: " << config.faults.ToString() << "\n\n";
-    const ElasticResult elastic = RunTrainingElastic(model.value(), config);
     for (std::size_t i = 0; i < elastic.segments.size(); ++i) {
       const RecoverySegment& seg = elastic.segments[i];
       std::printf("segment %zu: %d gpu(s), iterations [%d, %d), completed %zu, makespan "

@@ -31,11 +31,12 @@
 # The flow-model and fault selection runs under UBSan and ASan:
 #   - TopologyTest and TopologyDeathTest: the tree routes against their all-pairs BFS
 #                         oracle, and Finalize's tree checks,
-#   - TransferTest, RandomFlowTest and RandomFlowChurnTest: the route-group flow model
-#                         (DESIGN.md §5), whose raw pointers (flow -> the route its
-#                         group owns, flow -> group, group -> members, heap entry ->
-#                         group) ASan keeps honest; Topology::Route returns by value, so
-#                         a flow pointing into that temporary would read freed memory,
+#   - TransferTest, RetryTransferTest, RandomFlowTest and RandomFlowChurnTest: the
+#                         route-group flow model (DESIGN.md §5), whose raw pointers
+#                         (flow -> group, group -> members, heap entry -> group) ASan
+#                         keeps honest while transfer records are reused slot by slot,
+#                         a flapped flow re-joins from its record, and flows in their
+#                         latency window escape a flap,
 #   - `ctest -R fault`  : fault injection and elastic recovery, whose bookkeeping is
 #                         indexed by fleet-wide GPU ids.
 # ASan also runs the whole of mem_test and mem_churn_test: an acquisition's `ready` event
@@ -75,7 +76,7 @@ labelled_suites() {
 }
 
 flow_and_fault() {
-  run_ctest "$1" -R '(^|/)(TopologyTest|TopologyDeathTest|TransferTest|RandomFlowTest|RandomFlowChurnTest)\.'
+  run_ctest "$1" -R '(^|/)(TopologyTest|TopologyDeathTest|TransferTest|RandomFlowTest|RandomFlowChurnTest)\.|RetryTransferTest\.'
   run_ctest "$1" -R fault
 }
 
