@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "src/core/session.h"
-#include "src/core/tuner.h"
 #include "src/graph/model_zoo.h"
 #include "src/util/table.h"
 
@@ -41,7 +40,7 @@ double ClassSwapUnits(const harmony::IterationStats& it, harmony::TensorClass cl
 void ReportBert(harmony::TablePrinter& table, const char* label, const harmony::Model& model,
                 const harmony::SessionConfig& config) {
   using namespace harmony;
-  const RunReport report = ProfileTraining(model, config);
+  const RunReport report = RunTraining(model, config).report;
   // Attribution goes to stderr: the golden-stdout gate pins this bench's stdout.
   std::fprintf(stderr, "[explain] %s: %s\n", label, Attribute(report).Summary().c_str());
   const auto& it = report.iterations[1];
@@ -125,7 +124,7 @@ int main() {
     config.prefetch = false;
     config.grouping = grouping;
     config.jit_updates = jit;
-    const RunReport report = ProfileTraining(uniform, config);
+    const RunReport report = RunTraining(uniform, config).report;
     // Attribution goes to stderr: the golden-stdout gate pins this bench's stdout.
     std::fprintf(stderr, "[explain] %s: %s\n", label, Attribute(report).Summary().c_str());
     const auto& it = report.iterations[1];
@@ -174,7 +173,7 @@ int main() {
       config.pack_size = 1;
       config.balanced_packing = balanced;
       config.group_size = group;
-      const RunReport report = ProfileTraining(skewed, config);
+      const RunReport report = RunTraining(skewed, config).report;
       double max_busy = 0.0;
       double min_busy = 1e30;
       for (double busy : report.device_busy) {

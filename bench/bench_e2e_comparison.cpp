@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/core/session.h"
-#include "src/core/tuner.h"
 #include "src/graph/model_zoo.h"
 #include "src/util/table.h"
 
@@ -36,7 +35,7 @@ Outcome RunBest(const char* name, const harmony::Model& model,
     if (*std::max_element(peaks.begin(), peaks.end()) > config.server.gpu.memory_bytes) {
       continue;  // infeasible point
     }
-    outcomes.push_back(Outcome{std::string(name) + suffix, ProfileTraining(model, config)});
+    outcomes.push_back(Outcome{std::string(name) + suffix, RunTraining(model, config).report});
     // Attribution goes to stderr: the golden-stdout gate pins this bench's stdout.
     std::fprintf(stderr, "[explain] %s: %s\n", outcomes.back().label.c_str(),
                  Attribute(outcomes.back().report).Summary().c_str());
@@ -68,7 +67,7 @@ int main() {
     config.scheme = Scheme::kBaselineDp;
     config.microbatches = 1;
     config.microbatch_size = 8;
-    rows.push_back(Outcome{"baseline-DP (DDP + LMS)", ProfileTraining(bert, config)});
+    rows.push_back(Outcome{"baseline-DP (DDP + LMS)", RunTraining(bert, config).report});
     std::fprintf(stderr, "[explain] %s: %s\n", rows.back().label.c_str(),
                  Attribute(rows.back().report).Summary().c_str());
   }
@@ -77,7 +76,7 @@ int main() {
     config.scheme = Scheme::kBaselinePp;
     config.microbatches = 4;
     config.microbatch_size = 8;
-    rows.push_back(Outcome{"baseline-PP (1F1B + LMS)", ProfileTraining(bert, config)});
+    rows.push_back(Outcome{"baseline-PP (1F1B + LMS)", RunTraining(bert, config).report});
     std::fprintf(stderr, "[explain] %s: %s\n", rows.back().label.c_str(),
                  Attribute(rows.back().report).Summary().c_str());
   }

@@ -11,7 +11,6 @@
 
 #include "src/core/analytic.h"
 #include "src/core/session.h"
-#include "src/core/tuner.h"
 #include "src/graph/model_zoo.h"
 #include "src/util/table.h"
 
@@ -41,8 +40,7 @@ double MeasuredUnits(harmony::Scheme scheme, int n, int m) {
   config.microbatch_size = 1;
   config.iterations = 3;
   config.prefetch = false;  // the analytic model assumes no double buffering
-  // Memoized: the headline-factor lines at the bottom re-measure sweep points.
-  const RunReport report = ProfileTraining(model, config);
+  const RunReport report = RunTraining(model, config).report;
   // Attribution goes to stderr: the golden-stdout gate pins this bench's stdout.
   std::fprintf(stderr, "[explain] %s n=%d m=%d: %s\n", SchemeName(scheme), n, m,
                Attribute(report).Summary().c_str());

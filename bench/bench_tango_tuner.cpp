@@ -51,13 +51,8 @@ int main(int argc, char** argv) {
   const TunerResult& result = swept.value();
   // Diagnostics go to stderr so the experiment tables on stdout stay byte-stable across
   // thread counts and hosts.
-  const TunerCacheStats stats = GetTunerCacheStats();
-  std::fprintf(stderr,
-               "[tuner] %zu sweep points on %d threads in %.3fs; cache: %lld/%lld profile "
-               "hits\n",
-               result.points.size(), ResolveThreadCount(options.num_threads), sweep_seconds,
-               static_cast<long long>(stats.profile_hits),
-               static_cast<long long>(stats.profile_hits + stats.profile_misses));
+  std::fprintf(stderr, "[tuner] %zu sweep points on %d threads in %.3fs\n",
+               result.points.size(), ResolveThreadCount(options.num_threads), sweep_seconds);
   std::cout << RenderTunerTable(result) << "\n";
   std::printf("tuner pick: pack=%d, microbatch=%d (%d microbatches) -> %.2f samples/s\n\n",
               result.best.pack_size, result.best.microbatch_size, result.best.microbatches,
@@ -76,7 +71,7 @@ int main(int argc, char** argv) {
     config.microbatches = result.best.microbatches;
     config.iterations = 3;
     config.prefetch = on;
-    const RunReport report = ProfileTraining(bert, config);
+    const RunReport report = RunTraining(bert, config).report;
     prefetch.Row()
         .Cell(on ? "on (double buffer)" : "off (copies on critical path)")
         .Cell(report.steady_iteration_time(), 2)
@@ -102,7 +97,7 @@ int main(int argc, char** argv) {
           "infeasible");
       continue;
     }
-    const RunReport report = ProfileTraining(bert, config);
+    const RunReport report = RunTraining(bert, config).report;
     recompute.Row()
         .Cell(rc ? "recompute" : "stash")
         .Cell(FormatBytes(peak))

@@ -12,13 +12,6 @@ bool IsDataParallel(Scheme scheme) {
   return scheme == Scheme::kBaselineDp || scheme == Scheme::kHarmonyDp;
 }
 
-bool TargetsGpu(const FaultEvent& event) {
-  return event.kind == FaultKind::kGpuFailStop || event.kind == FaultKind::kGpuLinkDegrade ||
-         event.kind == FaultKind::kGpuSlow ||
-         ((event.kind == FaultKind::kFlowFlap || event.kind == FaultKind::kLinkBrownout) &&
-          event.gpu >= 0);
-}
-
 // Fire-and-forget kinds with no time window: either they happen inside the segment or
 // they already happened.
 bool Instantaneous(const FaultEvent& event) {
@@ -49,7 +42,7 @@ FaultPlan ShiftFaultPlan(const FaultPlan& plan, double offset, const std::vector
   }
   FaultPlan shifted;
   for (FaultEvent event : plan.events()) {
-    if (TargetsGpu(event) && dead[static_cast<std::size_t>(event.gpu)]) {
+    if (event.targets_gpu() && dead[static_cast<std::size_t>(event.gpu)]) {
       continue;  // the target died in an earlier segment; its links no longer exist
     }
     const double local_time = event.time - offset;
@@ -72,7 +65,7 @@ FaultPlan ShiftFaultPlan(const FaultPlan& plan, double offset, const std::vector
     } else {
       event.time = local_time;
     }
-    if (TargetsGpu(event)) {
+    if (event.targets_gpu()) {
       event.gpu = local[static_cast<std::size_t>(event.gpu)];
     }
     shifted.Add(event);
@@ -112,24 +105,20 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
   // Dropped to 0 when a straggler cannot be excluded (the run completes degraded on the
   // full device set instead of re-classifying the same straggler every segment).
   double straggler_threshold = config.straggler_threshold;
-  const auto finalize = [&result, &store] {
-    result.stats.ckpt_verified = store.verified_ok();
-    result.stats.ckpt_corrupt_detected = store.corrupt_detected();
-  };
 
+  // Every exit below leaves the loop with `result.status` set, so the store's counts are
+  // recorded on one path whether the run completed or was refused.
   for (;;) {
     if (alive.empty()) {
       result.status = FailedPreconditionError(
           "every GPU has fail-stopped; no surviving device to rebind onto");
-      finalize();
-      return result;
+      break;
     }
     if (result.segments.size() >= kMaxSegments) {
       result.status = ResourceExhaustedError(
           "recovery did not converge after " + std::to_string(kMaxSegments) +
           " segments — the fault plan keeps striking faster than progress commits");
-      finalize();
-      return result;
+      break;
     }
 
     RecoverySegment segment;
@@ -151,7 +140,7 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
             "cannot shrink data parallelism to " + std::to_string(alive.size()) +
             " GPUs: the minibatch of " + std::to_string(total_microbatches) +
             " microbatches does not divide evenly — SGD semantics would change");
-        return result;
+        break;
       }
       segment.config.microbatches = total_microbatches / static_cast<int>(alive.size());
     }
@@ -166,8 +155,7 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
                           : FailedPreconditionError(
                                 "surviving configuration on " + std::to_string(alive.size()) +
                                 " GPUs is infeasible: " + prepared.status().message());
-      finalize();
-      return result;
+      break;
     }
     segment.result = RunTraining(std::move(prepared).value());
     // The store is owned by this coordinator; don't leak a dangling pointer into the
@@ -225,8 +213,7 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
             "all " + std::to_string(store.committed()) +
             " committed checkpoint generation(s) failed digest verification — nothing "
             "valid to roll back to");
-        finalize();
-        return result;
+        break;
       }
       const double rollback_time = generation != nullptr ? generation->time : offset;
       result.stats.lost_work_sec += (offset + failure_time) - rollback_time;
@@ -239,8 +226,7 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
               "gpu" + std::to_string(dead_original) + " fail-stopped, but a fleet of " +
               std::to_string(config.num_nodes) +
               " nodes cannot drop a GPU: recovery rebinds onto one server's survivors only");
-          finalize();
-          return result;
+          break;
         }
         dead[static_cast<std::size_t>(dead_original)] = true;
         alive.erase(alive.begin() + failed_local);
@@ -258,10 +244,13 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
     result.status = FailedPreconditionError(
         "schedule stalled (watchdog) at sim time " + std::to_string(failure_time) +
         " — rebinding cannot fix a livelocked configuration");
-    finalize();
+    break;
+  }
+  result.stats.ckpt_verified = store.verified_ok();
+  result.stats.ckpt_corrupt_detected = store.corrupt_detected();
+  if (!result.status.ok()) {
     return result;
   }
-  finalize();
 
   // Checkpoint fan-out cost: weights + optimizer state the survivors had to re-stage in
   // each recovery segment's first iteration.

@@ -248,12 +248,7 @@ Status CheckSessionShape(const Model& model, const SessionConfig& config) {
   const int num_racks =
       config.num_nodes > 1 ? (config.num_nodes + nodes_per_rack - 1) / nodes_per_rack : 0;
   for (const FaultEvent& event : config.faults.events()) {
-    const bool targets_gpu =
-        event.kind == FaultKind::kGpuFailStop || event.kind == FaultKind::kGpuLinkDegrade ||
-        event.kind == FaultKind::kGpuSlow ||
-        ((event.kind == FaultKind::kFlowFlap || event.kind == FaultKind::kLinkBrownout) &&
-         event.gpu >= 0 && event.nic < 0 && event.rack < 0);
-    if (targets_gpu && event.gpu >= config.total_gpus()) {
+    if (event.targets_gpu() && event.gpu >= config.total_gpus()) {
       return InvalidArgumentError("fault event '" + event.ToString() + "' targets gpu" +
                                   std::to_string(event.gpu) + " but the machine has only " +
                                   std::to_string(config.total_gpus()) + " GPUs");

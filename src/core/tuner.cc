@@ -1,98 +1,11 @@
 #include "src/core/tuner.h"
 
 #include <algorithm>
-#include <map>
-#include <mutex>
-#include <sstream>
 
 #include "src/util/table.h"
 #include "src/util/thread_pool.h"
 
 namespace harmony {
-namespace {
-
-// Serializes every model and config field that can influence a simulation into a cache key.
-// Plain text rather than a hash: collisions are impossible and keys are debuggable. Key
-// construction costs microseconds against the milliseconds-to-seconds simulation it saves.
-void AppendLinkSpec(std::ostringstream& os, const LinkSpec& link) {
-  os << link.name << ',' << link.bandwidth_bytes_per_sec << ',' << link.latency_sec << ';';
-}
-
-std::string SimulationKey(const Model& model, const SessionConfig& config) {
-  std::ostringstream os;
-  os.precision(17);
-  os << model.name() << '|' << model.input_bytes_per_sample() << '|';
-  for (int l = 0; l < model.num_layers(); ++l) {
-    const LayerCost& c = model.layer(l).cost;
-    os << c.param_bytes << ',' << c.grad_bytes << ',' << c.opt_state_bytes << ','
-       << c.act_out_bytes_per_sample << ',' << c.stash_bytes_per_sample << ','
-       << c.workspace_bytes_per_sample << ',' << c.fwd_flops_per_sample << ','
-       << c.bwd_flops_per_sample << ',' << c.upd_flops << ';';
-  }
-  const ServerConfig& server = config.server;
-  os << '|' << server.num_gpus << ',' << server.gpus_per_switch << ',' << server.p2p_enabled
-     << ',' << server.gpu.name << ',' << server.gpu.memory_bytes << ','
-     << server.gpu.peak_flops << ',' << server.gpu.efficiency << ';';
-  AppendLinkSpec(os, server.gpu_link);
-  AppendLinkSpec(os, server.host_link);
-  os << '|' << static_cast<int>(config.scheme) << ',' << config.microbatches << ','
-     << config.microbatch_size << ',' << config.iterations << ',' << config.pack_size << ','
-     << config.grouping << ',' << config.group_size << ',' << config.jit_updates << ','
-     << config.p2p << ',' << config.balanced_packing << ',' << config.recompute << ','
-     << config.lookahead_eviction << ',' << config.prefetch;
-  if (config.policy.has_value()) {
-    os << "|policy:" << config.policy->write_back_clean << ',' << config.policy->allow_p2p
-       << ',' << static_cast<int>(config.policy->eviction);
-  }
-  return os.str();
-}
-
-struct TunerCache {
-  std::mutex mu;
-  std::map<std::string, RunReport> profiles;
-  TunerCacheStats stats;
-};
-
-TunerCache& Cache() {
-  static TunerCache* cache = new TunerCache();
-  return *cache;
-}
-
-}  // namespace
-
-RunReport ProfileTraining(const Model& model, const SessionConfig& config, bool memoize) {
-  if (!memoize) {
-    return RunTraining(model, config).report;
-  }
-  TunerCache& cache = Cache();
-  const std::string key = SimulationKey(model, config);
-  {
-    std::lock_guard<std::mutex> lock(cache.mu);
-    const auto it = cache.profiles.find(key);
-    if (it != cache.profiles.end()) {
-      ++cache.stats.profile_hits;
-      return it->second;
-    }
-    ++cache.stats.profile_misses;
-  }
-  RunReport report = RunTraining(model, config).report;
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.profiles.emplace(key, report);
-  return report;
-}
-
-TunerCacheStats GetTunerCacheStats() {
-  TunerCache& cache = Cache();
-  std::lock_guard<std::mutex> lock(cache.mu);
-  return cache.stats;
-}
-
-void ClearTunerCache() {
-  TunerCache& cache = Cache();
-  std::lock_guard<std::mutex> lock(cache.mu);
-  cache.profiles.clear();
-  cache.stats = TunerCacheStats{};
-}
 
 StatusOr<TunerResult> TunePp(const Model& model, const SessionConfig& base,
                              const TunerOptions& options) {
@@ -140,7 +53,7 @@ StatusOr<TunerResult> TunePp(const Model& model, const SessionConfig& base,
     point.peak_working_set = *std::max_element(peaks.begin(), peaks.end());
     point.feasible = point.peak_working_set <= capacity;
     if (point.feasible) {
-      const RunReport report = ProfileTraining(model, candidate.config, options.memoize);
+      const RunReport report = RunTraining(model, candidate.config).report;
       point.iteration_time = report.steady_iteration_time();
       point.throughput = report.steady_throughput();
       point.swap_volume = report.steady_swap_total();

@@ -3,22 +3,16 @@
 //
 // Each candidate is checked for feasibility (largest single-task working set must fit the
 // device; ProbePeakWorkingSet builds one iteration of its plan) and then profiled by
-// actually running the simulator; the tuner returns the whole swept frontier so benches can
-// print the trade-off surface, plus the best point.
+// running it: one RunTraining per feasible point. The tuner returns the whole swept
+// frontier so benches can print the trade-off surface, plus the best point.
 //
 // Profiling is the cost center of the whole system (search cost grows multiplicatively with
-// every knob), so the sweep runs on two optimizations:
-//   1. Parallelism — each sweep point is a self-contained single-threaded Simulator, so
-//      independent points profile concurrently on a ThreadPool. Results are assembled by
-//      sweep index, making the TunerResult bit-identical to the serial order for any
-//      `num_threads`.
-//   2. Memoization — profile results are cached process-wide, keyed by every model/config
-//      field that affects the simulation, so the tuner and the experiment benches never
-//      re-simulate a configuration they have already measured.
+// every knob), so sweep points profile concurrently on a ThreadPool: each one is a
+// self-contained single-threaded Simulator. Results are assembled by sweep index, making
+// the TunerResult bit-identical to the serial order for any `num_threads`.
 #ifndef HARMONY_SRC_CORE_TUNER_H_
 #define HARMONY_SRC_CORE_TUNER_H_
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,9 +45,6 @@ struct TunerOptions {
   // Worker threads profiling sweep points (<= 0 = one per hardware thread). The result is
   // bit-identical across thread counts; see the header comment.
   int num_threads = 0;
-  // Reuse process-wide cached profile results for previously seen configurations. Tests
-  // that measure genuine re-execution turn this off.
-  bool memoize = true;
 };
 
 struct TunerResult {
@@ -69,21 +60,6 @@ StatusOr<TunerResult> TunePp(const Model& model, const SessionConfig& base,
                              const TunerOptions& options);
 
 std::string RenderTunerTable(const TunerResult& result);
-
-// ---- memoized profiling (shared by the tuner and the benches) -----------------------------
-
-// RunTraining's report with a process-wide cache keyed by the full (model, config)
-// simulation fingerprint. Thread-safe. `memoize = false` bypasses the cache (both lookup
-// and insert).
-RunReport ProfileTraining(const Model& model, const SessionConfig& config,
-                          bool memoize = true);
-
-struct TunerCacheStats {
-  std::int64_t profile_hits = 0;
-  std::int64_t profile_misses = 0;
-};
-TunerCacheStats GetTunerCacheStats();
-void ClearTunerCache();  // drops cached results and zeroes the stats (tests)
 
 }  // namespace harmony
 

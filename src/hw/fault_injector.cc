@@ -31,12 +31,7 @@ void FaultInjector::Arm(const FaultPlan& plan) {
 
 std::vector<LinkId> FaultInjector::TargetLinks(const FaultEvent& event) const {
   std::vector<LinkId> links;
-  const bool network_capable =
-      event.kind == FaultKind::kFlowFlap || event.kind == FaultKind::kLinkBrownout;
-  const bool gpu_scoped = event.kind == FaultKind::kGpuLinkDegrade ||
-                          (network_capable && event.gpu >= 0 && event.nic < 0 &&
-                           event.rack < 0);
-  if (network_capable && (event.nic >= 0 || event.rack >= 0)) {
+  if (event.network_scoped()) {
     // Node-scoped network target: every link incident to node i's NIC (nic<i>) or rack i's
     // top-of-rack switch (rack<i>) — the inter-node tier the event flaps or browns out.
     const NodeId center = event.nic >= 0 ? topology_->nic_node(event.nic)
@@ -47,7 +42,7 @@ std::vector<LinkId> FaultInjector::TargetLinks(const FaultEvent& event) const {
         links.push_back(lid);
       }
     }
-  } else if (gpu_scoped) {
+  } else if (event.targets_gpu()) {
     const NodeId gpu = topology_->gpu_node(event.gpu);
     for (LinkId lid = 0; lid < topology_->num_links(); ++lid) {
       const TopologyLink& link = topology_->link(lid);
@@ -71,10 +66,7 @@ std::vector<LinkId> FaultInjector::TargetLinks(const FaultEvent& event) const {
 }
 
 void FaultInjector::ApplyEvent(const FaultEvent& event) {
-  const bool network_scoped =
-      (event.kind == FaultKind::kFlowFlap || event.kind == FaultKind::kLinkBrownout) &&
-      (event.nic >= 0 || event.rack >= 0);
-  if (network_scoped) {
+  if (event.network_scoped()) {
     if (event.nic >= topology_->num_nics()) {
       Trace("drop@" + FormatFixed(sim_->now()) + " " + event.ToString() +
             " (no such NIC on this machine)");
@@ -86,12 +78,7 @@ void FaultInjector::ApplyEvent(const FaultEvent& event) {
       return;
     }
   }
-  const bool targets_gpu =
-      event.kind == FaultKind::kGpuFailStop || event.kind == FaultKind::kGpuLinkDegrade ||
-      event.kind == FaultKind::kGpuSlow ||
-      ((event.kind == FaultKind::kFlowFlap || event.kind == FaultKind::kLinkBrownout) &&
-       !network_scoped && event.gpu >= 0);
-  if (targets_gpu && (event.gpu < 0 || event.gpu >= topology_->num_gpus())) {
+  if (event.targets_gpu() && (event.gpu < 0 || event.gpu >= topology_->num_gpus())) {
     Trace("drop@" + FormatFixed(sim_->now()) + " " + event.ToString() +
           " (no such GPU on this machine)");
     return;

@@ -71,8 +71,8 @@ class FaultInjector {
   };
 
   void ApplyEvent(const FaultEvent& event);
-  // Links whose bandwidth the event touches: the GPU's incident links for GPU-targeted
-  // kinds (kGpuLinkDegrade, and kFlowFlap / kLinkBrownout with gpu >= 0), every
+  // Links whose bandwidth the event touches: the NIC's or ToR's incident links for a
+  // network-scoped event, the GPU's incident links for one that targets a GPU, every
   // host-incident link otherwise.
   std::vector<LinkId> TargetLinks(const FaultEvent& event) const;
   void PushScale(const std::vector<LinkId>& links, std::int64_t fault_id, double scale);

@@ -36,11 +36,6 @@ inline GpuSpec Gtx1080Ti() {
   return GpuSpec{"GTX1080Ti", 11 * kGiB, TFlops(11.3), 0.40};
 }
 
-// V100-class part, used by capacity what-if experiments.
-inline GpuSpec TeslaV100() {
-  return GpuSpec{"V100-16GB", 16 * kGiB, TFlops(15.7), 0.50};
-}
-
 // A deliberately tiny GPU for unit tests and the Fig. 4 toy example (capacities are set per
 // test; this just provides sane compute numbers).
 inline GpuSpec TestGpu(Bytes memory_bytes, double flops = TFlops(1.0)) {

@@ -49,28 +49,6 @@ bool ValidTenantName(const std::string& name) {
   return true;
 }
 
-StatusOr<Scheme> TrainingSchemeByName(const SpecGrammar& g, const SpecField& field) {
-  if (field.text == "baseline-dp") {
-    return Scheme::kBaselineDp;
-  }
-  if (field.text == "baseline-pp") {
-    return Scheme::kBaselinePp;
-  }
-  if (field.text == "harmony-dp") {
-    return Scheme::kHarmonyDp;
-  }
-  if (field.text == "harmony-pp") {
-    return Scheme::kHarmonyPp;
-  }
-  if (field.text == "harmony-tp") {
-    return Scheme::kHarmonyTp;
-  }
-  return g.Error(field.offset,
-                 "unknown training scheme '" + field.text +
-                     "' (serving jobs use serve@; training schemes are baseline-dp, "
-                     "baseline-pp, harmony-dp, harmony-pp, harmony-tp)");
-}
-
 }  // namespace
 
 std::string JobSpec::ToString() const {
@@ -148,11 +126,16 @@ StatusOr<std::vector<JobSpec>> ParseJobsSpec(const std::string& spec) {
               // The error names the whole "scheme=" entry, which starts 7 bytes earlier.
               return g.Error(v.offset - 7, "serving jobs have a fixed scheme; drop 'scheme='");
             }
-            const StatusOr<Scheme> scheme = TrainingSchemeByName(g, v);
-            if (scheme.ok()) {
-              job.scheme = scheme.value();
+            const StatusOr<Scheme> scheme = SchemeByName(v.text);
+            if (!scheme.ok() || scheme.value() == Scheme::kServing) {
+              return g.Error(v.offset,
+                             "unknown training scheme '" + v.text +
+                                 "' (serving jobs use serve@; training schemes are "
+                                 "baseline-dp, baseline-pp, harmony-dp, harmony-pp, "
+                                 "harmony-tp)");
             }
-            return scheme.status();
+            job.scheme = scheme.value();
+            return Status::Ok();
           }},
          g.IntKey("gpus", 1, kMaxSpecCount, &job.gpus),
          g.IntKey("iters", 1, kMaxSpecCount, &job.iterations),

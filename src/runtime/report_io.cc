@@ -1,6 +1,5 @@
 #include "src/runtime/report_io.h"
 
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -56,24 +55,6 @@ std::string ReportToCsv(const RunReport& report) {
       row.push_back(std::to_string(it.swap_out_by_class[c]));
     }
     csv.WriteRow(row);
-  }
-  return os.str();
-}
-
-std::string ReportToMarkdown(const RunReport& report) {
-  std::ostringstream os;
-  os << "### " << report.scheme << "\n\n" << report.Summary() << "\n\n";
-  os << "| device | busy (s) | swap-in | swap-out | high water | evictions | defrags |\n";
-  os << "|---|---|---|---|---|---|---|\n";
-  for (int d = 0; d < report.num_devices(); ++d) {
-    const auto i = static_cast<std::size_t>(d);
-    os << "| gpu" << d << " | ";
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.2f", report.device_busy[i]);
-    os << buffer << " | " << FormatBytes(report.device_swap_in[i]) << " | "
-       << FormatBytes(report.device_swap_out[i]) << " | "
-       << FormatBytes(report.device_high_water[i]) << " | " << report.device_evictions[i]
-       << " | " << report.device_defrags[i] << " |\n";
   }
   return os.str();
 }

@@ -1,6 +1,5 @@
-// Report serialization: CSV (for plotting pipelines), a markdown summary (for pasting
-// into issues / EXPERIMENTS.md-style records), and structured JSON (the observability
-// export behind `harmony_sim --json`, schema in DESIGN.md §8).
+// Report serialization: CSV (for plotting pipelines) and structured JSON (the
+// observability export behind `harmony_sim --json`, schema in DESIGN.md §8).
 #ifndef HARMONY_SRC_RUNTIME_REPORT_IO_H_
 #define HARMONY_SRC_RUNTIME_REPORT_IO_H_
 
@@ -14,9 +13,6 @@ namespace harmony {
 // One CSV row per iteration: iteration, start, end, duration, swap_in, swap_out, p2p,
 // collective, plus per-class swap-in/out columns.
 std::string ReportToCsv(const RunReport& report);
-
-// Compact markdown: a header line, the steady-state summary, and a per-device table.
-std::string ReportToMarkdown(const RunReport& report);
 
 // Full structured export: run header, per-device wall-clock decomposition, per-link and
 // per-node byte accounting, per-tensor churn, per-iteration stats, and the distilled

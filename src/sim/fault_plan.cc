@@ -110,6 +110,18 @@ const char* FaultKindName(FaultKind kind) {
   return "unknown";
 }
 
+bool FaultEvent::network_scoped() const {
+  return (kind == FaultKind::kFlowFlap || kind == FaultKind::kLinkBrownout) &&
+         (nic >= 0 || rack >= 0);
+}
+
+bool FaultEvent::targets_gpu() const {
+  return kind == FaultKind::kGpuFailStop || kind == FaultKind::kGpuLinkDegrade ||
+         kind == FaultKind::kGpuSlow ||
+         ((kind == FaultKind::kFlowFlap || kind == FaultKind::kLinkBrownout) && gpu >= 0 &&
+          !network_scoped());
+}
+
 std::string FaultEvent::ToString() const {
   std::ostringstream os;
   const auto target = [this]() -> std::string {

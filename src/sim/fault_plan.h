@@ -45,6 +45,12 @@ struct FaultEvent {
   int nic = -1;
   int rack = -1;
 
+  // A kFlowFlap / kLinkBrownout aimed at a NIC or a rack: it strikes the inter-node tier.
+  bool network_scoped() const;
+  // The event strikes GPU `gpu`: a fail-stop, a GPU link degrade, a slowdown, or a flap or
+  // brownout aimed at gpu<i> (not at a NIC, a rack or the host).
+  bool targets_gpu() const;
+
   // One-line rendering, e.g. "fail@1.500:gpu2" — stable across runs (trace identity).
   std::string ToString() const;
 };

@@ -29,7 +29,6 @@ class JsonObject {
  public:
   void Set(std::string key, JsonValue value);
   const JsonValue* Find(std::string_view key) const;  // nullptr when absent
-  bool Has(std::string_view key) const { return Find(key) != nullptr; }
 
   const std::vector<std::pair<std::string, JsonValue>>& members() const { return members_; }
   std::size_t size() const { return members_.size(); }

@@ -61,9 +61,6 @@ inline Status ResourceExhaustedError(std::string message) {
 inline Status InternalError(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
 }
-inline Status UnimplementedError(std::string message) {
-  return Status(StatusCode::kUnimplemented, std::move(message));
-}
 
 // Minimal StatusOr: either an error Status or a value of type T.
 template <typename T>

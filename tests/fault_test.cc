@@ -488,15 +488,27 @@ TEST(FaultElasticTest, ConfigWithNoGpusIsInvalidBeforeAnySegment) {
   }
 }
 
+// The refusal comes after the rollback, so it still reports the checkpoint the rollback
+// verified.
 TEST(FaultElasticTest, DpShrinkThatBreaksTheMinibatchIsATypedError) {
   const Model model = FaultModel(4);
   SessionConfig config = FaultConfig(4, 1);
   config.scheme = Scheme::kHarmonyDp;
+  config.checkpoint_every = 1;
+  // The fail-stop strikes when a fault-free run ends its second iteration, after the first
+  // checkpoint has committed.
+  const SessionResult clean = RunTraining(model, config);
+  ASSERT_GE(clean.report.iterations.size(), 2u);
+  const double strike = clean.report.iterations[1].end_time;
   // 4 replicas x 1 microbatch = 4; three survivors cannot split 4 evenly.
-  config.faults.Add(FaultEvent{0.05, FaultKind::kGpuFailStop, 2, 1.0, 0.0});
+  config.faults.Add(FaultEvent{strike, FaultKind::kGpuFailStop, 2, 1.0, 0.0});
   const ElasticResult result = RunTrainingElastic(model, config);
   EXPECT_FALSE(result.status.ok());
   EXPECT_NE(result.status.message().find("does not divide"), std::string::npos);
+  EXPECT_EQ(result.stats.failures, 1);
+  EXPECT_GE(result.checkpoints_committed, 1);
+  EXPECT_EQ(result.stats.ckpt_verified, 1);
+  EXPECT_EQ(result.stats.ckpt_corrupt_detected, 0);
 }
 
 // A multi-node fleet indexes fault targets across every node, and it cannot shrink: each

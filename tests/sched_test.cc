@@ -109,6 +109,7 @@ TEST(JobsSpecTest, MalformedSpecsReturnTypedByteOffsetErrors) {
       {"train@0:tenant=", "tenant must be a nonempty", 15},
       {"serve@0:scheme=harmony-pp", "serving jobs have a fixed scheme", 8},
       {"train@0:scheme=warp", "unknown training scheme 'warp'", 15},
+      {"train@0:scheme=serving", "unknown training scheme 'serving'", 15},
       {"train@0;serve@y", "arrival time must be a finite number >= 0", 14},
   };
   for (const auto& c : cases) {

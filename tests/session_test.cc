@@ -727,13 +727,6 @@ TEST_F(TimelineTest, CsvHasOneRowPerIterationPlusHeader) {
   EXPECT_NE(csv.find("in_weight"), std::string::npos);
 }
 
-TEST_F(TimelineTest, MarkdownMentionsSchemeAndDevices) {
-  const std::string md = ReportToMarkdown(result_.report);
-  EXPECT_NE(md.find("harmony-pp"), std::string::npos);
-  EXPECT_NE(md.find("| gpu0 |"), std::string::npos);
-  EXPECT_NE(md.find("| gpu1 |"), std::string::npos);
-}
-
 TEST_F(TimelineTest, WriteReportCsvRoundTrips) {
   const std::string path = ::testing::TempDir() + "harmony_report_test.csv";
   ASSERT_TRUE(WriteReportCsv(result_.report, path).ok());

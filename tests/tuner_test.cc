@@ -1,7 +1,7 @@
 // Tests for the parallel profiling substrate: the ThreadPool itself, the determinism
-// guarantee of the tuner sweep across thread counts, and the process-wide memoization
-// cache. These are the tests the TSan build (HARMONY_SANITIZE=thread) exercises via
-// `ctest -R tuner`.
+// guarantee of the tuner sweep across thread counts, and that every sweep point is a real
+// run of its own configuration. These are the tests the TSan build
+// (HARMONY_SANITIZE=thread) exercises via `ctest -R tuner`.
 #include <atomic>
 #include <cstddef>
 #include <future>
@@ -131,14 +131,13 @@ SessionConfig TinyBase() {
   return config;
 }
 
-TunerOptions SweepOptions(int num_threads, bool memoize) {
+TunerOptions SweepOptions(int num_threads) {
   TunerOptions options;
   options.pack_sizes = {1, 2, 3};
   options.microbatch_sizes = {1, 2, 4};
   options.minibatch_samples = 8;
   options.iterations = 2;
   options.num_threads = num_threads;
-  options.memoize = memoize;
   return options;
 }
 
@@ -159,9 +158,8 @@ void ExpectPointsIdentical(const TunerPoint& a, const TunerPoint& b) {
 TEST(TunerTest, ParallelSweepBitIdenticalToSerial) {
   const Model model = TinyUniformModel();
   const SessionConfig base = TinyBase();
-  // memoize=false so both runs genuinely re-simulate: this tests the pool, not the cache.
-  const TunerResult serial = TunePp(model, base, SweepOptions(/*num_threads=*/1, false)).value();
-  const TunerResult parallel = TunePp(model, base, SweepOptions(/*num_threads=*/4, false)).value();
+  const TunerResult serial = TunePp(model, base, SweepOptions(/*num_threads=*/1)).value();
+  const TunerResult parallel = TunePp(model, base, SweepOptions(/*num_threads=*/4)).value();
 
   ASSERT_EQ(serial.points.size(), parallel.points.size());
   for (std::size_t i = 0; i < serial.points.size(); ++i) {
@@ -174,7 +172,7 @@ TEST(TunerTest, ParallelSweepBitIdenticalToSerial) {
 
 TEST(TunerTest, SweepEnumeratesFullCrossProductInKnobOrder) {
   const TunerResult result =
-      TunePp(TinyUniformModel(), TinyBase(), SweepOptions(/*num_threads=*/2, false)).value();
+      TunePp(TinyUniformModel(), TinyBase(), SweepOptions(/*num_threads=*/2)).value();
   ASSERT_EQ(result.points.size(), 9u);  // 3 pack sizes x 1 group x 3 microbatch sizes
   // Candidate enumeration happens up front in deterministic knob order; profiling threads
   // must not reorder the assembled result.
@@ -194,14 +192,14 @@ TEST(TunerTest, BadSweepsAreTypedErrors) {
   const Model model = TinyUniformModel();
   SessionConfig no_gpus = TinyBase();
   no_gpus.server.num_gpus = 0;
-  const StatusOr<TunerResult> shape = TunePp(model, no_gpus, SweepOptions(1, false));
+  const StatusOr<TunerResult> shape = TunePp(model, no_gpus, SweepOptions(1));
   ASSERT_FALSE(shape.ok());
   EXPECT_EQ(shape.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(shape.status().message().find("num_gpus must be >= 1"), std::string::npos);
 
   SessionConfig tiny_gpu = TinyBase();
   tiny_gpu.server.gpu.memory_bytes = 1;
-  const StatusOr<TunerResult> infeasible = TunePp(model, tiny_gpu, SweepOptions(1, false));
+  const StatusOr<TunerResult> infeasible = TunePp(model, tiny_gpu, SweepOptions(1));
   ASSERT_FALSE(infeasible.ok());
   EXPECT_EQ(infeasible.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(infeasible.status().message().find("no feasible"), std::string::npos);
@@ -209,74 +207,42 @@ TEST(TunerTest, BadSweepsAreTypedErrors) {
       << infeasible.status().ToString();
 }
 
-// ---- memoization --------------------------------------------------------------------------
+// ---- every point is a run of its own configuration ----------------------------------------
 
-TEST(TunerTest, MemoizedRerunHitsCacheAndMatchesUncached) {
+// A second sweep in the same process, on another machine shape (two nodes) with
+// checkpoints on, reports that shape: each feasible point equals a direct run of its
+// config, bit for bit, and nothing is carried over from the first sweep.
+TEST(TunerTest, ResweepOnAnotherMachineMatchesDirectRuns) {
   const Model model = TinyUniformModel();
-  const SessionConfig base = TinyBase();
-  const TunerResult uncached = TunePp(model, base, SweepOptions(1, /*memoize=*/false)).value();
+  const TunerOptions options = SweepOptions(/*num_threads=*/2);
+  ASSERT_TRUE(TunePp(model, TinyBase(), options).ok());
 
-  ClearTunerCache();
-  const TunerResult first = TunePp(model, base, SweepOptions(1, /*memoize=*/true)).value();
-  const TunerCacheStats after_first = GetTunerCacheStats();
-  EXPECT_EQ(after_first.profile_hits, 0);
-  EXPECT_GT(after_first.profile_misses, 0);
-
-  const TunerResult second = TunePp(model, base, SweepOptions(4, /*memoize=*/true)).value();
-  const TunerCacheStats after_second = GetTunerCacheStats();
-  // The re-run profiles the identical configurations: all hits, no new misses.
-  EXPECT_EQ(after_second.profile_misses, after_first.profile_misses);
-  EXPECT_GT(after_second.profile_hits, 0);
-
-  ASSERT_EQ(first.points.size(), uncached.points.size());
-  ASSERT_EQ(second.points.size(), uncached.points.size());
-  for (std::size_t i = 0; i < uncached.points.size(); ++i) {
-    ExpectPointsIdentical(first.points[i], uncached.points[i]);
-    ExpectPointsIdentical(second.points[i], uncached.points[i]);
-  }
-  ClearTunerCache();
-}
-
-TEST(TunerTest, CachedProfileMatchesDirectRunBitwise) {
-  const Model model = TinyUniformModel();
-  SessionConfig config = TinyBase();
-  config.microbatches = 4;
-  config.microbatch_size = 2;
-  config.iterations = 2;
-
-  ClearTunerCache();
-  const RunReport direct = ProfileTraining(model, config, /*memoize=*/false);
-  const RunReport miss = ProfileTraining(model, config, /*memoize=*/true);
-  const RunReport hit = ProfileTraining(model, config, /*memoize=*/true);
-  const TunerCacheStats stats = GetTunerCacheStats();
-  EXPECT_EQ(stats.profile_misses, 1);
-  EXPECT_EQ(stats.profile_hits, 1);
-
-  for (const RunReport* report : {&miss, &hit}) {
-    EXPECT_EQ(report->makespan, direct.makespan);
-    ASSERT_EQ(report->iterations.size(), direct.iterations.size());
-    for (std::size_t i = 0; i < direct.iterations.size(); ++i) {
-      EXPECT_EQ(report->iterations[i].start_time, direct.iterations[i].start_time);
-      EXPECT_EQ(report->iterations[i].end_time, direct.iterations[i].end_time);
-      EXPECT_EQ(report->iterations[i].swap_in, direct.iterations[i].swap_in);
-      EXPECT_EQ(report->iterations[i].swap_out, direct.iterations[i].swap_out);
+  SessionConfig base = TinyBase();
+  base.num_nodes = 2;
+  base.checkpoint_every = 1;
+  const TunerResult result = TunePp(model, base, options).value();
+  int feasible = 0;
+  for (const TunerPoint& point : result.points) {
+    if (!point.feasible) {
+      continue;
     }
-    EXPECT_EQ(report->device_busy, direct.device_busy);
+    ++feasible;
+    SessionConfig config = base;
+    config.pack_size = point.pack_size;
+    config.group_size = point.group_size;
+    config.microbatch_size = point.microbatch_size;
+    config.microbatches = point.microbatches;
+    config.iterations = options.iterations;
+    const RunReport direct = RunTraining(model, config).report;
+    EXPECT_EQ(direct.num_devices(), 4);
+    EXPECT_EQ(direct.checkpoints_committed, options.iterations - 1);
+    EXPECT_EQ(point.iteration_time, direct.steady_iteration_time())
+        << "pack " << point.pack_size << ", microbatch " << point.microbatch_size;
+    EXPECT_EQ(point.throughput, direct.steady_throughput());
+    EXPECT_EQ(point.swap_volume, direct.steady_swap_total());
+    EXPECT_EQ(point.why, Attribute(direct).Summary());
   }
-
-  // Config changes that alter the simulation must be distinct cache keys.
-  SessionConfig different = config;
-  different.prefetch = !different.prefetch;
-  (void)ProfileTraining(model, different, /*memoize=*/true);
-  EXPECT_EQ(GetTunerCacheStats().profile_misses, 2);
-  ClearTunerCache();
-}
-
-TEST(TunerTest, ClearTunerCacheZeroesStats) {
-  ClearTunerCache();
-  const TunerCacheStats stats = GetTunerCacheStats();
-  EXPECT_EQ(stats.profile_hits, 0);
-  EXPECT_EQ(stats.profile_misses, 0);
+  EXPECT_GT(feasible, 0);
 }
 
 }  // namespace

@@ -37,6 +37,8 @@ benches=(
   bench_multitenant
   bench_whatif_interconnect
   bench_fault_recovery
+  bench_tango_tuner
+  bench_tp_hugelayer
 )
 
 if [[ -d "$bench_dir" ]]; then
