@@ -107,8 +107,11 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
   double straggler_threshold = config.straggler_threshold;
 
   // Every exit below leaves the loop with `result.status` set, so the store's counts are
-  // recorded on one path whether the run completed or was refused.
+  // recorded on one path whether the run completed or was refused. Progress is recorded
+  // before anything can exit: the committed iterations at the top of each pass, and once
+  // more after each segment runs.
   for (;;) {
+    result.completed_iterations = next_iteration;
     if (alive.empty()) {
       result.status = FailedPreconditionError(
           "every GPU has fail-stopped; no surviving device to rebind onto");
@@ -166,6 +169,7 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
     result.checkpoints_committed += report.checkpoints_committed;
     result.checkpoint_bytes += report.checkpoint_bytes;
     const int segment_completed = static_cast<int>(report.iterations.size());
+    result.completed_iterations = next_iteration + segment_completed;
     const bool all_done = segment_completed == segment.iterations;
     const bool failed = report.failed;
     const std::string failure_kind = report.failure_kind;
@@ -175,7 +179,6 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
     result.segments.push_back(std::move(segment));
 
     if (all_done || !failed) {
-      result.completed_iterations = next_iteration + segment_completed;
       result.status = Status::Ok();
       break;
     }
@@ -208,7 +211,6 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
       // keeps the full device set — the fabric failed, not a GPU.
       const CheckpointGeneration* generation = store.NewestValid();
       if (store.committed() > 0 && generation == nullptr) {
-        result.completed_iterations = next_iteration + segment_completed;
         result.status = FailedPreconditionError(
             "all " + std::to_string(store.committed()) +
             " committed checkpoint generation(s) failed digest verification — nothing "
@@ -240,7 +242,6 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
       continue;
     }
 
-    result.completed_iterations = next_iteration + segment_completed;
     result.status = FailedPreconditionError(
         "schedule stalled (watchdog) at sim time " + std::to_string(failure_time) +
         " — rebinding cannot fix a livelocked configuration");

@@ -66,7 +66,9 @@ struct ElasticResult {
   std::vector<RecoverySegment> segments;
   RecoveryStats stats;
   double total_makespan = 0.0;    // sum of segment makespans (global sim time)
-  int completed_iterations = 0;   // == config.iterations on success
+  // == config.iterations on success; on an error, the iterations kept when recovery
+  // stopped (after a rollback, those up to the restored checkpoint).
+  int completed_iterations = 0;
   int checkpoints_committed = 0;  // across all segments
   Bytes checkpoint_bytes = 0;
 

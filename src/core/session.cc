@@ -1,6 +1,7 @@
 #include "src/core/session.h"
 
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "src/baseline/baseline_dp.h"
@@ -20,35 +21,26 @@
 namespace harmony {
 
 const char* SchemeName(Scheme scheme) {
-  switch (scheme) {
-    case Scheme::kBaselineDp:
-      return "baseline-dp";
-    case Scheme::kBaselinePp:
-      return "baseline-pp";
-    case Scheme::kHarmonyDp:
-      return "harmony-dp";
-    case Scheme::kHarmonyPp:
-      return "harmony-pp";
-    case Scheme::kHarmonyTp:
-      return "harmony-tp";
-    case Scheme::kServing:
-      return "serving";
+  for (const SchemeNameEntry& entry : kSchemeNames) {
+    if (entry.scheme == scheme) {
+      return entry.name;
+    }
   }
   return "unknown";
 }
 
 StatusOr<Scheme> SchemeByName(const std::string& name) {
-  for (Scheme scheme :
-       {Scheme::kBaselineDp, Scheme::kBaselinePp, Scheme::kHarmonyDp, Scheme::kHarmonyPp,
-        Scheme::kHarmonyTp, Scheme::kServing}) {
-    if (name == SchemeName(scheme)) {
-      return scheme;
+  for (const SchemeNameEntry& entry : kSchemeNames) {
+    if (name == entry.name) {
+      return entry.scheme;
     }
   }
-  return InvalidArgumentError(
-      "unknown scheme '" + name +
-      "' (expected baseline-dp, baseline-pp, harmony-dp, harmony-pp, harmony-tp, or "
-      "serving)");
+  std::string expected;
+  for (std::size_t i = 0; i < std::size(kSchemeNames); ++i) {
+    expected += i == 0 ? "" : i + 1 == std::size(kSchemeNames) ? ", or " : ", ";
+    expected += kSchemeNames[i].name;
+  }
+  return InvalidArgumentError("unknown scheme '" + name + "' (expected " + expected + ")");
 }
 
 MemoryPolicy DefaultPolicyFor(Scheme scheme, bool p2p) {

@@ -30,10 +30,22 @@ enum class Scheme {
   kServing,    // forward-only inference pipeline (Computron-style model swapping)
 };
 
+// Every scheme and its user-facing name, in declaration order: the one list that
+// SchemeName, SchemeByName and every message naming the schemes read.
+struct SchemeNameEntry {
+  Scheme scheme;
+  const char* name;
+};
+inline constexpr SchemeNameEntry kSchemeNames[] = {
+    {Scheme::kBaselineDp, "baseline-dp"}, {Scheme::kBaselinePp, "baseline-pp"},
+    {Scheme::kHarmonyDp, "harmony-dp"},   {Scheme::kHarmonyPp, "harmony-pp"},
+    {Scheme::kHarmonyTp, "harmony-tp"},   {Scheme::kServing, "serving"},
+};
+
 const char* SchemeName(Scheme scheme);
 
 // Inverse of SchemeName: resolves a user-facing scheme string (flag values, job specs)
-// with a typed error listing nothing silently. Accepts every scheme, including "serving".
+// with a typed error that lists every scheme. Accepts every scheme, including "serving".
 StatusOr<Scheme> SchemeByName(const std::string& name);
 
 struct SessionConfig {

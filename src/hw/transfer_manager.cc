@@ -59,6 +59,7 @@ TransferManager::TransferManager(Simulator* sim, const Topology* topology)
   link_scale_.assign(static_cast<std::size_t>(topology->num_links()), 1.0);
   node_dead_.assign(static_cast<std::size_t>(topology->num_nodes()), false);
   link_groups_.assign(static_cast<std::size_t>(topology->num_links()), {});
+  link_rerate_mark_.assign(static_cast<std::size_t>(topology->num_links()), 0);
   link_stats_.assign(static_cast<std::size_t>(topology->num_links()), LinkStats{});
   node_io_.assign(static_cast<std::size_t>(topology->num_nodes()), NodeIoStats{});
   queue_timeline_.assign(static_cast<std::size_t>(topology->num_links()), {});
@@ -91,6 +92,7 @@ void TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes, Transfe
     group.src = src;
     group.dst = dst;
     group.route = topology_->Route(src, dst);
+    group.latency = RouteLatency(*topology_, group.route);
   }
 
   flow.id = next_flow_id_++;
@@ -104,7 +106,7 @@ void TransferManager::StartTransfer(NodeId src, NodeId dst, Bytes bytes, Transfe
 
   // The flow joins the network after its route latency; that keeps latency out of the
   // bandwidth-sharing math while still delaying short transfers realistically.
-  sim_->ScheduleAfter(RouteLatency(*topology_, group.route), [this, slot] { JoinFlow(slot); });
+  sim_->ScheduleAfter(group.latency, [this, slot] { JoinFlow(slot); });
 }
 
 TransferManager::Flow& TransferManager::NewFlow(Continuation done) {
@@ -142,9 +144,30 @@ void TransferManager::JoinFlow(std::uint32_t slot) {
   }
   AdvanceToNow();
   AttachFlow(flow);
-  dirty_scratch_.assign(group.route.begin(), group.route.end());
-  ReRateFlowsOnLinks(&dirty_scratch_);
-  ScheduleNextCompletion();
+  // The instant's joins are re-rated together by one settle, queued behind them. The new
+  // generation makes the wakeup queued before this arrival stale.
+  pending_links_.insert(pending_links_.end(), group.route.begin(), group.route.end());
+  ++wakeup_generation_;
+  if (!settle_queued_) {
+    settle_queued_ = true;
+    sim_->ScheduleAfter(0.0, [this] {
+      if (SettleJoins()) {
+        ScheduleNextCompletion();
+      }
+    });
+  }
+}
+
+bool TransferManager::SettleJoins() {
+  // An inline settle leaves the queued event with nothing to do; a join after it queues
+  // its own.
+  settle_queued_ = false;
+  if (pending_links_.empty()) {
+    return false;
+  }
+  ReRateFlowsOnLinks(pending_links_);
+  pending_links_.clear();
+  return true;
 }
 
 Bytes TransferManager::total_bytes() const {
@@ -277,12 +300,14 @@ void TransferManager::SetLinkBandwidthScale(LinkId link, double scale) {
   if (link_scale_[slot] == scale) {
     return;
   }
-  // A capacity change is a change point exactly like an arrival: integrate the old rates
-  // forward, then re-rate every flow crossing the link and re-key its projection.
+  // A capacity change is re-rated at its change point: integrate the old rates forward,
+  // settle the instant's arrivals as a pass of their own, then re-rate every flow crossing
+  // the link and re-key its projection.
   AdvanceToNow();
+  SettleJoins();
   link_scale_[slot] = scale;
   dirty_scratch_.assign(1, link);
-  ReRateFlowsOnLinks(&dirty_scratch_);
+  ReRateFlowsOnLinks(dirty_scratch_);
   ScheduleNextCompletion();
 }
 
@@ -311,6 +336,7 @@ void TransferManager::FailNode(NodeId node) {
     return;
   }
   AdvanceToNow();
+  SettleJoins();
   node_dead_[static_cast<std::size_t>(node)] = true;
 
   // Every flow whose route crosses one of the node's links has a dead endpoint or a dead
@@ -328,7 +354,7 @@ void TransferManager::FailNode(NodeId node) {
     ++flows_aborted_;
     Finish(flow->slot, TransferOutcome::kAborted);
   }
-  ReRateFlowsOnLinks(&dirty_scratch_);
+  ReRateFlowsOnLinks(dirty_scratch_);
   ScheduleNextCompletion();
 }
 
@@ -338,6 +364,7 @@ int TransferManager::FlapLinkFlows(const std::vector<LinkId>& links) {
   if (victims.empty()) {
     return 0;
   }
+  SettleJoins();
 
   dirty_scratch_.clear();
   for (Flow* flow : victims) {
@@ -353,7 +380,7 @@ int TransferManager::FlapLinkFlows(const std::vector<LinkId>& links) {
       flow->bytes_remaining = static_cast<double>(flow->bytes_total);
       flow->rate = 0.0;
       flow->completion_time = 0.0;
-      sim_->ScheduleAfter(backoff + RouteLatency(*topology_, flow->group->route),
+      sim_->ScheduleAfter(backoff + flow->group->latency,
                           [this, slot = flow->slot] { JoinFlow(slot); });
     } else {
       // Budget exhausted (or no policy): surface the abort exactly like a node-failure
@@ -366,7 +393,7 @@ int TransferManager::FlapLinkFlows(const std::vector<LinkId>& links) {
       }
     }
   }
-  ReRateFlowsOnLinks(&dirty_scratch_);
+  ReRateFlowsOnLinks(dirty_scratch_);
   ScheduleNextCompletion();
   return static_cast<int>(victims.size());
 }
@@ -461,19 +488,22 @@ void TransferManager::RekeyGroup(RouteGroup& group) {
   HeapUpdate(group);
 }
 
-void TransferManager::ReRateFlowsOnLinks(std::vector<LinkId>* dirty_links) {
-  if (dirty_links->empty()) {
+void TransferManager::ReRateFlowsOnLinks(const std::vector<LinkId>& dirty_links) {
+  if (dirty_links.empty()) {
     return;
   }
-  // A completion dirties every link on its route; dedupe links (tiny vector), then dedupe
-  // groups reached via several dirty links with a visit stamp instead of sorting.
-  std::sort(dirty_links->begin(), dirty_links->end());
-  dirty_links->erase(std::unique(dirty_links->begin(), dirty_links->end()),
-                     dirty_links->end());
+  // A pass reaches a link once per route that dirtied it and a group once per dirty link
+  // it crosses; a visit stamp dedupes both without sorting. Visit order is immaterial:
+  // each group's rate and stamps are its own, and the heap's minimum is unique.
   ++rerate_mark_;
   const SimTime now = sim_->now();
 
-  for (LinkId lid : *dirty_links) {
+  for (LinkId lid : dirty_links) {
+    std::uint64_t& link_mark = link_rerate_mark_[static_cast<std::size_t>(lid)];
+    if (link_mark == rerate_mark_) {
+      continue;
+    }
+    link_mark = rerate_mark_;
     // Only groups crossing a dirty link can see a changed active count; every other
     // group's rate is a pure function of unchanged counts and stays bit-identical.
     for (RouteGroup* group : link_groups_[static_cast<std::size_t>(lid)]) {
@@ -513,8 +543,11 @@ void TransferManager::ScheduleNextCompletion() {
 
 void TransferManager::OnWakeup(std::uint64_t generation) {
   if (generation != wakeup_generation_) {
-    return;  // a newer recompute superseded this wakeup
+    return;  // a later join or re-rate superseded this wakeup
   }
+  // Every wakeup is queued right after a settle, and any join since would have made this
+  // one stale: no arrival is pending.
+  HCHECK(pending_links_.empty());
   AdvanceToNow();
 
   const SimTime now = sim_->now();
@@ -541,7 +574,7 @@ void TransferManager::OnWakeup(std::uint64_t generation) {
     ++flows_completed_;
     Finish(flow.slot, TransferOutcome::kCompleted);
   }
-  ReRateFlowsOnLinks(&dirty_scratch_);
+  ReRateFlowsOnLinks(dirty_scratch_);
   ScheduleNextCompletion();
 }
 
@@ -582,9 +615,10 @@ std::string TransferManager::DebugCheckConsistency() const {
   std::size_t active_groups = 0;
   for (const auto& [key, group] : groups_) {
     if (key != RouteKey(group.src, group.dst) ||
-        group.route != topology_->Route(group.src, group.dst)) {
+        group.route != topology_->Route(group.src, group.dst) ||
+        group.latency != RouteLatency(*topology_, group.route)) {
       os << "route group " << group.src << " -> " << group.dst
-         << " holds another pair's key or route";
+         << " holds another pair's key, route or latency";
       return os.str();
     }
     members += group.members.size();
@@ -616,12 +650,54 @@ std::string TransferManager::DebugCheckConsistency() const {
       return os.str();
     }
   }
+  // Joins since the last settle: their links, and the settle queued to re-rate them.
+  if (pending_links_.empty() == settle_queued_) {
+    os << (settle_queued_ ? "a settle is queued with no join pending"
+                          : "joins are pending with no settle queued");
+    return os.str();
+  }
+  std::vector<bool> pending(link_active_.size(), false);
+  for (LinkId lid : pending_links_) {
+    pending[static_cast<std::size_t>(lid)] = true;
+  }
+  std::size_t heap_entries = 0;
   for (const auto& [key, group] : groups_) {
     if (group.members.empty()) {
       if (group.earliest != nullptr || group.heap_index != kNoHeapIndex) {
         os << "emptied route group kept an earliest member or a heap entry";
         return os.str();
       }
+      continue;
+    }
+    // An active group has a heap entry exactly when it has an earliest member, and the
+    // entry carries that member's key.
+    if ((group.earliest == nullptr) != (group.heap_index == kNoHeapIndex)) {
+      os << "route group " << group.src << " -> " << group.dst
+         << " has an earliest member without a heap entry, or the reverse";
+      return os.str();
+    }
+    if (group.heap_index != kNoHeapIndex) {
+      ++heap_entries;
+      if (group.heap_index >= completion_heap_.size() ||
+          completion_heap_[group.heap_index].group != &group) {
+        os << "route group " << group.src << " -> " << group.dst
+           << ": its heap_index back-pointer is broken";
+        return os.str();
+      }
+      const Completion& entry = completion_heap_[group.heap_index];
+      if (!group.earliest->in_network || group.earliest->group != &group ||
+          entry.when != group.earliest->completion_time || entry.id != group.earliest->id) {
+        os << "route group " << group.src << " -> " << group.dst
+           << ": heap key != its earliest member's";
+        return os.str();
+      }
+    }
+    // A group crossing a pending link keeps its last settled rate and stamps until the
+    // settle; a newly active one has no heap entry yet. Its counts, membership and
+    // per-link lists were checked above.
+    if (std::any_of(group.route.begin(), group.route.end(), [&pending](LinkId lid) {
+          return pending[static_cast<std::size_t>(lid)];
+        })) {
       continue;
     }
     // From-scratch rate: a pure function of the (verified) counts, so it must match
@@ -652,27 +728,19 @@ std::string TransferManager::DebugCheckConsistency() const {
         want_earliest = flow;
       }
     }
+    // Settled: the earliest member is the true one, so the heap key checked above is too.
     if (group.earliest != want_earliest) {
       os << "flow " << want_earliest->id
          << " completes first on its route, but its group names another earliest member";
       return os.str();
     }
-    // The group's heap entry: back-pointer and key agree with the earliest member.
-    if (group.heap_index >= completion_heap_.size() ||
-        completion_heap_[group.heap_index].group != &group) {
-      os << "flow " << want_earliest->id << ": its group's heap_index back-pointer is broken";
-      return os.str();
-    }
-    const Completion& entry = completion_heap_[group.heap_index];
-    if (entry.when != want_earliest->completion_time || entry.id != want_earliest->id) {
-      os << "flow " << want_earliest->id << ": group heap key != earliest member's";
-      return os.str();
-    }
   }
-  // One entry per active group (each verified above to point back at its group).
-  if (completion_heap_.size() != active_groups) {
+  // The entries are exactly those of the groups that have one (each verified above to
+  // point back at its group); with no join pending, that is every active group.
+  if (completion_heap_.size() != heap_entries ||
+      (pending_links_.empty() && heap_entries != active_groups)) {
     os << "completion heap has " << completion_heap_.size() << " entries for "
-       << active_groups << " active route groups";
+       << active_groups << " active route groups, " << heap_entries << " of them keyed";
     return os.str();
   }
   for (std::size_t i = 1; i < completion_heap_.size(); ++i) {

@@ -3,22 +3,30 @@
 // A transfer is a flow along the route between two nodes. At any instant a flow's rate is
 // min over its route's links of (link bandwidth / number of active flows on that link) —
 // the classic processor-sharing approximation of max-min fair bandwidth allocation. Rates
-// are recomputed whenever a flow starts or finishes, so contention on the shared
+// are recomputed whenever flows start or finish, so contention on the shared
 // switch-to-host uplink (the paper's Fig. 2(a)/(b) bottleneck) emerges naturally.
 //
 // Flows on one route always share one rate (the rate is a pure function of the route's link
 // counts), so the manager keeps one *route group* per (src, dst) pair that has carried a
-// flow: its route, asked of the topology once, and while active its members, their shared
-// rate, and its earliest member by (completion time, flow id). The per-link lists hold
-// groups, not flows. A change point (arrival, departure, bandwidth scale) dirties the links
-// it touches; each group crossing a dirty link is re-rated with one rate computation, and
-// only when that rate moved are its members re-stamped with `now + bytes_remaining / rate`.
+// flow: its route and the route's latency, worked out once, and while active its members,
+// their shared rate, and its earliest member by (completion time, flow id). The per-link
+// lists hold groups, not flows. A change point dirties the links it touches; each group
+// crossing a dirty link is re-rated with one rate computation, and only when that rate
+// moved are its members re-stamped with `now + bytes_remaining / rate`. Departures
+// (completions, aborts, flaps) and bandwidth rescales are re-rated at their change point.
+// Arrivals are re-rated once per instant: a join only attaches the flow and records its
+// links, and one +0 *settle* event re-rates every link the instant's joins touched. Joins
+// only raise link counts and no bytes move within an instant, so one pass at the final
+// counts writes exactly the stamps the last of one pass per join would have. A rescale,
+// fail-stop or flap first settles the pending joins as a pass of its own, never merged
+// with its own links: a rate that fell and rose back would look unchanged to one merged
+// pass and keep a stale stamp.
 // The next completion comes from an indexed min-heap with one entry per active group, keyed
 // by the group's earliest member, so peeking it is O(1) and a re-rate costs one re-key per
 // group instead of one per flow. Completion times and the order in which simultaneous
 // completions fire (flow id) are bit-identical to rating every flow on its own. Scheduled
-// wakeups are generation-tagged and invalidated by any later re-rate. No O(flows x links)
-// scan per event anywhere.
+// wakeups are generation-tagged and invalidated by any later join or re-rate. No
+// O(flows x links) scan per event anywhere.
 //
 // Each transfer is one record from StartTransfer until the caller's continuation, which
 // receives a typed outcome (completed or aborted), has run. Records sit in a table that
@@ -193,14 +201,20 @@ class TransferManager {
 
   const Topology& topology() const { return *topology_; }
 
-  // Test hook: checks each group's route against Topology::Route for its pair, rebuilds
-  // link counts, route-group membership, per-link group lists and rates from scratch and
-  // diffs them against the incrementally maintained state, then validates each group's
-  // earliest member and the completion heap (one entry per active group, index
-  // back-pointers, keys, heap order). Returns an empty string when
-  // consistent, else a human-readable description of the first divergence. Counts and
-  // rates must match exactly (rates are pure functions of integer counts); projected
-  // completion times may drift by FP round-off and are checked to a relative tolerance.
+  // Test hook: checks each group's route and latency against Topology::Route for its pair,
+  // rebuilds link counts, route-group membership, per-link group lists and rates from
+  // scratch and diffs them against the incrementally maintained state, then validates each
+  // group's earliest member and the completion heap (index back-pointers, keys, heap
+  // order). Returns an empty string when consistent, else a human-readable description of
+  // the first divergence. Counts and rates must match exactly (rates are pure functions of
+  // integer counts); projected completion times may drift by FP round-off and are checked
+  // to a relative tolerance.
+  //
+  // Between a join and its settle, a group crossing a pending link is *unsettled*: it holds
+  // its last settled rate, a newcomer has rate 0 and no stamp, and a newly active group has
+  // no heap entry yet. For such a group only counts, membership, per-link lists and the
+  // integrity of a heap entry it already has are checked, and a settle must be queued:
+  // pending links exist exactly when one is. Every settled group is checked in full.
   std::string DebugCheckConsistency() const;
 
  private:
@@ -234,9 +248,10 @@ class TransferManager {
     NodeId src = kInvalidNode;
     NodeId dst = kInvalidNode;
     std::vector<LinkId> route;
+    double latency = 0.0;  // sum of the route's link latencies, added in route order
     std::vector<Flow*> members;
-    // The rate every member was last stamped at. Reset to 0 when a flow joins, so the next
-    // re-rate pass stamps the newcomer even if the route's share did not move.
+    // The rate every member was last stamped at. Reset to 0 when a flow joins, so the
+    // settle stamps the newcomer even if the route's share did not move.
     double rate = 0.0;
     Flow* earliest = nullptr;  // member with the least (completion_time, id); null if empty
     std::size_t heap_index = kNoHeapIndex;  // position of the group's completion entry
@@ -286,11 +301,11 @@ class TransferManager {
   // which a failure or a flap handles its victims.
   std::vector<Flow*> FlowsOnLinks(const std::vector<LinkId>& links) const;
 
-  // Re-rates exactly the groups that cross any link in `dirty_links`: one rate computation
-  // per group. A group whose rate is unchanged (bottlenecked on an untouched link) keeps
-  // every projection and its heap entry; otherwise each member whose rate moved is
-  // re-stamped and the group's entry re-keyed in place.
-  void ReRateFlowsOnLinks(std::vector<LinkId>* dirty_links);
+  // Re-rates exactly the groups that cross any link in `dirty_links` (duplicates allowed):
+  // one rate computation per group. A group whose rate is unchanged (bottlenecked on an
+  // untouched link) keeps every projection and its heap entry; otherwise each member whose
+  // rate moved is re-stamped and the group's entry re-keyed in place.
+  void ReRateFlowsOnLinks(const std::vector<LinkId>& dirty_links);
   double ComputeRate(const std::vector<LinkId>& route) const;
   // Points the group at its least (completion_time, id) member and re-keys its entry.
   void RekeyGroup(RouteGroup& group);
@@ -306,9 +321,14 @@ class TransferManager {
   void ScheduleNextCompletion();
   void OnWakeup(std::uint64_t generation);
 
-  // Puts a flow whose route latency (or retry backoff) has elapsed into the network and
-  // re-rates the links it joins; aborts it instead if an endpoint died meanwhile.
+  // Puts a flow whose route latency (or retry backoff) has elapsed into the network, adds
+  // its links to the pending ones and queues the instant's settle if none is; aborts it
+  // instead if an endpoint died meanwhile.
   void JoinFlow(std::uint32_t slot);
+  // Re-rates the links of every join since the last settle, as one pass; returns false,
+  // having done nothing, when no join is pending. Runs as the +0 event a join queues, and
+  // first thing at a rescale, a fail-stop and a flap that hits flows.
+  bool SettleJoins();
 
   // Ends a transfer: schedules its continuation as a fresh event at +0 with `outcome`. The
   // record is freed when that event runs, before the continuation is called, so the
@@ -344,8 +364,14 @@ class TransferManager {
   std::vector<LinkStats> link_stats_;
   SimTime last_advance_ = 0.0;
   std::uint64_t wakeup_generation_ = 0;
+  // Stamp of the current re-rate pass; a group or link carrying it has been visited.
   std::uint64_t rerate_mark_ = 0;
+  std::vector<std::uint64_t> link_rerate_mark_;
   std::vector<LinkId> dirty_scratch_;  // reused per wakeup to avoid per-event allocation
+  // Route links of the joins not yet re-rated, duplicates included; non-empty exactly while
+  // a settle is queued.
+  std::vector<LinkId> pending_links_;
+  bool settle_queued_ = false;
 
   Bytes bytes_by_kind_[kNumTransferKinds] = {};
   std::vector<NodeIoStats> node_io_;

@@ -128,11 +128,15 @@ StatusOr<std::vector<JobSpec>> ParseJobsSpec(const std::string& spec) {
             }
             const StatusOr<Scheme> scheme = SchemeByName(v.text);
             if (!scheme.ok() || scheme.value() == Scheme::kServing) {
-              return g.Error(v.offset,
-                             "unknown training scheme '" + v.text +
-                                 "' (serving jobs use serve@; training schemes are "
-                                 "baseline-dp, baseline-pp, harmony-dp, harmony-pp, "
-                                 "harmony-tp)");
+              std::string training;
+              for (const auto& [named, name] : kSchemeNames) {
+                if (named != Scheme::kServing) {
+                  training += (training.empty() ? "" : ", ") + std::string(name);
+                }
+              }
+              return g.Error(v.offset, "unknown training scheme '" + v.text +
+                                           "' (serving jobs use serve@; training schemes "
+                                           "are " + training + ")");
             }
             job.scheme = scheme.value();
             return Status::Ok();

@@ -509,6 +509,9 @@ TEST(FaultElasticTest, DpShrinkThatBreaksTheMinibatchIsATypedError) {
   EXPECT_GE(result.checkpoints_committed, 1);
   EXPECT_EQ(result.stats.ckpt_verified, 1);
   EXPECT_EQ(result.stats.ckpt_corrupt_detected, 0);
+  // The refusal still reports the progress the rollback kept: the one iteration the
+  // verified checkpoint holds.
+  EXPECT_EQ(result.completed_iterations, 1);
 }
 
 // A multi-node fleet indexes fault targets across every node, and it cannot shrink: each

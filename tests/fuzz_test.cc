@@ -258,7 +258,9 @@ TEST_P(RandomFlowChurnTest, IncrementalStateMatchesFromScratchRebuild) {
 // The same property on a two-rack cluster, where NIC, ToR and spine links carry many route
 // groups at once. Bursts of equal-size flows start at one instant on two routes that share
 // their bottleneck: their completions tie, within and across the two route groups, and
-// must fire in flow-id order. The fault model's change points are
+// must fire in flow-id order. A burst's joins share one instant, and each is followed by a
+// probe that runs before the instant's settle re-rates them, then by one that runs after
+// it. The fault model's change points are
 // interleaved with the churn, each followed by a probe: bandwidth rescales, flow flaps
 // under a retry policy (retried flows re-join their route's group) and, on even seeds, a
 // GPU fail-stop.
@@ -291,6 +293,20 @@ TEST_P(RandomFlowChurnTest, ClusterBurstsAndFaultsMatchFromScratchRebuild) {
     return std::make_pair(topo.gpu_node(gpu), topo.gpu_node(random_gpu()));
   };
   const auto probe = [&tm] { EXPECT_EQ(tm.DebugCheckConsistency(), ""); };
+  // Queued right behind a join: probes the window before the instant's settle, then probes
+  // again behind the settle, which the instant's first join queued.
+  const auto probe_around_settle = [&sim, &probe] {
+    probe();
+    sim.ScheduleAfter(0.0, probe);
+  };
+  // Sum of the route's link latencies, added in the order the manager adds them.
+  const auto route_latency = [&topo](std::pair<NodeId, NodeId> route) {
+    double latency = 0.0;
+    for (LinkId link : topo.Route(route.first, route.second)) {
+      latency += topo.link(link).spec.latency_sec;
+    }
+    return latency;
+  };
 
   struct Transfer {
     OneShotEvent* done = nullptr;
@@ -355,21 +371,20 @@ TEST_P(RandomFlowChurnTest, ClusterBurstsAndFaultsMatchFromScratchRebuild) {
     }
     const Bytes bytes = (1 + static_cast<Bytes>(rng.NextBounded(16))) * kMiB;
     const double when = last ? rng.NextDouble(0.3, 0.4) : rng.NextDouble(0.0, 0.2);
+    const double latencies[2] = {route_latency(routes[0]), route_latency(routes[1])};
     // One event starts the whole burst, so its flows take consecutive ids in member order.
-    sim.ScheduleAfter(when, [&start, &members, routes, bytes] {
+    sim.ScheduleAfter(when, [&start, &sim, &probe_around_settle, &members, routes, latencies,
+                             bytes] {
       for (std::size_t m = 0; m < members.size(); ++m) {
         start(members[m], routes[m % 2].first, routes[m % 2].second, bytes);
+        sim.ScheduleAfter(latencies[m % 2], probe_around_settle);
       }
     });
     if (&members == &burst_members.front()) {
       // Flap the first burst 10 us after its flows joined (at least 3 MiB share a NIC
       // link, so none has finished): the flapped members retry and re-join their group.
       const std::vector<LinkId>& links = topo.Route(routes[0].first, routes[0].second);
-      double latency = 0.0;
-      for (LinkId link : links) {
-        latency += topo.link(link).spec.latency_sec;
-      }
-      flap_at(when + latency + 1e-5, {links[rng.NextBounded(links.size())]});
+      flap_at(when + latencies[0] + 1e-5, {links[rng.NextBounded(links.size())]});
     }
   }
   const double scales[] = {0.25, 0.5, 1.0};

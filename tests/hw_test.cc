@@ -582,6 +582,106 @@ TEST_F(TransferTest, VictimsEndInFlowIdOrderWhenARecordIsReused) {
   EXPECT_EQ(EndOrderAfterStrike(topo_, /*fail_host=*/true), want);
 }
 
+// ---- lockstep bursts ------------------------------------------------------------------------
+
+// A change point queued at a burst's join instant, behind the joins.
+enum class BurstStrike { kNone, kRescaleUplink, kFlapUplink, kFailGpu3 };
+
+// What a lockstep burst left behind: when each transfer's continuation ran (by start
+// order), the order in which they ran, and how many events the run took.
+struct BurstLandings {
+  std::vector<SimTime> when;
+  std::vector<int> order;
+  std::uint64_t events = 0;
+};
+
+// Transfer 0, a 256 MiB swap-in to gpu0, starts at t = 0. At t = 0.01 every GPU behind the
+// switch starts a 64 MiB swap-in (transfers 1-4). The four joins share one instant on the
+// host->switch uplink, and transfer 0's rate falls at each of them. `strike` is queued at
+// that instant right behind the joins. Retries use a no-jitter policy.
+BurstLandings RunLockstepBurst(const Topology& topo, BurstStrike strike) {
+  Simulator sim;
+  TransferManager tm(&sim, &topo);
+  const RetryPolicy policy(NoJitterRetries(/*max_attempts=*/3));
+  tm.SetRetryPolicy(&policy);
+  BurstLandings landings;
+  landings.when.assign(5, kSimTimeNever);
+  const auto start = [&](int i, int gpu, Bytes bytes) {
+    tm.StartTransfer(topo.host_node(), topo.gpu_node(gpu), bytes, TransferKind::kSwapIn,
+                     [&landings, &sim, i](TransferOutcome) {
+                       landings.when[static_cast<std::size_t>(i)] = sim.now();
+                       landings.order.push_back(i);
+                     });
+  };
+  start(0, 0, 256 * kMiB);
+  const LinkId uplink = topo.Route(topo.host_node(), topo.gpu_node(0)).front();
+  sim.ScheduleAt(0.01, [&] {
+    for (int gpu = 0; gpu < topo.num_gpus(); ++gpu) {
+      start(1 + gpu, gpu, 64 * kMiB);
+    }
+    if (strike == BurstStrike::kNone) {
+      return;
+    }
+    sim.ScheduleAfter(RouteLatency(topo, topo.host_node(), topo.gpu_node(0)), [&] {
+      switch (strike) {
+        case BurstStrike::kNone:
+          break;
+        case BurstStrike::kRescaleUplink:
+          tm.SetLinkBandwidthScale(uplink, 0.5);
+          break;
+        case BurstStrike::kFlapUplink:
+          EXPECT_EQ(tm.FlapLinkFlows({uplink}), 5);
+          break;
+        case BurstStrike::kFailGpu3:
+          tm.FailNode(topo.gpu_node(3));
+          break;
+      }
+    });
+  });
+  sim.RunUntilIdle();
+  EXPECT_EQ(tm.continuations_parked(), 0u);
+  EXPECT_EQ(tm.DebugCheckConsistency(), "");
+  landings.events = sim.events_processed();
+  return landings;
+}
+
+TEST_F(TransferTest, LockstepBurstLandsBitForBit) {
+  const BurstLandings landings = RunLockstepBurst(topo_, BurstStrike::kNone);
+  EXPECT_EQ(landings.when, (std::vector<SimTime>{0.041953039999999997, 0.036224399999999997,
+                                                 0.036224399999999997, 0.036224399999999997,
+                                                 0.036224399999999997}));
+  EXPECT_EQ(landings.order, (std::vector<int>{1, 2, 3, 4, 0}));
+  // Transfer 0's join and settle; the burst's start, its four joins and their one settle;
+  // transfer 0's first wakeup, which the burst made stale; two live wakeups; and five
+  // continuations. Re-rating at each join would queue a wakeup per join, three of them
+  // stale, and no settle: 17 events.
+  EXPECT_EQ(landings.events, 16u);
+}
+
+TEST_F(TransferTest, LockstepBurstWithAnUplinkRescaleAtItsInstantLandsBitForBit) {
+  const BurstLandings landings = RunLockstepBurst(topo_, BurstStrike::kRescaleUplink);
+  EXPECT_EQ(landings.when, (std::vector<SimTime>{0.073896080000000003, 0.062438799999999996,
+                                                 0.062438799999999996, 0.062438799999999996,
+                                                 0.062438799999999996}));
+  EXPECT_EQ(landings.order, (std::vector<int>{1, 2, 3, 4, 0}));
+}
+
+TEST_F(TransferTest, LockstepBurstWithAnUplinkFlapAtItsInstantLandsBitForBit) {
+  const BurstLandings landings = RunLockstepBurst(topo_, BurstStrike::kFlapUplink);
+  EXPECT_EQ(landings.when, (std::vector<SimTime>{0.061963039999999997, 0.046234399999999995,
+                                                 0.046234399999999995, 0.046234399999999995,
+                                                 0.046234399999999995}));
+  EXPECT_EQ(landings.order, (std::vector<int>{1, 2, 3, 4, 0}));
+}
+
+TEST_F(TransferTest, LockstepBurstWithAFailStopAtItsInstantLandsBitForBit) {
+  const BurstLandings landings = RunLockstepBurst(topo_, BurstStrike::kFailGpu3);
+  // Transfer 4 (to gpu3) ends aborted at the burst's join instant.
+  EXPECT_EQ(landings.when, (std::vector<SimTime>{0.036710159999999999, 0.030981519999999999,
+                                                 0.030981519999999999, 0.030981519999999999,
+                                                 0.01001}));
+  EXPECT_EQ(landings.order, (std::vector<int>{4, 1, 2, 3, 0}));
+}
 // Bandwidth conservation: N concurrent equal flows through the shared uplink take ~N times
 // as long as one flow, i.e. aggregate throughput is capped by the bottleneck link.
 class UplinkContentionTest : public ::testing::TestWithParam<int> {};

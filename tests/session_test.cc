@@ -306,6 +306,52 @@ TEST(PrepareSessionTest, BaselinePpNeedsALayerPerStage) {
   EXPECT_TRUE(ValidateSessionConfig(model, TightConfig(Scheme::kBaselinePp, 4, 8)).ok());
 }
 
+// ---- Scheme names ---------------------------------------------------------------------------
+
+// The names in `message` between `before` and the next ')', a ", "-separated list whose last
+// entry may read "or <name>".
+std::vector<std::string> ListedSchemes(const std::string& message, const std::string& before) {
+  const std::size_t begin = message.find(before);
+  if (begin == std::string::npos) {
+    return {};
+  }
+  const std::size_t start = begin + before.size();
+  std::string list = message.substr(start, message.find(')', start) - start);
+  std::vector<std::string> names;
+  for (std::size_t pos = 0; pos <= list.size();) {
+    const std::size_t comma = std::min(list.find(", ", pos), list.size());
+    std::string name = list.substr(pos, comma - pos);
+    names.push_back(name.starts_with("or ") ? name.substr(3) : name);
+    pos = comma + 2;
+  }
+  return names;
+}
+
+TEST(SchemeNameTest, EveryEntryRoundTripsAndBothMessagesListTheTable) {
+  std::vector<std::string> all;
+  std::vector<std::string> training;
+  for (const SchemeNameEntry& entry : kSchemeNames) {
+    EXPECT_STREQ(SchemeName(entry.scheme), entry.name);
+    const StatusOr<Scheme> back = SchemeByName(SchemeName(entry.scheme));
+    ASSERT_TRUE(back.ok()) << entry.name;
+    EXPECT_EQ(back.value(), entry.scheme) << entry.name;
+    all.emplace_back(entry.name);
+    if (entry.scheme != Scheme::kServing) {
+      training.emplace_back(entry.name);
+    }
+  }
+  const StatusOr<Scheme> unknown = SchemeByName("warp");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_TRUE(unknown.status().message().starts_with("unknown scheme 'warp' (expected "))
+      << unknown.status().message();
+  EXPECT_EQ(ListedSchemes(unknown.status().message(), "(expected "), all);
+
+  const StatusOr<std::vector<JobSpec>> jobs = ParseJobsSpec("train@0:scheme=warp");
+  ASSERT_FALSE(jobs.ok());
+  EXPECT_EQ(ListedSchemes(jobs.status().message(), "training schemes are "), training)
+      << jobs.status().message();
+}
+
 // ---- Partial input-batch grouping ------------------------------------------------------------
 
 TEST(GroupSizeTest, WeightTrafficDecreasesWithGroupSize) {

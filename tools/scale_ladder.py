@@ -14,6 +14,10 @@ Run from the repository root after building the Tier-1 tree:
       [--gpus 8,64,256,512,1024,2048,4096]
 
 Points run one at a time and the largest needs a few GB of RAM.
+
+With --check [BENCH_scale.json], the script writes nothing: it reruns the given points and
+exits 1 unless each one's stdout digest and exit code equal the committed point's. ctest
+runs it at 8 and 64 GPUs (label `golden`).
 """
 import argparse
 import hashlib
@@ -58,11 +62,35 @@ def run_point(binary, gpus, lookahead):
     return wall, usage.ru_maxrss / 1024.0, digest.hexdigest()[:16], child.returncode
 
 
+def check(binary, ladder, committed_path):
+    """Reruns each point and compares its digest and exit code with the committed ladder."""
+    committed = {(p["gpus"], p["eviction"]): p
+                 for p in json.loads(committed_path.read_text())["points"]}
+    mismatches = 0
+    for gpus in ladder:
+        for policy, flag in POLICIES:
+            want = committed.get((gpus, policy))
+            _, _, digest, code = run_point(binary, gpus, flag)
+            if want is None:
+                verdict = f"no committed point in {committed_path.name}"
+            elif (digest, code) != (want["stdout_sha256"], want["exit_code"]):
+                verdict = (f"MISMATCH: committed {want['stdout_sha256']} exit "
+                           f"{want['exit_code']}")
+            else:
+                verdict = "ok"
+            mismatches += verdict != "ok"
+            print(f"{gpus:>5} {policy:>9} {digest:>16} exit {code}  {verdict}", flush=True)
+    return 1 if mismatches else 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--binary", default=str(ROOT / "build" / "tools" / "harmony_sim"))
     parser.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
     parser.add_argument("--gpus", default="8,64,256,512,1024,2048,4096")
+    parser.add_argument("--check", nargs="?", const=str(ROOT / "BENCH_scale.json"),
+                        metavar="JSON", help="compare stdout digests with a committed "
+                        "ladder instead of writing one")
     args = parser.parse_args()
     binary = Path(args.binary)
     if not binary.is_file():
@@ -71,6 +99,9 @@ def main():
     if any(g <= 0 or g % GPUS_PER_NODE != 0 for g in ladder):
         sys.exit(f"scale_ladder.py: every GPU count must be a positive multiple of "
                  f"{GPUS_PER_NODE}")
+
+    if args.check:
+        return check(binary, ladder, Path(args.check))
 
     points = []
     print(f"{'gpus':>5} {'eviction':>9} {'wall_s':>8} {'rss_mb':>8} {'stdout':>16}")
