@@ -1,9 +1,12 @@
 #include "src/core/recovery.h"
 
 #include <numeric>
+#include <sstream>
 #include <utility>
 
 #include "src/mem/tensor.h"
+#include "src/runtime/report_io.h"
+#include "src/util/json.h"
 
 namespace harmony {
 namespace {
@@ -32,6 +35,40 @@ std::string ElasticResult::FaultTrace() const {
     out += segments[i].result.fault_trace;
   }
   return out;
+}
+
+std::string ElasticResult::ToJson() const {
+  std::ostringstream os;
+  os << "{\n  \"schema\": \"harmony-elastic-report\",\n  \"version\": 1,\n";
+  os << "  \"status\": " << JsonString(status.ToString()) << ",\n";
+  os << "  \"completed_iterations\": " << completed_iterations << ",\n";
+  os << "  \"total_makespan_s\": " << JsonNumber(total_makespan) << ",\n";
+  os << "  \"checkpoints_committed\": " << checkpoints_committed << ",\n";
+  os << "  \"checkpoint_bytes\": " << checkpoint_bytes << ",\n";
+  os << "  \"recovery\": {\"failures\": " << stats.failures
+     << ", \"degradations\": " << stats.degradations
+     << ", \"retry_exhaustions\": " << stats.retry_exhaustions
+     << ", \"flows_retried\": " << stats.flows_retried
+     << ", \"retry_backoff_s\": " << JsonNumber(stats.retry_backoff_sec)
+     << ", \"ckpt_verified\": " << stats.ckpt_verified
+     << ", \"ckpt_corrupt_detected\": " << stats.ckpt_corrupt_detected
+     << ", \"lost_work_s\": " << JsonNumber(stats.lost_work_sec)
+     << ", \"recovery_latency_s\": " << JsonNumber(stats.recovery_latency_sec)
+     << ", \"reswap_bytes\": " << stats.reswap_bytes << "},\n";
+  os << "  \"segments\": [";
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const RecoverySegment& segment = segments[i];
+    os << (i > 0 ? "," : "") << "\n    {\"start_iteration\": " << segment.start_iteration
+       << ", \"iterations\": " << segment.iterations << ", \"gpus\": [";
+    for (std::size_t g = 0; g < segment.gpus.size(); ++g) {
+      os << (g > 0 ? ", " : "") << segment.gpus[g];
+    }
+    // Each segment's run report is embedded verbatim, so it reads as it would on its own.
+    os << "],\n     \"fault_trace\": " << JsonString(segment.result.fault_trace)
+       << ",\n     \"report\": " << ReportToJson(segment.result.report) << "    }";
+  }
+  os << "\n  ]\n}\n";
+  return std::move(os).str();
 }
 
 FaultPlan ShiftFaultPlan(const FaultPlan& plan, double offset, const std::vector<bool>& dead,
@@ -135,8 +172,9 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
     segment.config.iterations = segment.iterations;
     segment.config.straggler_threshold = straggler_threshold;
     // Segment-local commits land in the shared ring as global (iteration, time) pairs.
+    // Without faults nothing can roll back to them, so the run keeps no ring.
     store.SetBases(next_iteration, offset);
-    segment.config.checkpoint_store = &store;
+    segment.config.checkpoint_store = config.faults.empty() ? nullptr : &store;
     if (data_parallel) {
       if (total_microbatches % static_cast<int>(alive.size()) != 0) {
         result.status = FailedPreconditionError(
@@ -168,6 +206,8 @@ ElasticResult RunTrainingElastic(const Model& model, const SessionConfig& config
     result.total_makespan += report.makespan;
     result.checkpoints_committed += report.checkpoints_committed;
     result.checkpoint_bytes += report.checkpoint_bytes;
+    result.stats.flows_retried += report.flows_retried;
+    result.stats.retry_backoff_sec += report.retry_backoff_sec;
     const int segment_completed = static_cast<int>(report.iterations.size());
     result.completed_iterations = next_iteration + segment_completed;
     const bool all_done = segment_completed == segment.iterations;

@@ -12,6 +12,7 @@
 #ifndef HARMONY_SRC_CORE_RECOVERY_H_
 #define HARMONY_SRC_CORE_RECOVERY_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,9 @@ struct RecoveryStats {
   // Checkpoint-integrity outcomes across the whole run (from the shared CheckpointStore).
   int ckpt_verified = 0;
   int ckpt_corrupt_detected = 0;
+  // Transfer retries absorbed (reissued flows and their backoff), summed over segments.
+  std::int64_t flows_retried = 0;
+  double retry_backoff_sec = 0.0;
   // Total rollbacks of any kind (what the chaos bench charts against fault rate).
   int rollbacks() const { return failures + retry_exhaustions; }
   // Sim time of committed-but-lost progress: failure time minus the last checkpoint commit
@@ -76,10 +80,15 @@ struct ElasticResult {
   // Segment fault traces joined with "--- segment k ---" headers: the canonical
   // whole-run artifact the determinism tests compare.
   std::string FaultTrace() const;
+  // The harmony-elastic-report v1 document (DESIGN.md §8): status, progress and recovery
+  // accounting, then one entry per segment with its GPUs, fault trace and ReportToJson.
+  // Byte-stable like ReportToJson: the chaos determinism suite compares it across runs.
+  std::string ToJson() const;
 };
 
 // Runs training under `config`, recovering from injected GPU fail-stops by rebinding onto
-// the survivors. With no faults armed this degenerates to exactly one RunTraining call.
+// the survivors. With no faults armed this degenerates to exactly one RunTraining call on
+// `config`: nothing can roll back, so no checkpoint store is attached.
 // Only a single-server run rebinds; a multi-node fleet keeps its shape in every segment,
 // so a straggler there finishes degraded instead of being excluded.
 // Each segment is built once by PrepareSession. An invalid `config` and an infeasible

@@ -557,12 +557,16 @@ void TransferManager::OnWakeup(std::uint64_t generation) {
     Flow& flow = *group.earliest;
     if (flow.bytes_remaining > kByteEpsilon) {
       // FP residue left the flow a hair short of done; re-key to the corrected projection.
-      flow.completion_time = now + flow.bytes_remaining / flow.rate;
-      RekeyGroup(group);
-      if (completion_heap_.front().group->earliest == &flow) {
-        break;  // correction did not advance past now; retry from the rescheduled wakeup
+      // The byte epsilon is absolute but the clock's resolution is relative: past 2^10 s a
+      // PCIe-rate residue just over it takes less than half an ulp of now. A projection
+      // that does not pass now completes the flow, since a wakeup re-queued at now would
+      // find the same residue and never advance.
+      const SimTime projected = now + flow.bytes_remaining / flow.rate;
+      if (projected > now) {
+        flow.completion_time = projected;
+        RekeyGroup(group);
+        continue;
       }
-      continue;
     }
     for (LinkId lid : group.route) {
       LinkStats& stats = link_stats_[static_cast<std::size_t>(lid)];

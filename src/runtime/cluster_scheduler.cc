@@ -15,7 +15,6 @@
 #include "src/util/rng.h"
 #include "src/util/spec_grammar.h"
 #include "src/util/table.h"
-#include "src/util/text_file.h"
 #include "src/util/units.h"
 
 namespace harmony {
@@ -1083,10 +1082,6 @@ std::string ClusterReportToJson(const ClusterReport& report) {
   os << "  ]\n";
   os << "}\n";
   return os.str();
-}
-
-Status WriteClusterReportJson(const ClusterReport& report, const std::string& path) {
-  return WriteTextFile(path, ClusterReportToJson(report));
 }
 
 std::string ClusterReport::Render() const {

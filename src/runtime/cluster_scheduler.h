@@ -198,7 +198,6 @@ struct ClusterReport {
 // (fixed key order, integers as integers, doubles as shortest round-trip). Lives here
 // rather than report_io because report_io sits below the session layer this depends on.
 std::string ClusterReportToJson(const ClusterReport& report);
-Status WriteClusterReportJson(const ClusterReport& report, const std::string& path);
 
 // Validates a job list against the cluster shape and quota map with typed messages
 // (model resolves, gang size placeable, the per-job session config valid). Run before

@@ -102,8 +102,12 @@ const RunReport::LinkUsage* RunReport::BottleneckLink() const {
 
 std::string RunReport::Summary() const {
   std::ostringstream os;
-  os << scheme << ": makespan " << FormatSeconds(makespan) << ", steady iter "
-     << FormatSeconds(steady_iteration_time()) << " ("
+  os << scheme << ": makespan " << FormatSeconds(makespan);
+  if (iterations.empty()) {
+    os << ", no iteration completed";  // a recovery segment cut short in its first one
+    return os.str();
+  }
+  os << ", steady iter " << FormatSeconds(steady_iteration_time()) << " ("
      << FormatBytesDecimal(static_cast<double>(steady_swap_total())) << " swap/iter, "
      << FormatBytesDecimal(static_cast<double>(steady_p2p())) << " p2p/iter), throughput ";
   char buffer[64];

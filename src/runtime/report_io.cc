@@ -5,7 +5,6 @@
 
 #include "src/util/json.h"
 #include "src/util/table.h"
-#include "src/util/text_file.h"
 
 namespace harmony {
 
@@ -217,14 +216,6 @@ std::string ReportToJson(const RunReport& report) {
   os << "  }\n";
   os << "}\n";
   return std::move(os).str();
-}
-
-Status WriteReportCsv(const RunReport& report, const std::string& path) {
-  return WriteTextFile(path, ReportToCsv(report));
-}
-
-Status WriteReportJson(const RunReport& report, const std::string& path) {
-  return WriteTextFile(path, ReportToJson(report));
 }
 
 }  // namespace harmony

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "src/runtime/metrics.h"
-#include "src/util/status.h"
 
 namespace harmony {
 
@@ -20,9 +19,6 @@ std::string ReportToCsv(const RunReport& report);
 // integers, strings and doubles through util/json.h's JsonString / JsonNumber — the
 // explain golden test byte-compares this output. Parse it back with util/json.h.
 std::string ReportToJson(const RunReport& report);
-
-Status WriteReportCsv(const RunReport& report, const std::string& path);
-Status WriteReportJson(const RunReport& report, const std::string& path);
 
 }  // namespace harmony
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "src/util/json.h"
-#include "src/util/text_file.h"
 
 namespace harmony {
 namespace {
@@ -90,11 +89,6 @@ std::string TimelineToChromeTrace(const Plan& plan, const std::vector<TaskTrace>
   }
   out += "]}";
   return out;
-}
-
-Status WriteChromeTrace(const Plan& plan, const std::vector<TaskTrace>& timeline,
-                        const std::string& path, const RunReport* report) {
-  return WriteTextFile(path, TimelineToChromeTrace(plan, timeline, report));
 }
 
 }  // namespace harmony

@@ -12,7 +12,6 @@
 
 #include "src/graph/task.h"
 #include "src/runtime/engine.h"
-#include "src/util/status.h"
 
 namespace harmony {
 
@@ -25,10 +24,6 @@ std::string TimelineToChromeTrace(const Plan& plan, const std::vector<TaskTrace>
 // set). Passing nullptr — or a report without timelines — degrades to the plain export.
 std::string TimelineToChromeTrace(const Plan& plan, const std::vector<TaskTrace>& timeline,
                                   const RunReport* report);
-
-// Writes TimelineToChromeTrace output to `path`; include `report` for the counter tracks.
-Status WriteChromeTrace(const Plan& plan, const std::vector<TaskTrace>& timeline,
-                        const std::string& path, const RunReport* report = nullptr);
 
 }  // namespace harmony
 

@@ -3,8 +3,9 @@
 // Each case draws a random fault plan over the full extended grammar (flaps, brownouts,
 // stragglers, checkpoint corruption, fail-stops), runs the elastic recovery coordinator
 // twice, and asserts:
-//   1. byte-identical outcome across the two runs (status, fault trace, segment count,
-//      bitwise makespans, and the full JSON report of every segment);
+//   1. byte-identical outcome across the two runs: the harmony-elastic-report export
+//      (status, counts, fault traces, bitwise makespans, and the full JSON report of
+//      every segment);
 //   2. the PR 4 conservation invariant holds on every completed segment even when the
 //      retry tier re-issued flows (per-device time buckets sum to the makespan);
 //   3. completion-or-typed-error: either training finishes all iterations or the
@@ -19,7 +20,6 @@
 #include "src/core/recovery.h"
 #include "src/core/session.h"
 #include "src/hw/specs.h"
-#include "src/runtime/report_io.h"
 #include "src/sim/fault_plan.h"
 #include "tests/test_models.h"
 
@@ -63,29 +63,6 @@ SessionConfig ChaosConfig(const Model& model, int seed) {
   return config;
 }
 
-// Everything observable about an elastic run, flattened to bytes for run-to-run
-// comparison. Any nondeterminism anywhere in the stack shows up as a diff here.
-std::string RunSignature(const ElasticResult& result) {
-  std::string signature;
-  signature += "status=" + result.status.ToString() + "\n";
-  signature += "segments=" + std::to_string(result.segments.size()) + "\n";
-  signature += "completed=" + std::to_string(result.completed_iterations) + "\n";
-  signature += "failures=" + std::to_string(result.stats.failures) + "\n";
-  signature += "degradations=" + std::to_string(result.stats.degradations) + "\n";
-  signature += "retry_exhaustions=" + std::to_string(result.stats.retry_exhaustions) + "\n";
-  signature += "ckpt=" + std::to_string(result.stats.ckpt_verified) + "/" +
-               std::to_string(result.stats.ckpt_corrupt_detected) + "\n";
-  signature += result.FaultTrace();
-  for (const RecoverySegment& segment : result.segments) {
-    // ReportToJson covers makespan, per-device breakdowns, link usage, iteration stats
-    // and the resilience block, all with shortest-round-trip doubles: bitwise equality
-    // of the simulation implies byte equality here, and vice versa.
-    signature += ReportToJson(segment.result.report);
-    signature += "\n";
-  }
-  return signature;
-}
-
 class ChaosTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ChaosTest, SeededFaultPlanIsDeterministicConservedAndTyped) {
@@ -116,8 +93,12 @@ TEST_P(ChaosTest, SeededFaultPlanIsDeterministicConservedAndTyped) {
     }
   }
 
-  // (1) byte-identical across two runs of the same binary.
-  EXPECT_EQ(RunSignature(RunTrainingElastic(model, config)), RunSignature(result))
+  // (1) byte-identical across two runs of the same binary. The harmony-elastic-report
+  // export is everything observable about an elastic run: status, progress and recovery
+  // counts, every segment's fault trace and its full run report with shortest-round-trip
+  // doubles, so bitwise equality of the simulation implies byte equality here and vice
+  // versa. Any nondeterminism anywhere in the stack shows up as a diff.
+  EXPECT_EQ(RunTrainingElastic(model, config).ToJson(), result.ToJson())
       << "seed " << seed << ": the second run diverged";
 }
 
@@ -140,9 +121,7 @@ TEST(ChaosCoverageTest, SweepExercisesEveryRungOfTheLadder) {
       }
     }
     const ElasticResult result = RunTrainingElastic(model, config);
-    for (const RecoverySegment& segment : result.segments) {
-      retried += segment.result.report.flows_retried;
-    }
+    retried += result.stats.flows_retried;
     degradations += result.stats.degradations;
     rollbacks += result.stats.rollbacks();
     if (result.status.ok()) {

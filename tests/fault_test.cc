@@ -20,9 +20,11 @@
 #include "src/hw/transfer_manager.h"
 #include "src/numeric/plan_executor.h"
 #include "src/numeric/reference.h"
+#include "src/runtime/report_io.h"
 #include "src/sim/fault_plan.h"
 #include "src/sim/simulator.h"
 #include "src/util/check.h"
+#include "src/util/json.h"
 #include "tests/recording_transfer_manager.h"
 #include "tests/test_models.h"
 
@@ -457,6 +459,83 @@ TEST(FaultElasticTest, NoFaultsDegeneratesToOneSegment) {
   EXPECT_EQ(result.stats.failures, 0);
   EXPECT_EQ(result.completed_iterations, 4);
   EXPECT_EQ(result.final_segment().gpus, (std::vector<int>{0, 1}));
+}
+
+// With no faults armed the coordinator is exactly one RunTraining call on the config:
+// nothing can roll back, so no checkpoint ring is attached, and the report (its
+// checkpoint-generation count included) is byte-equal to a direct run's.
+TEST(FaultElasticTest, NoFaultsIsExactlyOneRunTrainingCall) {
+  const Model model = FaultModel();
+  for (const SchemeNameEntry& entry : kSchemeNames) {
+    for (const int nodes : {1, 2}) {
+      for (const int checkpoint_every : {0, 1}) {
+        SessionConfig config = FaultConfig(2, 4);
+        config.scheme = entry.scheme;
+        config.num_nodes = nodes;
+        config.checkpoint_every = checkpoint_every;
+        // The baselines need more resident memory than Harmony: grow it until the shape fits.
+        for (int doubling = 0; doubling < 8 && !ValidateSessionConfig(model, config).ok();
+             ++doubling) {
+          config.server.gpu =
+              TestGpu(config.server.gpu.memory_bytes * 2, config.server.gpu.peak_flops);
+        }
+        const ElasticResult elastic = RunTrainingElastic(model, config);
+        ASSERT_TRUE(elastic.status.ok()) << entry.name << ": " << elastic.status.ToString();
+        ASSERT_EQ(elastic.segments.size(), 1u);
+        EXPECT_EQ(ReportToJson(elastic.final_segment().result.report),
+                  ReportToJson(RunTraining(model, config).report))
+            << entry.name << " on " << nodes << " node(s), checkpoint_every "
+            << checkpoint_every;
+      }
+    }
+  }
+}
+
+// The harmony-elastic-report export (DESIGN.md §8) parses, names its schema, and carries
+// the run's status, progress and recovery counts and one entry per segment whose report
+// is that segment's ReportToJson.
+TEST(FaultElasticTest, ElasticJsonExportCarriesTheRunAndEverySegment) {
+  const Model model = FaultModel();
+  SessionConfig config = FaultConfig(4, 4);
+  config.iterations = 6;
+  config.checkpoint_every = 2;
+  // A fail-stop at 60% of the failure-free makespan: mid-run, after a checkpoint.
+  config.faults.Add(FaultEvent{0.6 * RunTraining(model, config).report.makespan,
+                               FaultKind::kGpuFailStop, 2, 1.0, 0.0});
+  const ElasticResult result = RunTrainingElastic(model, config);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  ASSERT_EQ(result.segments.size(), 2u);
+
+  const std::string json = result.ToJson();
+  const StatusOr<JsonValue> parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue& root = parsed.value();
+  EXPECT_EQ(root.Find("schema")->as_string(), "harmony-elastic-report");
+  EXPECT_EQ(root.Find("version")->as_number(), 1.0);
+  EXPECT_EQ(root.Find("status")->as_string(), "OK");
+  EXPECT_EQ(root.Find("completed_iterations")->as_number(), 6.0);
+  EXPECT_EQ(root.Find("total_makespan_s")->as_number(), result.total_makespan);
+  EXPECT_EQ(root.Find("checkpoints_committed")->as_number(),
+            static_cast<double>(result.checkpoints_committed));
+  const JsonValue* recovery = root.Find("recovery");
+  ASSERT_NE(recovery, nullptr);
+  EXPECT_EQ(recovery->Find("failures")->as_number(), 1.0);
+  EXPECT_EQ(recovery->Find("lost_work_s")->as_number(), result.stats.lost_work_sec);
+  EXPECT_EQ(recovery->Find("reswap_bytes")->as_number(),
+            static_cast<double>(result.stats.reswap_bytes));
+  const JsonValue* segments = root.Find("segments");
+  ASSERT_NE(segments, nullptr);
+  ASSERT_EQ(segments->as_array().size(), result.segments.size());
+  for (std::size_t s = 0; s < result.segments.size(); ++s) {
+    const JsonValue& segment = segments->as_array()[s];
+    EXPECT_EQ(segment.Find("start_iteration")->as_number(),
+              static_cast<double>(result.segments[s].start_iteration));
+    EXPECT_EQ(segment.Find("gpus")->as_array().size(), result.segments[s].gpus.size());
+    EXPECT_EQ(segment.Find("fault_trace")->as_string(), result.segments[s].result.fault_trace);
+    EXPECT_EQ(segment.Find("report")->Find("schema")->as_string(), "harmony-run-report");
+    EXPECT_NE(json.find(ReportToJson(result.segments[s].result.report)), std::string::npos)
+        << "segment " << s << "'s report is not embedded verbatim";
+  }
 }
 
 TEST(FaultElasticTest, LastGpuDyingIsATypedError) {

@@ -682,6 +682,52 @@ TEST_F(TransferTest, LockstepBurstWithAFailStopAtItsInstantLandsBitForBit) {
                                                  0.01001}));
   EXPECT_EQ(landings.order, (std::vector<int>{4, 1, 2, 3, 0}));
 }
+
+// Past t = 2^10 s, half an ulp of the clock is longer than a PCIe-rate flow needs for a
+// residue just over the 1e-3-byte completion epsilon. A wakeup that finds such a residue
+// must complete the flow: re-projecting it to now + residue / rate rounds back to now, and
+// re-queueing the wakeup there would run events at one instant forever.
+TEST_F(TransferTest, ResidueBelowTheClockResolutionCompletesPastLongHorizons) {
+  const LinkSpec pcie = PcieGen3x16();
+  const double rate = pcie.bandwidth_bytes_per_sec;            // one flow owns the route
+  const double latency = 0.0 + pcie.latency_sec + pcie.latency_sec;  // gpu -> switch -> host
+  for (const SimTime start : {1024.5, 4096.5}) {
+    // The manager's arithmetic for a lone flow: it joins at start + latency, is projected
+    // to land at join + bytes / rate, and at that wakeup has bytes - rate * (land - join)
+    // left. Pick the first size whose residue falls in (1e-3, 1.5e-3].
+    const SimTime join = start + latency;
+    Bytes bytes = 0;
+    double residue = 0.0;
+    for (Bytes b = 64 * kMiB; b < 64 * kMiB + 100'000 && bytes == 0; ++b) {
+      residue = static_cast<double>(b) - rate * ((join + static_cast<double>(b) / rate) - join);
+      if (residue > 1e-3 && residue <= 1.5e-3) {
+        bytes = b;
+      }
+    }
+    ASSERT_GT(bytes, 0) << "no size leaves a residue in (1e-3, 1.5e-3] bytes at t = " << start;
+    const SimTime land = join + static_cast<double>(bytes) / rate;
+    ASSERT_EQ(land + residue / rate, land) << "the residue's projection must round to now";
+
+    Simulator sim;
+    RecordingTransferManager tm(&sim, &topo_);
+    OneShotEvent* landed = nullptr;
+    sim.ScheduleAt(start, [&] {
+      landed =
+          tm.StartTransfer(topo_.gpu_node(0), topo_.host_node(), bytes, TransferKind::kSwapOut);
+    });
+    // Start, join, settle, wakeup and continuation: a handful of events, never a budget's
+    // worth at one instant.
+    for (int events = 0; events < 100 && sim.RunOne(); ++events) {
+    }
+    EXPECT_TRUE(sim.idle()) << "stuck at t = " << sim.now() << " with " << bytes << " bytes";
+    ASSERT_NE(landed, nullptr);
+    ASSERT_TRUE(landed->fired());
+    EXPECT_FALSE(tm.WasAborted(landed));
+    EXPECT_EQ(landed->fire_time(), land);
+    EXPECT_EQ(tm.DebugCheckConsistency(), "");
+  }
+}
+
 // Bandwidth conservation: N concurrent equal flows through the shared uplink take ~N times
 // as long as one flow, i.e. aggregate throughput is capped by the bottleneck link.
 class UplinkContentionTest : public ::testing::TestWithParam<int> {};

@@ -24,6 +24,7 @@
 #include "src/runtime/trace_export.h"
 #include "src/util/flags.h"
 #include "src/util/rng.h"
+#include "src/util/text_file.h"
 #include "tests/plan_edit.h"
 #include "tests/test_models.h"
 
@@ -514,7 +515,7 @@ TEST_F(TimelineTest, ChromeTraceContainsEventsAndTrackNames) {
 
 TEST_F(TimelineTest, WriteChromeTraceCreatesFile) {
   const std::string path = ::testing::TempDir() + "harmony_trace_test.json";
-  ASSERT_TRUE(WriteChromeTrace(result_.plan, result_.timeline, path).ok());
+  ASSERT_TRUE(WriteTextFile(path, TimelineToChromeTrace(result_.plan, result_.timeline)).ok());
   std::ifstream file(path);
   ASSERT_TRUE(file.good());
   std::string contents((std::istreambuf_iterator<char>(file)),
@@ -525,16 +526,18 @@ TEST_F(TimelineTest, WriteChromeTraceCreatesFile) {
 
 TEST(TraceExportTest, RejectsUnwritablePath) {
   Plan plan;
-  EXPECT_FALSE(WriteChromeTrace(plan, {}, "/nonexistent-dir/trace.json").ok());
+  EXPECT_FALSE(WriteTextFile("/nonexistent-dir/trace.json", TimelineToChromeTrace(plan, {})).ok());
 }
 
 // /dev/full opens fine and fails only when the buffered text is flushed, which is the case
-// a writer that checks the stream before closing it reports as success.
+// a writer that checks the stream before closing it reports as success. Every export
+// reaches disk through WriteTextFile.
 TEST_F(TimelineTest, WritersReportAFullDevice) {
-  for (const Status& written :
-       {WriteReportCsv(result_.report, "/dev/full"), WriteReportJson(result_.report, "/dev/full"),
-        WriteChromeTrace(result_.plan, result_.timeline, "/dev/full", &result_.report),
-        WriteClusterReportJson(ClusterReport{}, "/dev/full")}) {
+  for (const std::string& text :
+       {ReportToCsv(result_.report), ReportToJson(result_.report),
+        TimelineToChromeTrace(result_.plan, result_.timeline, &result_.report),
+        ClusterReportToJson(ClusterReport{})}) {
+    const Status written = WriteTextFile("/dev/full", text);
     ASSERT_FALSE(written.ok());
     EXPECT_EQ(written.code(), StatusCode::kInternal);
     EXPECT_NE(written.message().find("failed writing /dev/full"), std::string::npos)
@@ -775,7 +778,7 @@ TEST_F(TimelineTest, CsvHasOneRowPerIterationPlusHeader) {
 
 TEST_F(TimelineTest, WriteReportCsvRoundTrips) {
   const std::string path = ::testing::TempDir() + "harmony_report_test.csv";
-  ASSERT_TRUE(WriteReportCsv(result_.report, path).ok());
+  ASSERT_TRUE(WriteTextFile(path, ReportToCsv(result_.report)).ok());
   std::ifstream file(path);
   std::string first_line;
   std::getline(file, first_line);

@@ -122,21 +122,51 @@ expect_refused() {
   fi
 }
 
-# --tune and the elastic --faults run end in no run report: each report flag is refused
-# instead of being dropped by a run that exits 0 and writes nothing. The lint run honors
-# only --json (the lint report), and --tune would run the sweep and drop --lint.
+# --tune ends in no run report: each report flag is refused instead of being dropped by a
+# run that exits 0 and writes nothing. The lint run honors only --json (the lint report),
+# --tune would run the sweep and drop --lint, and a --faults run reports per segment, so
+# --csv and --trace, which each name one file for one run, are refused there.
 out_dir=$(mktemp -d)
 trap 'rm -rf "$out_dir"' EXIT
 report_flags=(--csv="$out_dir/r.csv" --trace="$out_dir/r.trace" --timeline --explain)
-for mode in --tune --faults=fail@1:gpu1; do
-  for flag in --json="$out_dir/r.json" "${report_flags[@]}"; do
-    expect_refused "$mode" "$flag"
-  done
+for flag in --json="$out_dir/r.json" "${report_flags[@]}"; do
+  expect_refused --tune "$flag"
+done
+for flag in "${report_flags[@]:0:2}"; do
+  expect_refused --faults=fail@1:gpu1 "$flag"
 done
 for flag in "${report_flags[@]}"; do
   expect_refused --lint "$flag"
 done
 expect_refused --tune --lint
+
+# expect_segment_reports <exit> <segments> <flag...>: a --faults run honors --json,
+# --explain and --timeline. It exits as its recovery ends, its JSON file holds a
+# `segments` array with one entry per segment, and stdout has one attribution block per
+# segment.
+expect_segment_reports() {
+  local want_code=$1 want=$2
+  shift 2
+  rm -f "$out_dir/e.json"
+  local out
+  out=$("$sim" "$@" --json="$out_dir/e.json" --explain --timeline 2>/dev/null)
+  local code=$?
+  local blocks entries
+  blocks=$(grep -c "^bottleneck attribution:" <<<"$out")
+  entries=$(grep -o '"start_iteration"' "$out_dir/e.json" 2>/dev/null | wc -l)
+  if [[ $code -ne $want_code ]] || ! grep -q '"segments": \[' "$out_dir/e.json" 2>/dev/null ||
+      [[ $blocks -ne $want || $entries -ne $want ]]; then
+    echo "FAIL $* : exit $code (want $want_code), $blocks attribution block(s) and" \
+      "$entries JSON segment(s) (want $want)" >&2
+    failures=$((failures + 1))
+  else
+    echo "ok   $* -> exit $code, $want segment report(s) in stdout and --json"
+  fi
+}
+
+expect_segment_reports 0 2 --scheme=harmony-pp --faults='fail@2.0:gpu1' --checkpoint_every=2
+expect_segment_reports 1 1 --scheme=harmony-dp --microbatches=2 --iterations=3 \
+  --checkpoint_every=1 --faults='fail@12:gpu2'
 
 # expect_invalid <expected-substring> <flag...>: well-formed flags whose configuration
 # fails validation must exit 1 with the typed error on stderr, not crash.

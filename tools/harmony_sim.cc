@@ -4,10 +4,13 @@
 //               --microbatches=8 --microbatch_size=5 --pack_size=2 --iterations=3
 //               --trace=/tmp/schedule.json
 //
-// Prints the run report (throughput, per-iteration swap volume by tensor class, per-device
-// accounting) and optionally writes a chrome://tracing timeline.
+// Every training run is a recovery-coordinator run, one segment long without --faults.
+// Prints each segment's report (throughput, per-iteration swap volume by tensor class,
+// per-device accounting) and optionally writes a chrome://tracing timeline.
 #include <cstdio>
+#include <functional>
 #include <iostream>
+#include <tuple>
 #include <utility>
 
 #include "src/core/recovery.h"
@@ -38,6 +41,142 @@ bool AssignFlag(const StatusOr<T>& parsed, T* out) {
   }
   *out = parsed.value();
   return true;
+}
+
+// Prints a typed error and returns the exit code it ends the run with.
+int Fail(const Status& status, int code) {
+  std::cerr << status.ToString() << "\n";
+  return code;
+}
+
+// Writes `text()` to `path` when its flag named one and announces it on stdout after
+// `lead`. A failed write prints the error instead and returns false.
+bool WriteOutput(const std::string& path, const char* lead,
+                 const std::function<std::string()>& text) {
+  if (path.empty()) {
+    return true;
+  }
+  const Status written = WriteTextFile(path, text());
+  if (!written.ok()) {
+    std::cerr << written.ToString() << "\n";
+    return false;
+  }
+  std::cout << lead << path << "\n";
+  return true;
+}
+
+// The recovery summary a --faults run prints ahead of its segments' reports: the fault
+// plan, each segment's span, the applied faults, and the run's recovery accounting.
+void PrintRecovery(const ElasticResult& elastic, const SessionConfig& config) {
+  std::cout << "fault plan: " << config.faults.ToString() << "\n\n";
+  for (std::size_t i = 0; i < elastic.segments.size(); ++i) {
+    const RecoverySegment& seg = elastic.segments[i];
+    const RunReport& report = seg.result.report;
+    std::printf("segment %zu: %d gpu(s), iterations [%d, %d), completed %zu, makespan "
+                "%.3f s%s\n",
+                i, static_cast<int>(seg.gpus.size()), seg.start_iteration,
+                seg.start_iteration + seg.iterations, report.iterations.size(), report.makespan,
+                report.failed ? (" — " + report.failure_kind).c_str() : "");
+  }
+  std::cout << "\napplied faults:\n" << elastic.FaultTrace();
+  const RecoveryStats& stats = elastic.stats;
+  std::printf(
+      "\nrecovery: %d failure(s), lost work %.3f s, recovery latency %.3f s, re-swap "
+      "%s\ncheckpoints: %d committed (%s), completed %d/%d iterations, total makespan "
+      "%.3f s\n",
+      stats.failures, stats.lost_work_sec, stats.recovery_latency_sec,
+      FormatBytes(stats.reswap_bytes).c_str(), elastic.checkpoints_committed,
+      FormatBytes(elastic.checkpoint_bytes).c_str(), elastic.completed_iterations,
+      config.iterations, elastic.total_makespan);
+  if (stats.flows_retried > 0 || stats.degradations > 0 || stats.retry_exhaustions > 0 ||
+      stats.ckpt_verified > 0 || stats.ckpt_corrupt_detected > 0) {
+    // Only printed when the degraded-mode tier actually engaged, so pre-resilience
+    // fault-plan output stays byte-identical.
+    std::printf("resilience: %lld flow retr%s absorbed (%.3f s backoff), %d "
+                "degradation(s), %d retry exhaustion(s), checkpoint verification %d ok "
+                "/ %d corrupt\n",
+                static_cast<long long>(stats.flows_retried),
+                stats.flows_retried == 1 ? "y" : "ies", stats.retry_backoff_sec,
+                stats.degradations, stats.retry_exhaustions, stats.ckpt_verified,
+                stats.ckpt_corrupt_detected);
+  }
+}
+
+// One run's report, or one recovery segment's: plan stats, summary, the per-device,
+// per-class, per-link and per-tier tables, then the attribution and the timeline when
+// asked for.
+void PrintReport(const SessionResult& result, bool explain, bool timeline) {
+  const RunReport& report = result.report;
+  std::cout << result.plan.Stats() << "\n\n" << report.Summary() << "\n\n";
+
+  TablePrinter devices({"device", "busy (s)", "swap-in", "swap-out", "high water",
+                        "peak task WS", "demand"});
+  for (int d = 0; d < report.num_devices(); ++d) {
+    const auto i = static_cast<std::size_t>(d);
+    devices.Row()
+        .Cell("gpu" + std::to_string(d))
+        .Cell(report.device_busy[i], 2)
+        .Cell(FormatBytes(report.device_swap_in[i]))
+        .Cell(FormatBytes(report.device_swap_out[i]))
+        .Cell(FormatBytes(report.device_high_water[i]))
+        .Cell(FormatBytes(result.peak_task_working_set[i]))
+        .Cell(FormatBytes(result.memory_demand_per_device[i]));
+  }
+  devices.Print(std::cout);
+
+  // A segment cut short in its first iteration has no steady iteration to split by class.
+  if (!report.iterations.empty()) {
+    std::cout << "\nper-class swap volume (steady iteration):\n";
+    TablePrinter classes({"tensor class", "swap-in", "swap-out"});
+    const IterationStats& it =
+        report.iterations.size() > 1 ? report.iterations[1] : report.iterations[0];
+    for (int c = 0; c < kNumTensorClasses; ++c) {
+      classes.Row()
+          .Cell(TensorClassName(static_cast<TensorClass>(c)))
+          .Cell(FormatBytes(it.swap_in_by_class[c]))
+          .Cell(FormatBytes(it.swap_out_by_class[c]));
+    }
+    classes.Print(std::cout);
+  }
+
+  std::cout << "\nlink usage:\n";
+  TablePrinter links({"link", "bytes", "busy (s)", "utilization"});
+  for (const RunReport::LinkUsage& link : report.links) {
+    if (link.bytes == 0) {
+      continue;
+    }
+    links.Row()
+        .Cell(link.name)
+        .Cell(FormatBytes(link.bytes))
+        .Cell(link.busy_time, 2)
+        .Cell(link.utilization, 2);
+  }
+  links.Print(std::cout);
+
+  // Multi-node runs get the per-tier rollup of the same link totals; single-server output
+  // is unchanged (tiers empty).
+  if (!report.tiers.empty()) {
+    std::cout << "\ntier byte split:\n";
+    TablePrinter tiers({"tier", "bytes", "busy (s)", "flows", "collective", "swap"});
+    for (const RunReport::TierUsage& tier : report.tiers) {
+      tiers.Row()
+          .Cell(tier.name)
+          .Cell(FormatBytes(tier.bytes))
+          .Cell(tier.busy_time, 2)
+          .Cell(tier.flows)
+          .Cell(FormatBytes(tier.of(TransferKind::kCollective)))
+          .Cell(FormatBytes(tier.of(TransferKind::kSwapIn) +
+                            tier.of(TransferKind::kSwapOut)));
+    }
+    tiers.Print(std::cout);
+  }
+
+  if (explain) {
+    std::cout << "\n" << Attribute(report).Render();
+  }
+  if (timeline) {
+    std::cout << "\n" << RenderTimeline(result.plan, result.timeline);
+  }
 }
 
 int Run(int argc, char** argv) {
@@ -145,13 +284,11 @@ int Run(int argc, char** argv) {
 
   const StatusOr<Model> model = ModelByName(flags.Get("model"));
   if (!model.ok()) {
-    std::cerr << model.status().ToString() << "\n";
-    return 2;
+    return Fail(model.status(), 2);
   }
   const StatusOr<Scheme> scheme = SchemeByName(flags.Get("scheme"));
   if (!scheme.ok()) {
-    std::cerr << scheme.status().ToString() << "\n";
-    return 2;
+    return Fail(scheme.status(), 2);
   }
 
   SessionConfig config;
@@ -186,16 +323,15 @@ int Run(int argc, char** argv) {
   if (!flags.Get("cluster").empty()) {
     // --cluster is the one-flag spelling of the fleet shape; it wins over the individual
     // topology flags so scripted sweeps can override a baseline command line wholesale.
-    const StatusOr<ClusterSpec> cluster = ParseClusterSpec(flags.Get("cluster"));
-    if (!cluster.ok()) {
-      std::cerr << cluster.status().ToString() << "\n(run with --help for flag usage)\n";
+    ClusterSpec cluster;
+    if (!AssignFlag(ParseClusterSpec(flags.Get("cluster")), &cluster)) {
       return 2;
     }
-    config.num_nodes = cluster.value().nodes;
-    config.nodes_per_rack = cluster.value().nodes_per_rack;
-    config.server.num_gpus = cluster.value().gpus_per_node;
-    config.nic_link = NicLinkSpec(cluster.value().nic_gbps);
-    config.rack_link = RackLinkSpec(cluster.value().rack_gbps);
+    config.num_nodes = cluster.nodes;
+    config.nodes_per_rack = cluster.nodes_per_rack;
+    config.server.num_gpus = cluster.gpus_per_node;
+    config.nic_link = NicLinkSpec(cluster.nic_gbps);
+    config.rack_link = RackLinkSpec(cluster.rack_gbps);
   }
   bool tune = false, timeline = false, explain = false, lint = false;
   if (!AssignFlag(flags.GetCheckedBool("recompute"), &config.recompute) ||
@@ -210,55 +346,64 @@ int Run(int argc, char** argv) {
       !AssignFlag(flags.GetCheckedBool("lint"), &lint)) {
     return 2;
   }
+  if (!flags.Get("faults").empty()) {
+    const StatusOr<FaultPlan> faults = ParseFaultSpec(flags.Get("faults"));
+    if (!faults.ok()) {
+      return Fail(faults.status(), 2);
+    }
+    config.faults = faults.value();
+  }
+  const bool faulted = !config.faults.empty();
+  const std::string& csv = flags.Get("csv");
+  const std::string& json = flags.Get("json");
+  const std::string& trace = flags.Get("trace");
+  // Each mode refuses the flags it cannot honor rather than exit 0 without them: the
+  // scheduler runs no single session (and reads --trace as its arrival trace), the tuner
+  // ends in its table, the lint run writes only its own report, and a --faults run has a
+  // report per segment where --csv and --trace name one file for one run. Each row lists
+  // the refused flags as its message spells them, and a given flag is refused when its
+  // name appears there (no listed name contains another).
+  const std::tuple<const char*, bool, std::string> refusals[] = {
+      {"--sched", !flags.Get("sched").empty(), "--tune, --lint, --timeline, --faults, or --csv"},
+      {"--tune", tune, "--lint, --json, --csv, --trace, --timeline, or --explain"},
+      {"--lint", lint, "--csv, --trace, --timeline, or --explain"},
+      {"--faults", faulted, "--csv or --trace"}};
+  const std::pair<const char*, bool> given[] = {
+      {"--tune", tune},          {"--lint", lint},       {"--faults", faulted},
+      {"--timeline", timeline},  {"--explain", explain}, {"--csv", !csv.empty()},
+      {"--json", !json.empty()}, {"--trace", !trace.empty()}};
+  for (const auto& [mode, on, refused] : refusals) {
+    for (const auto& [flag, set] : given) {
+      if (on && set && refused.find(flag) != std::string::npos) {
+        std::cerr << mode << " cannot be combined with " << refused
+                  << "\n(run with --help for flag usage)\n";
+        return 2;
+      }
+    }
+  }
+
   if (!flags.Get("sched").empty()) {
     // Scheduler mode: run a multi-tenant job stream over the cluster instead of one
     // session. --trace is the arrival-trace spec here (chrome tracing has no meaning for
-    // a job stream), and the single-run modes are unavailable.
-    const StatusOr<SchedPolicy> policy = SchedPolicyByName(flags.Get("sched"));
-    if (!policy.ok()) {
-      std::cerr << policy.status().ToString() << "\n(run with --help for flag usage)\n";
-      return 2;
-    }
-    if (tune || lint || timeline || !flags.Get("faults").empty() ||
-        !flags.Get("csv").empty()) {
-      std::cerr << "--sched cannot be combined with --tune, --lint, --timeline, --faults, "
-                   "or --csv\n(run with --help for flag usage)\n";
-      return 2;
-    }
+    // a job stream).
     ClusterSchedulerConfig sched;
     sched.server = config.server;
     sched.num_nodes = config.num_nodes;
     sched.nodes_per_rack = config.nodes_per_rack;
     sched.nic_link = config.nic_link;
     sched.rack_link = config.rack_link;
-    sched.policy = policy.value();
-    if (!flags.Get("quota").empty()) {
-      const StatusOr<QuotaMap> quotas = ParseQuotaSpec(flags.Get("quota"));
-      if (!quotas.ok()) {
-        std::cerr << quotas.status().ToString() << "\n(run with --help for flag usage)\n";
-        return 2;
-      }
-      sched.quotas = quotas.value();
+    std::vector<JobSpec> jobs, generated;
+    if (!AssignFlag(SchedPolicyByName(flags.Get("sched")), &sched.policy) ||
+        (!flags.Get("quota").empty() &&
+         !AssignFlag(ParseQuotaSpec(flags.Get("quota")), &sched.quotas)) ||
+        (!flags.Get("jobs").empty() && !AssignFlag(ParseJobsSpec(flags.Get("jobs")), &jobs)) ||
+        (!trace.empty() &&
+         !AssignFlag(GenerateTrace(trace, sched.server.num_gpus, sched.num_nodes,
+                                   flags.Get("model")),
+                     &generated))) {
+      return 2;
     }
-    std::vector<JobSpec> jobs;
-    if (!flags.Get("jobs").empty()) {
-      const StatusOr<std::vector<JobSpec>> parsed_jobs = ParseJobsSpec(flags.Get("jobs"));
-      if (!parsed_jobs.ok()) {
-        std::cerr << parsed_jobs.status().ToString()
-                  << "\n(run with --help for flag usage)\n";
-        return 2;
-      }
-      jobs = parsed_jobs.value();
-    }
-    if (!flags.Get("trace").empty()) {
-      const StatusOr<std::vector<JobSpec>> generated = GenerateTrace(
-          flags.Get("trace"), sched.server.num_gpus, sched.num_nodes, flags.Get("model"));
-      if (!generated.ok()) {
-        std::cerr << generated.status().ToString() << "\n(run with --help for flag usage)\n";
-        return 2;
-      }
-      jobs.insert(jobs.end(), generated.value().begin(), generated.value().end());
-    }
+    jobs.insert(jobs.end(), generated.begin(), generated.end());
     if (jobs.empty()) {
       std::cerr << "--sched needs a workload: pass --jobs and/or --trace\n(run with "
                    "--help for flag usage)\n";
@@ -266,23 +411,13 @@ int Run(int argc, char** argv) {
     }
     const StatusOr<ClusterReport> report = RunJobStream(std::move(jobs), sched);
     if (!report.ok()) {
-      std::cerr << report.status().ToString() << "\n";
-      return 1;
+      return Fail(report.status(), 1);
     }
-    if (explain) {
-      std::cout << report.value().Render();
-    } else {
-      std::cout << report.value().Summary() << "\n";
-    }
-    if (!flags.Get("json").empty()) {
-      const Status written = WriteClusterReportJson(report.value(), flags.Get("json"));
-      if (!written.ok()) {
-        std::cerr << written.ToString() << "\n";
-        return 1;
-      }
-      std::cout << "wrote cluster report to " << flags.Get("json") << "\n";
-    }
-    return 0;
+    std::cout << (explain ? report.value().Render() : report.value().Summary() + "\n");
+    return WriteOutput(json, "wrote cluster report to ",
+                       [&] { return ClusterReportToJson(report.value()); })
+               ? 0
+               : 1;
   }
   if (!flags.Get("jobs").empty() || !flags.Get("quota").empty()) {
     std::cerr << "--jobs/--quota only apply to scheduler mode; add --sched=<fifo|priority>"
@@ -290,36 +425,7 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  config.record_timeline = timeline || !flags.Get("trace").empty();
-  if (!flags.Get("faults").empty()) {
-    const StatusOr<FaultPlan> faults = ParseFaultSpec(flags.Get("faults"));
-    if (!faults.ok()) {
-      std::cerr << faults.status().ToString() << "\n";
-      return 2;
-    }
-    config.faults = faults.value();
-  }
-  // Only a single run ends in a run report for the report flags to render or write. The
-  // tuner prints its table and honors none of them (nor --lint, which it would drop); the
-  // lint run honors only --json, which writes the lint report; the elastic --faults run
-  // honors none.
-  const bool report_flags = explain || timeline || !flags.Get("csv").empty() ||
-                            !flags.Get("trace").empty();
-  const bool json = !flags.Get("json").empty();
-  const char* refusal = nullptr;
-  if (tune && (lint || report_flags || json)) {
-    refusal = "--tune cannot be combined with --lint, --json, --csv, --trace, --timeline, or "
-              "--explain";
-  } else if (lint && report_flags) {
-    refusal = "--lint cannot be combined with --csv, --trace, --timeline, or --explain";
-  } else if (!config.faults.empty() && !lint && (report_flags || json)) {
-    refusal = "--faults cannot be combined with --json, --csv, --trace, --timeline, or "
-              "--explain";
-  }
-  if (refusal != nullptr) {
-    std::cerr << refusal << "\n(run with --help for flag usage)\n";
-    return 2;
-  }
+  config.record_timeline = timeline || !trace.empty();
 
   if (tune) {
     // Tuner mode: sweep the memory-performance tango knobs around the requested config and
@@ -332,12 +438,10 @@ int Run(int argc, char** argv) {
     }
     const StatusOr<TunerResult> swept = TunePp(model.value(), config, options);
     if (!swept.ok()) {
-      std::cerr << swept.status().ToString() << "\n";
-      return 1;
+      return Fail(swept.status(), 1);
     }
     const TunerResult& tuned = swept.value();
-    std::cout << model.value().Summary() << "\n";
-    std::cout << RenderTunerTable(tuned) << "\n";
+    std::cout << model.value().Summary() << "\n" << RenderTunerTable(tuned) << "\n";
     std::printf("tuner pick: pack=%d, group=%d, microbatch=%d (%d microbatches) -> %.2f "
                 "samples/s\n",
                 tuned.best.pack_size, tuned.best.group_size, tuned.best.microbatch_size,
@@ -348,191 +452,53 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  if (!config.faults.empty() && !lint) {
-    // Elastic mode: run with fault injection and recover onto survivors after fail-stops.
-    // Each segment validates the session it builds, so a configuration that cannot start
-    // comes back with no segment: a message and a non-zero exit, not an HCHECK abort.
-    const ElasticResult elastic = RunTrainingElastic(model.value(), config);
-    if (elastic.segments.empty()) {
-      std::cerr << elastic.status.ToString() << "\n";
-      return 1;
-    }
-    std::cout << model.value().Summary() << "\n";
-    std::cout << "fault plan: " << config.faults.ToString() << "\n\n";
-    for (std::size_t i = 0; i < elastic.segments.size(); ++i) {
-      const RecoverySegment& seg = elastic.segments[i];
-      std::printf("segment %zu: %d gpu(s), iterations [%d, %d), completed %zu, makespan "
-                  "%.3f s%s\n",
-                  i, static_cast<int>(seg.gpus.size()), seg.start_iteration,
-                  seg.start_iteration + seg.iterations, seg.result.report.iterations.size(),
-                  seg.result.report.makespan,
-                  seg.result.report.failed
-                      ? (" — " + seg.result.report.failure_kind).c_str()
-                      : "");
-    }
-    std::cout << "\napplied faults:\n" << elastic.FaultTrace();
-    std::printf(
-        "\nrecovery: %d failure(s), lost work %.3f s, recovery latency %.3f s, re-swap "
-        "%s\ncheckpoints: %d committed (%s), completed %d/%d iterations, total makespan "
-        "%.3f s\n",
-        elastic.stats.failures, elastic.stats.lost_work_sec,
-        elastic.stats.recovery_latency_sec, FormatBytes(elastic.stats.reswap_bytes).c_str(),
-        elastic.checkpoints_committed, FormatBytes(elastic.checkpoint_bytes).c_str(),
-        elastic.completed_iterations, config.iterations, elastic.total_makespan);
-    std::int64_t flows_retried = 0;
-    double retry_backoff_sec = 0.0;
-    for (const RecoverySegment& seg : elastic.segments) {
-      flows_retried += seg.result.report.flows_retried;
-      retry_backoff_sec += seg.result.report.retry_backoff_sec;
-    }
-    if (flows_retried > 0 || elastic.stats.degradations > 0 ||
-        elastic.stats.retry_exhaustions > 0 || elastic.stats.ckpt_verified > 0 ||
-        elastic.stats.ckpt_corrupt_detected > 0) {
-      // Only printed when the degraded-mode tier actually engaged, so pre-resilience
-      // fault-plan output stays byte-identical.
-      std::printf("resilience: %lld flow retr%s absorbed (%.3f s backoff), %d "
-                  "degradation(s), %d retry exhaustion(s), checkpoint verification %d ok "
-                  "/ %d corrupt\n",
-                  static_cast<long long>(flows_retried), flows_retried == 1 ? "y" : "ies",
-                  retry_backoff_sec, elastic.stats.degradations,
-                  elastic.stats.retry_exhaustions, elastic.stats.ckpt_verified,
-                  elastic.stats.ckpt_corrupt_detected);
-    }
-    if (!elastic.status.ok()) {
-      std::cerr << elastic.status.ToString() << "\n";
-      return 1;
-    }
-    std::cout << "\nfinal segment report:\n"
-              << elastic.final_segment().result.report.Summary() << "\n";
-    return 0;
-  }
-
-  // Every other mode builds the session once and lints or runs exactly that plan. Bad
-  // configurations are messages + a non-zero exit instead of HCHECK aborts.
-  StatusOr<PreparedSession> prepared = PrepareSession(model.value(), config);
-  if (!prepared.ok()) {
-    std::cerr << prepared.status().ToString() << "\n";
-    return 1;
-  }
-
   if (lint) {
-    // Lint mode: run the full static analysis (deep checks included) on the prepared plan
+    // Lint mode: run the full static analysis (deep checks included) on the session's plan
     // and report instead of executing. --json switches the output file to the lint report.
-    const PreparedSession& session = prepared.value();
+    const StatusOr<PreparedSession> prepared = PrepareSession(model.value(), config);
+    if (!prepared.ok()) {
+      return Fail(prepared.status(), 1);
+    }
     LintOptions options;
     options.deep = true;
-    for (const GpuSpec& gpu : session.machine.gpus) {
+    for (const GpuSpec& gpu : prepared.value().machine.gpus) {
       options.device_capacities.push_back(gpu.memory_bytes);
     }
-    const LintReport report = LintPlan(session.plan, session.registry, options);
+    const LintReport report =
+        LintPlan(prepared.value().plan, prepared.value().registry, options);
     std::cout << report.Render();
-    if (!flags.Get("json").empty()) {
-      const Status written = WriteTextFile(flags.Get("json"), report.ToJson() + "\n");
-      if (!written.ok()) {
-        std::cerr << written.ToString() << "\n";
-        return 1;
-      }
-      std::cout << "wrote lint report to " << flags.Get("json") << "\n";
+    if (!WriteOutput(json, "wrote lint report to ", [&] { return report.ToJson() + "\n"; })) {
+      return 1;
     }
     return report.num_errors() > 0 ? 1 : 0;
   }
 
+  // Training: the recovery coordinator builds and validates each segment, so a
+  // configuration that cannot start comes back with no segment, a message and a non-zero
+  // exit, not an HCHECK abort. Without faults the run is one segment and prints no header.
+  const ElasticResult elastic = RunTrainingElastic(model.value(), config);
+  if (elastic.segments.empty()) {
+    return Fail(elastic.status, 1);
+  }
   std::cout << model.value().Summary() << "\n";
-  const SessionResult result = RunTraining(std::move(prepared).value());
-  std::cout << result.plan.Stats() << "\n\n";
-  std::cout << result.report.Summary() << "\n\n";
-
-  TablePrinter devices({"device", "busy (s)", "swap-in", "swap-out", "high water",
-                        "peak task WS", "demand"});
-  for (int d = 0; d < result.report.num_devices(); ++d) {
-    devices.Row()
-        .Cell("gpu" + std::to_string(d))
-        .Cell(result.report.device_busy[static_cast<std::size_t>(d)], 2)
-        .Cell(FormatBytes(result.report.device_swap_in[static_cast<std::size_t>(d)]))
-        .Cell(FormatBytes(result.report.device_swap_out[static_cast<std::size_t>(d)]))
-        .Cell(FormatBytes(result.report.device_high_water[static_cast<std::size_t>(d)]))
-        .Cell(FormatBytes(result.peak_task_working_set[static_cast<std::size_t>(d)]))
-        .Cell(FormatBytes(result.memory_demand_per_device[static_cast<std::size_t>(d)]));
+  if (faulted) {
+    PrintRecovery(elastic, config);
   }
-  devices.Print(std::cout);
-
-  std::cout << "\nper-class swap volume (steady iteration):\n";
-  TablePrinter classes({"tensor class", "swap-in", "swap-out"});
-  const IterationStats& it = result.report.iterations.size() > 1
-                                 ? result.report.iterations[1]
-                                 : result.report.iterations[0];
-  for (int c = 0; c < kNumTensorClasses; ++c) {
-    classes.Row()
-        .Cell(TensorClassName(static_cast<TensorClass>(c)))
-        .Cell(FormatBytes(it.swap_in_by_class[c]))
-        .Cell(FormatBytes(it.swap_out_by_class[c]));
+  for (std::size_t i = 0; i < elastic.segments.size(); ++i) {
+    std::cout << (faulted ? "\nsegment " + std::to_string(i) + " report:\n" : "");
+    PrintReport(elastic.segments[i].result, explain, timeline);
   }
-  classes.Print(std::cout);
-
-  std::cout << "\nlink usage:\n";
-  TablePrinter links({"link", "bytes", "busy (s)", "utilization"});
-  for (const RunReport::LinkUsage& link : result.report.links) {
-    if (link.bytes == 0) {
-      continue;
-    }
-    links.Row()
-        .Cell(link.name)
-        .Cell(FormatBytes(link.bytes))
-        .Cell(link.busy_time, 2)
-        .Cell(link.utilization, 2);
+  // --csv and --trace are refused under --faults, so they only see a one-segment run.
+  const SessionResult& last = elastic.final_segment().result;
+  if (!WriteOutput(csv, "\nwrote per-iteration CSV to ",
+                   [&] { return ReportToCsv(last.report); }) ||
+      !WriteOutput(json, "\nwrote structured report to ",
+                   [&] { return faulted ? elastic.ToJson() : ReportToJson(last.report); }) ||
+      !WriteOutput(trace, "\nwrote chrome trace to ",
+                   [&] { return TimelineToChromeTrace(last.plan, last.timeline, &last.report); })) {
+    return 1;
   }
-  links.Print(std::cout);
-
-  // Multi-node runs get the per-tier rollup of the same link totals; single-server output
-  // is unchanged (tiers empty).
-  if (!result.report.tiers.empty()) {
-    std::cout << "\ntier byte split:\n";
-    TablePrinter tiers({"tier", "bytes", "busy (s)", "flows", "collective", "swap"});
-    for (const RunReport::TierUsage& tier : result.report.tiers) {
-      tiers.Row()
-          .Cell(tier.name)
-          .Cell(FormatBytes(tier.bytes))
-          .Cell(tier.busy_time, 2)
-          .Cell(tier.flows)
-          .Cell(FormatBytes(tier.of(TransferKind::kCollective)))
-          .Cell(FormatBytes(tier.of(TransferKind::kSwapIn) +
-                            tier.of(TransferKind::kSwapOut)));
-    }
-    tiers.Print(std::cout);
-  }
-
-  if (explain) {
-    std::cout << "\n" << Attribute(result.report).Render();
-  }
-  if (timeline) {
-    std::cout << "\n" << RenderTimeline(result.plan, result.timeline);
-  }
-  if (!flags.Get("csv").empty()) {
-    const Status written = WriteReportCsv(result.report, flags.Get("csv"));
-    if (!written.ok()) {
-      std::cerr << written.ToString() << "\n";
-      return 1;
-    }
-    std::cout << "\nwrote per-iteration CSV to " << flags.Get("csv") << "\n";
-  }
-  if (!flags.Get("json").empty()) {
-    const Status written = WriteReportJson(result.report, flags.Get("json"));
-    if (!written.ok()) {
-      std::cerr << written.ToString() << "\n";
-      return 1;
-    }
-    std::cout << "\nwrote structured report to " << flags.Get("json") << "\n";
-  }
-  if (!flags.Get("trace").empty()) {
-    const Status written =
-        WriteChromeTrace(result.plan, result.timeline, flags.Get("trace"), &result.report);
-    if (!written.ok()) {
-      std::cerr << written.ToString() << "\n";
-      return 1;
-    }
-    std::cout << "\nwrote chrome trace to " << flags.Get("trace") << "\n";
-  }
-  return 0;
+  return elastic.status.ok() ? 0 : Fail(elastic.status, 1);
 }
 
 }  // namespace
